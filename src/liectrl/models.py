@@ -1,10 +1,10 @@
 """Concrete Hamiltonians: Rydberg chains, the three-body ZXZ target, the
-blockade-regime PXP model, the uniform chain-control family, and the
-phenomenological noise model used for open-system runs.
+blockade-regime PXP model, and the phenomenological noise model used for
+open-system runs.
 
 Unit convention: library functions take and return angular frequencies in
-rad/us.  File formats and the CLI speak MHz and convert at the boundary
-with 2*pi rad/us = 1 MHz; use :func:`mhz` / :func:`to_mhz` to cross over.
+rad/us.  File formats speak MHz and convert at the boundary with
+2*pi rad/us = 1 MHz; use :func:`mhz` / :func:`to_mhz` to cross over.
 Lengths are in micrometres, times in microseconds.
 """
 
@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .closure import GeneratorSet, uniform_qubit_generators
 from .pauli import PauliSum
 
 TWO_PI = 2.0 * np.pi
 
 # van der Waals coefficient of the 70S Rydberg state, rad/us * um^6
 DEFAULT_C6 = 862690.0 * TWO_PI
+_DENSE_ATOM_BUDGET = 10  # most atoms whose 2^N x 2^N matrices are built
 
 
 def mhz(value: float) -> float:
@@ -118,7 +117,7 @@ class NoiseModel:
             metadata={"gamma_units": "1/us (assumed; source quotes a bare number)"},
         )
 
-    def realized_controls(self, omega: float, delta: float) -> tuple[float, float]:
+    def realized_controls(self, omega, delta):  # floats or arrays
         return (omega + self.delta_rabi_shift + self.rabi_scale_error * omega,
                 delta + self.delta_detuning_shift)
 
@@ -136,7 +135,7 @@ def density_operator(n_qubits: int, site: int) -> PauliSum:
 
 
 def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float,
-                        n_max_dense: int = 10) -> PauliSum:
+                        n_max_dense: int = _DENSE_ATOM_BUDGET) -> PauliSum:
     """Global-drive Rydberg chain Hamiltonian (rad/us) as a PauliSum.
 
     H = (Omega/2) sum_l X_l - Delta sum_l n_l + sum_{j<l} V_jl n_j n_l
@@ -170,20 +169,24 @@ def _pair_density(n: int, j: int, l: int) -> PauliSum:
 
 
 def rydberg_terms(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (sum X_l, sum n_l, interaction) pieces for fast H(controls).
+    """Dense real (sum X_l, sum n_l, interaction) pieces for fast H(controls).
 
-    H(omega, delta) = (omega/2) * X_total - delta * n_total + V.
+    H(omega, delta) = (omega/2) * X_total - delta * n_total + V.  All three
+    are symmetric; n_total and V are diagonal in the basis bits (qubit 1 is
+    the most significant bit, bit 1 the Rydberg state).
     """
     n = geom.n_atoms
-    x_total = sum((_site(n, l, "X") for l in range(1, n + 1)),
-                  PauliSum.zero(n)).to_dense()
-    n_total = sum((density_operator(n, l) for l in range(1, n + 1)),
-                  PauliSum.zero(n)).to_dense()
-    v = PauliSum.zero(n)
-    for j in range(1, n + 1):
-        for l in range(j + 1, n + 1):
-            v = v + _pair_density(n, j, l) * geom.interaction(j, l)
-    return x_total, n_total, v.to_dense()
+    if n > _DENSE_ATOM_BUDGET:
+        raise ModelError(f"geometry with {n} atoms exceeds the dense budget "
+                         f"of {_DENSE_ATOM_BUDGET} atoms")
+    k = np.arange(2 ** n)
+    bits = (k[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column l-1: atom l
+    x_total = np.zeros((2 ** n, 2 ** n))
+    for shift in range(n):
+        x_total[k, k ^ (1 << shift)] = 1.0
+    v = sum((geom.interaction(j, l) * bits[:, j - 1] * bits[:, l - 1]
+             for j in range(1, n + 1) for l in range(j + 1, n + 1)), np.zeros(2 ** n))
+    return x_total, np.diag(bits.sum(axis=1).astype(float)), np.diag(v)
 
 
 def zxz_hamiltonian(n_qubits: int, j_eff: float = 1.0) -> PauliSum:
@@ -216,11 +219,6 @@ def pxp_hamiltonian(n_qubits: int, omega: float, delta: float) -> PauliSum:
     for i in range(1, n + 1):
         h = h + density_operator(n, i) * (-delta)
     return h
-
-
-def uniform_control_family(n_qubits: int, break_pattern: Sequence[int] = ()) -> GeneratorSet:
-    """The chain's global X/Z/ZZ controls plus an optional partial X field."""
-    return uniform_qubit_generators(n_qubits, break_pattern)
 
 
 def boundary_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:

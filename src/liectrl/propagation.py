@@ -1,12 +1,12 @@
 """Time evolution engines for globally driven atom chains.
 
 Unitary propagation splits every knot interval of a piecewise-linear
-pulse into sub-intervals and applies the exponential midpoint rule,
-exact to second order and exactly unitary (each step is the exponential
-of a Hermitian matrix via eigendecomposition).  Open-system propagation
-integrates the master equation with per-atom decay |g><r| and constant
-control offsets using classic fixed-step RK4, with automatic step
-halving when the trace starts drifting.
+pulse into sub-intervals and applies the exponential midpoint rule
+(second order, exactly unitary) in batches of stacked real symmetric
+Hamiltonians: one ``eigh`` per batch, two real matrix products per
+factor.  Open-system propagation integrates the master equation with
+per-atom decay |g><r| and constant control offsets using classic
+fixed-step RK4, with automatic step halving when the trace drifts.
 
 All frequencies are angular (rad/us); CSV pulse files are in MHz with
 header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .models import AtomGeometry, NoiseModel, mhz, rydberg_terms, to_mhz
 
-DEFAULT_SUBSTEP = 0.01  # us; keeps the midpoint-rule error far below 1e-6
+# us; second order: from |g..g> on 3 atoms at 6 um, the 1 us "mild" probe
+# pulse ends 8.6e-3 from the converged state (up to 2.3e-2 on bench pulses)
+DEFAULT_SUBSTEP = 0.01
+_BATCH_BYTES = 1 << 20  # stacked H per batch; larger only raises peak memory
 DEFAULT_LINDBLAD_DT = 1e-3  # us
 TRACE_DRIFT_LIMIT = 1e-6
 
@@ -86,10 +88,10 @@ class ControlPulse:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def sample(self, t: float) -> tuple[float, float]:
-        om = float(np.interp(t, self.times, self.omegas))
-        de = float(np.interp(t, self.times, self.deltas))
-        return om, de
+    def sample(self, t):  # floats for a scalar t, arrays for an array
+        om = np.interp(t, self.times, self.omegas)
+        de = np.interp(t, self.times, self.deltas)
+        return (float(om), float(de)) if om.ndim == 0 else (om, de)
 
     def validate(self, profile: ConstraintProfile | None = None) -> None:
         """Raise PulseError on any violated invariant.
@@ -172,20 +174,6 @@ class DensityState:
         return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
 
 
-def _expm_factors(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a Hermitian h via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
-
-
-def _interval_substeps(interval: float, substeps: int | None) -> int:
-    if substeps is not None:
-        if substeps < 1:
-            raise PropagationError("substeps must be >= 1")
-        return substeps
-    return max(1, int(np.ceil(interval / DEFAULT_SUBSTEP)))
-
-
 def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
                        substeps: int | None = None, force: bool = False,
                        profile: ConstraintProfile | None = None,
@@ -197,22 +185,32 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     """
     if not force:
         pulse.validate(profile)
+    if substeps is not None and substeps < 1:
+        raise PropagationError("substeps must be >= 1")
+    gaps = np.diff(pulse.times)
+    steps = (np.maximum(1, np.ceil(gaps / DEFAULT_SUBSTEP).astype(int))
+             if substeps is None else np.full(gaps.size, substeps))
+    knot_ends = np.cumsum(steps)
+    dts = np.repeat(gaps / steps, steps)
+    s = np.arange(dts.size) - np.repeat(knot_ends - steps, steps)  # within its interval
+    om, de = pulse.sample(np.repeat(pulse.times[:-1], steps) + (s + 0.5) * dts)
+    if noise is not None:
+        om, de = noise.realized_controls(om, de)
     x_tot, n_tot, v = rydberg_terms(geom)
-    dim = x_tot.shape[0]
-    u = np.eye(dim, dtype=complex)
-    out = [(float(pulse.times[0]), u.copy())]
-    for k in range(pulse.n_knots - 1):
-        t0, t1 = pulse.times[k], pulse.times[k + 1]
-        steps = _interval_substeps(t1 - t0, substeps)
-        dt = (t1 - t0) / steps
-        for s in range(steps):
-            tm = t0 + (s + 0.5) * dt
-            om, de = pulse.sample(tm)
-            if noise is not None:
-                om, de = noise.realized_controls(om, de)
-            h = (om / 2.0) * x_tot - de * n_tot + v
-            u = _expm_factors(h, dt) @ u
-        out.append((float(t1), u.copy()))
+    batch = max(1, _BATCH_BYTES // x_tot.nbytes)
+    u = np.eye(len(x_tot), dtype=complex)
+    out = [(float(pulse.times[0]), u)]
+    for lo in range(0, dts.size, batch):
+        sl = slice(lo, lo + batch)
+        h = (om[sl, None, None] / 2.0) * x_tot - de[sl, None, None] * n_tot + v
+        evals, vecs = np.linalg.eigh(h)
+        phase, vecs_t = evals * dts[sl, None], vecs.swapaxes(1, 2)
+        factors = ((vecs * np.cos(phase)[:, None, :]) @ vecs_t).astype(complex)
+        factors.imag = (vecs * -np.sin(phase)[:, None, :]) @ vecs_t
+        for step, f in enumerate(factors, start=lo + 1):
+            u = f @ u  # a new array, so the snapshots need no copies
+            if step == knot_ends[len(out) - 1]:
+                out.append((float(pulse.times[len(out)]), u))
     return out
 
 
@@ -253,7 +251,8 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
         pulse.validate(profile)
     if dt <= 0:
         raise PropagationError("dt must be positive")
-    x_tot, n_tot, v = rydberg_terms(geom)
+    # complex pieces, so that H(t) @ rho needs no conversion of H per call
+    x_tot, n_tot, v = (m.astype(complex) for m in rydberg_terms(geom))
     dim = x_tot.shape[0]
     if initial_state is None:
         psi = np.zeros(dim, dtype=complex)

@@ -3,7 +3,9 @@
 Deliberately different algorithms from the production code: the closure
 oracle commutes *all pairs* each round and measures rank by SVD of the
 out-of-span residuals, rather than generator-only breadth-first search
-with incremental Gram-Schmidt.
+with incremental Gram-Schmidt.  The propagation oracle takes the midpoint
+rule one substep at a time with complex arithmetic, rather than in real
+symmetric batches.
 """
 
 import numpy as np
@@ -57,3 +59,44 @@ def haar_average_state_fidelity(u, v):
     d = u.shape[0]
     w = np.trace(u.conj().T @ v)
     return (abs(w) ** 2 + d) / (d * (d + 1))
+
+
+def pauli_rydberg_terms(geom):
+    """(sum X_l, sum n_l, V) summed as Pauli strings, then made dense."""
+    from liectrl.models import _pair_density, _site, density_operator
+    from liectrl.pauli import PauliSum
+
+    n = geom.n_atoms
+    x_total = sum((_site(n, l, "X") for l in range(1, n + 1)), PauliSum.zero(n))
+    n_total = sum((density_operator(n, l) for l in range(1, n + 1)), PauliSum.zero(n))
+    v = PauliSum.zero(n)
+    for j in range(1, n + 1):
+        for l in range(j + 1, n + 1):
+            v = v + _pair_density(n, j, l) * geom.interaction(j, l)
+    return x_total.to_dense(), n_total.to_dense(), v.to_dense()
+
+
+def stepwise_unitary_trajectory(pulse, geom, substeps=None, noise=None):
+    """Midpoint-rule propagator snapshots at the knots, one substep at a time.
+
+    Each substep samples the controls at its midpoint as scalars, builds
+    the complex Hamiltonian from the Pauli-form pieces and multiplies the
+    propagator by exp(-i h dt) from a complex ``eigh``.
+    """
+    from liectrl.propagation import DEFAULT_SUBSTEP
+
+    x_tot, n_tot, v = pauli_rydberg_terms(geom)
+    u = np.eye(x_tot.shape[0], dtype=complex)
+    out = [(float(pulse.times[0]), u.copy())]
+    for k in range(pulse.n_knots - 1):
+        t0, t1 = pulse.times[k], pulse.times[k + 1]
+        steps = substeps or max(1, int(np.ceil((t1 - t0) / DEFAULT_SUBSTEP)))
+        dt = (t1 - t0) / steps
+        for s in range(steps):
+            om, de = pulse.sample(t0 + (s + 0.5) * dt)
+            if noise is not None:
+                om, de = noise.realized_controls(om, de)
+            evals, vecs = np.linalg.eigh((om / 2.0) * x_tot - de * n_tot + v)
+            u = ((vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T) @ u
+        out.append((float(t1), u.copy()))
+    return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from liectrl.closure import uniform_qubit_generators
 from liectrl.models import (
     DEFAULT_C6,
     AtomGeometry,
@@ -15,10 +16,10 @@ from liectrl.models import (
     rydberg_hamiltonian,
     rydberg_terms,
     to_mhz,
-    uniform_control_family,
     zxz_hamiltonian,
 )
 from liectrl.pauli import PauliSum, commutator
+from oracles import pauli_rydberg_terms
 
 
 def ground_state(n):
@@ -103,6 +104,28 @@ class TestRydberg:
         dense = omega / 2 * x_tot - delta * n_tot + v
         np.testing.assert_allclose(
             dense, rydberg_hamiltonian(g, omega, delta).to_dense(), atol=1e-10)
+
+    @pytest.mark.parametrize("geom", [
+        *(AtomGeometry.chain(n, 6.5) for n in range(1, 7)),
+        AtomGeometry(((0.0, 0.0), (7.0, 0.0), (0.5, 6.5), (7.5, 8.0), (3.0, 12.0))),
+    ])
+    def test_terms_real_symmetric_and_match_pauli_sums(self, geom):
+        pieces = rydberg_terms(geom)
+        for got, want in zip(pieces, pauli_rydberg_terms(geom)):
+            assert np.isrealobj(got)
+            np.testing.assert_array_equal(got, got.T)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        x_tot, n_tot, v = pieces
+        for diagonal in (n_tot, v):
+            np.testing.assert_array_equal(diagonal, np.diag(np.diag(diagonal)))
+        omega, delta = mhz(1.7), mhz(-0.9)
+        np.testing.assert_allclose(
+            omega / 2 * x_tot - delta * n_tot + v,
+            rydberg_hamiltonian(geom, omega, delta).to_dense(), rtol=0, atol=1e-10)
+
+    def test_terms_budget(self):
+        with pytest.raises(ModelError, match="dense budget of 10 atoms"):
+            rydberg_terms(AtomGeometry.chain(11, 9.0))
 
     def test_uniform_rabi_eigenvalues(self):
         # Delta = 0 and no interactions: eigenvalues are sums of +-Omega/2
@@ -208,19 +231,19 @@ class TestDensityAndBoundary:
 
 class TestControlFamily:
     def test_two_qubit_generators(self):
-        gen = uniform_control_family(2)
+        gen = uniform_qubit_generators(2)
         assert len(gen.generators) == 3
         hx = gen.generators[0]
         assert hx.coeff("XI") == 1.0 and hx.coeff("IX") == 1.0
 
     def test_empty_pattern_three_generators(self):
-        assert len(uniform_control_family(5).generators) == 3
-        assert len(uniform_control_family(5, {2}).generators) == 4
+        assert len(uniform_qubit_generators(5).generators) == 3
+        assert len(uniform_qubit_generators(5, {2}).generators) == 4
 
     def test_alternating_pattern_matches_split_fields(self):
         # H_Z = H_A + H_B where A, B are the even/odd sublattice Z fields
         n = 6
-        gen = uniform_control_family(n, {1, 3, 5})
+        gen = uniform_qubit_generators(n, {1, 3, 5})
         hz = gen.generators[1]
         ha = sum((PauliSum.single_site(n, j, "Z") for j in range(2, n + 1, 2)),
                  PauliSum.zero(n))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from liectrl import propagation
 from liectrl.models import AtomGeometry, NoiseModel, mhz, zxz_hamiltonian
 from liectrl.propagation import (
     ConstraintProfile,
@@ -14,6 +15,7 @@ from liectrl.propagation import (
     propagate_unitary,
     unitary_trajectory,
 )
+from oracles import stepwise_unitary_trajectory
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -73,6 +75,16 @@ class TestControlPulse:
         om, de = p.sample(0.25)
         assert om == pytest.approx(0.5)
         assert de == pytest.approx(0.5)
+
+    def test_sample_array_matches_interp(self):
+        rng = np.random.default_rng(3)
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, 8))])
+        p = ControlPulse(t, rng.uniform(0, 10, 9), rng.uniform(-50, 50, 9))
+        times = np.concatenate([t, rng.uniform(-0.1, t[-1] + 0.1, 50)])
+        om, de = p.sample(times)
+        np.testing.assert_array_equal(om, np.interp(times, p.times, p.omegas))
+        np.testing.assert_array_equal(de, np.interp(times, p.times, p.deltas))
+        assert type(p.sample(0.3)[0]) is float and type(p.sample(0.3)[1]) is float
 
     def test_csv_roundtrip(self):
         t = np.array([0.0, 0.05, 0.1])
@@ -142,6 +154,64 @@ class TestUnitary:
         traj = unitary_trajectory(p, lone_atom())
         assert [pt for pt, _ in traj] == pytest.approx(t.tolist())
         np.testing.assert_allclose(traj[0][1], np.eye(2), atol=1e-15)
+
+
+def uneven_pulse(seed, duration):
+    """Valid pulse with knot gaps of 0.05-0.4 us, so intervals differ in steps."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.05, 0.4, int(duration / 0.2) + 1)
+    t = np.concatenate([[0.0], np.cumsum(gaps * duration / gaps.sum())])
+    om = np.concatenate([[0.0], mhz(rng.uniform(0.2, 2.4, len(t) - 2)), [0.0]])
+    return ControlPulse(t, om, mhz(rng.uniform(-19, 19, len(t))))
+
+
+class TestBatchedUnitary:
+    """The batched propagator against the one-substep-at-a-time oracle."""
+
+    @pytest.mark.parametrize("n_atoms, noise, substeps, duration", [
+        (1, None, None, 1.0),
+        (3, None, None, 1.0),
+        (3, NoiseModel.fitted(), None, 1.5),
+        (3, None, None, 45.0),  # over 4000 substeps: several 8x8 batches
+        (6, NoiseModel.fitted(), 7, 0.8),
+        (6, None, None, 1.2),
+    ])
+    def test_matches_stepwise_oracle(self, n_atoms, noise, substeps, duration):
+        pulse = uneven_pulse(n_atoms, duration)
+        geom = AtomGeometry.chain(n_atoms, 6.5)
+        got = unitary_trajectory(pulse, geom, substeps=substeps, noise=noise)
+        want = stepwise_unitary_trajectory(pulse, geom, substeps=substeps, noise=noise)
+        assert [t for t, _ in got] == [t for t, _ in want] == pulse.times.tolist()
+        for (_, u), (_, w) in zip(got, want):
+            assert np.max(np.abs(u - w)) <= 1e-12
+
+    def test_oracle_cases_span_several_batches(self):
+        for n_atoms, duration in ((3, 45.0), (6, 1.2)):
+            batch = propagation._BATCH_BYTES // (8 * 4 ** n_atoms)
+            steps = np.ceil(np.diff(uneven_pulse(n_atoms, duration).times)
+                            / propagation.DEFAULT_SUBSTEP)
+            assert steps.sum() > 2 * batch
+            assert len(set(steps.tolist())) > 1
+
+    def test_default_substep_error_contract(self):
+        # the 1 us "mild" probe pulse; DEFAULT_SUBSTEP quotes its 8.6e-3
+        # state error on 3 atoms at 6 um, a second-order midpoint defect
+        omega = [0.0, 0.956, 0.765, 1.143, 1.811, 0.209, 1.722, 0.674, 1.309,
+                 1.62, 1.107, 0.484, 1.338, 1.297, 0.963, 1.541, 0.29, 1.59,
+                 1.57, 0.501, 0.0]
+        delta = [2.03, -2.783, -0.826, 2.048, -0.664, 4.317, 3.109, -4.78,
+                 3.668, -2.55, 4.669, -3.823, -2.201, 3.667, 0.37, 3.883,
+                 -2.048, -0.06, 2.666, 0.383, -1.38]
+        p = ControlPulse(np.round(np.arange(21) * 0.05, 10),
+                         mhz(np.array(omega)), mhz(np.array(delta)))
+        geom = AtomGeometry.chain(3, 6.0)
+        measured = 8.6e-3
+        ref = propagate_unitary(p, geom, substeps=800)[:, 0]
+        err = np.linalg.norm(propagate_unitary(p, geom)[:, 0] - ref)
+        assert measured / 2 < err < 2 * measured
+        # halving the substep quarters the error
+        half = np.linalg.norm(propagate_unitary(p, geom, substeps=10)[:, 0] - ref)
+        assert err / half == pytest.approx(4.0, abs=0.5)
 
 
 class TestLindblad:
