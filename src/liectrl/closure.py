@@ -30,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .pauli import (
-    PauliError,
     PauliSum,
     arrays_to_sum,
     commutator_arrays,
@@ -69,6 +68,8 @@ class GeneratorSet:
     representation: Representation
     generators: list
     label: str = ""
+    names: list[str] = field(default_factory=list)  # one per generator, if named
+    basis: object = None  # sectors.SectorBasis of sector-built dense generators
 
     def __post_init__(self):
         if not self.generators:
@@ -114,6 +115,7 @@ class ClosureResult:
     theoretical_cap: int
     n_qubits: int | None = None
     elapsed_s: float = 0.0
+    pattern_reflection_symmetric: bool | None = None  # chain checks only
     _matrix: np.ndarray = field(default=None, repr=False)
     _keys_x: np.ndarray = field(default=None, repr=False)
     _keys_z: np.ndarray = field(default=None, repr=False)

@@ -18,7 +18,7 @@ qubit 1).  Masks are kept as Python ints but must fit 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 

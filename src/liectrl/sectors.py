@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, isqrt
-from typing import Literal, Sequence
+from math import comb
+from typing import Literal
 
 import numpy as np
 
-from .closure import ClosureError, GeneratorSet
+from .closure import GeneratorSet
 
 SectorKind = Literal["fermion", "boson", "spinful_fermion"]
 
@@ -191,11 +191,9 @@ def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
             h_u.matrix[...] += _diag_product(basis, i, i) - number_op(basis, i).matrix
     gens = [h_odd_hop, h_even_hop, h_odd_mu, h_even_mu, h_u]
     names = ["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu", "H_U"]
-    out = GeneratorSet("dense", [g.matrix for g in gens],
-                       label=f"{kind} chain N={n_sites} n={n_particles}")
-    out.names = names
-    out.basis = basis
-    return out
+    return GeneratorSet("dense", [g.matrix for g in gens],
+                        label=f"{kind} chain N={n_sites} n={n_particles}",
+                        names=names, basis=basis)
 
 
 def spinful_mode(site: int, spin: Literal["up", "down"]) -> int:
@@ -244,11 +242,9 @@ def build_spinful_controls(n_sites: int, n_particles: int,
     gens = [h_odd_hop, h_even_hop, h_odd_mu, h_even_mu, h_bx, h_bz, h_u]
     names = ["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu",
              "H_BX", f"H_BZ(a={a},b={b})", "H_U"]
-    out = GeneratorSet("dense", [g.matrix for g in gens],
-                       label=f"spinful chain N={n_sites} n={n_particles}")
-    out.names = names
-    out.basis = basis
-    return out
+    return GeneratorSet("dense", [g.matrix for g in gens],
+                        label=f"spinful chain N={n_sites} n={n_particles}",
+                        names=names, basis=basis)
 
 
 # -- 2D superlattice with four species ----------------------------------
@@ -297,12 +293,11 @@ def build_nnn_lattice(rows: int, cols: int, n_particles: int = 1) -> GeneratorSe
             which = 2 if r % 2 == 1 else 3
             hops[which].matrix[...] += hopping(
                 basis, lattice_mode(r + 1, c, cols), lattice_mode(r, c, cols)).matrix
-    out = GeneratorSet("dense", [m.matrix for m in mus] + [h.matrix for h in hops],
-                       label=f"NNN superlattice {rows}x{cols}")
-    out.names = ["H1_mu", "H2_mu", "H3_mu", "H4_mu",
-                 "H1_hop", "H2_hop", "H3_hop", "H4_hop"]
-    out.basis = basis
-    return out
+    return GeneratorSet("dense", [m.matrix for m in mus] + [h.matrix for h in hops],
+                        label=f"NNN superlattice {rows}x{cols}",
+                        names=["H1_mu", "H2_mu", "H3_mu", "H4_mu",
+                               "H1_hop", "H2_hop", "H3_hop", "H4_hop"],
+                        basis=basis)
 
 
 def _nnn_target(basis: SectorBasis, rows: int, cols: int,

@@ -3,9 +3,11 @@
 Deliberately different algorithms from the production code: the closure
 oracle commutes *all pairs* each round and measures rank by SVD of the
 out-of-span residuals, rather than generator-only breadth-first search
-with incremental Gram-Schmidt.  The propagation oracle takes the midpoint
-rule one substep at a time with complex arithmetic, rather than in real
-symmetric batches.
+with incremental Gram-Schmidt.  The unitary propagation oracle takes the
+midpoint rule one substep at a time with complex arithmetic, rather than
+in real symmetric batches.  The Lindblad oracle takes each RK4 stage with
+scalar controls, the commutator and a loop over the atoms' decay terms,
+rather than a pre-sampled stack of non-Hermitian generators.
 """
 
 import numpy as np
@@ -100,3 +102,70 @@ def stepwise_unitary_trajectory(pulse, geom, substeps=None, noise=None):
             u = ((vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T) @ u
         out.append((float(t1), u.copy()))
     return out
+
+
+def lowering_operators(n_atoms):
+    """Dense |g><r| on each atom (qubit 1 = most significant kron factor)."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    ops = []
+    for site in range(n_atoms):
+        m = np.array([[1.0 + 0j]])
+        for k in range(n_atoms):
+            m = np.kron(m, lower if k == site else eye)
+        ops.append(m)
+    return ops
+
+
+def stepwise_lindblad_trajectory(pulse, geom, noise, dt=None, initial_state=None,
+                                 max_halvings=4):
+    """RK4 density-matrix snapshots (t, rho) at the knots, one stage at a time.
+
+    Every stage samples the controls as scalars, builds H from the
+    Pauli-form pieces and evaluates -i[H, rho] plus each atom's dissipator
+    separately.  A trace drift beyond the production limit at the end of
+    an interval restarts the pulse at half the step, as in production.
+    """
+    from liectrl.propagation import DEFAULT_LINDBLAD_DT, TRACE_DRIFT_LIMIT
+
+    x_tot, n_tot, v = pauli_rydberg_terms(geom)
+    if initial_state is None:
+        initial_state = np.eye(x_tot.shape[0])[0]
+    rho0 = np.asarray(initial_state, dtype=complex)
+    if rho0.ndim == 1:
+        rho0 = np.outer(rho0, rho0.conj())
+    lowers = lowering_operators(geom.n_atoms)
+    numbers = [low.conj().T @ low for low in lowers]
+
+    def rhs(t, rho):
+        om, de = noise.realized_controls(*pulse.sample(t))
+        h = (om / 2.0) * x_tot - de * n_tot + v
+        out = -1j * (h @ rho - rho @ h)
+        for low, num in zip(lowers, numbers):
+            out += noise.gamma * (low @ rho @ low.conj().T
+                                  - 0.5 * (num @ rho + rho @ num))
+        return out
+
+    step = dt or DEFAULT_LINDBLAD_DT
+    for _ in range(max_halvings + 1):
+        rho = rho0.copy()
+        out = [(float(pulse.times[0]), rho0.copy())]
+        for k in range(pulse.n_knots - 1):
+            t0, t1 = float(pulse.times[k]), float(pulse.times[k + 1])
+            n_steps = max(1, int(np.ceil((t1 - t0) / step)))
+            h_step = (t1 - t0) / n_steps
+            t = t0
+            for _ in range(n_steps):
+                k1 = rhs(t, rho)
+                k2 = rhs(t + h_step / 2, rho + h_step / 2 * k1)
+                k3 = rhs(t + h_step / 2, rho + h_step / 2 * k2)
+                k4 = rhs(t + h_step, rho + h_step * k3)
+                rho = rho + h_step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                t += h_step
+            if abs(np.trace(rho).real - 1.0) > TRACE_DRIFT_LIMIT:
+                break
+            out.append((t1, rho.copy()))
+        else:
+            return out
+        step /= 2
+    raise RuntimeError("oracle RK4 drifted at every step size")

@@ -15,7 +15,7 @@ from liectrl.propagation import (
     propagate_unitary,
     unitary_trajectory,
 )
-from oracles import stepwise_unitary_trajectory
+from oracles import stepwise_lindblad_trajectory, stepwise_unitary_trajectory
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -165,6 +165,18 @@ def uneven_pulse(seed, duration):
     return ControlPulse(t, om, mhz(rng.uniform(-19, 19, len(t))))
 
 
+def mild_probe_pulse():
+    """The 1 us "mild" probe pulse of the accuracy contracts (MHz knots)."""
+    omega = [0.0, 0.956, 0.765, 1.143, 1.811, 0.209, 1.722, 0.674, 1.309,
+             1.62, 1.107, 0.484, 1.338, 1.297, 0.963, 1.541, 0.29, 1.59,
+             1.57, 0.501, 0.0]
+    delta = [2.03, -2.783, -0.826, 2.048, -0.664, 4.317, 3.109, -4.78,
+             3.668, -2.55, 4.669, -3.823, -2.201, 3.667, 0.37, 3.883,
+             -2.048, -0.06, 2.666, 0.383, -1.38]
+    return ControlPulse(np.round(np.arange(21) * 0.05, 10),
+                        mhz(np.array(omega)), mhz(np.array(delta)))
+
+
 class TestBatchedUnitary:
     """The batched propagator against the one-substep-at-a-time oracle."""
 
@@ -196,14 +208,7 @@ class TestBatchedUnitary:
     def test_default_substep_error_contract(self):
         # the 1 us "mild" probe pulse; DEFAULT_SUBSTEP quotes its 8.6e-3
         # state error on 3 atoms at 6 um, a second-order midpoint defect
-        omega = [0.0, 0.956, 0.765, 1.143, 1.811, 0.209, 1.722, 0.674, 1.309,
-                 1.62, 1.107, 0.484, 1.338, 1.297, 0.963, 1.541, 0.29, 1.59,
-                 1.57, 0.501, 0.0]
-        delta = [2.03, -2.783, -0.826, 2.048, -0.664, 4.317, 3.109, -4.78,
-                 3.668, -2.55, 4.669, -3.823, -2.201, 3.667, 0.37, 3.883,
-                 -2.048, -0.06, 2.666, 0.383, -1.38]
-        p = ControlPulse(np.round(np.arange(21) * 0.05, 10),
-                         mhz(np.array(omega)), mhz(np.array(delta)))
+        p = mild_probe_pulse()
         geom = AtomGeometry.chain(3, 6.0)
         measured = 8.6e-3
         ref = propagate_unitary(p, geom, substeps=800)[:, 0]
@@ -212,6 +217,90 @@ class TestBatchedUnitary:
         # halving the substep quarters the error
         half = np.linalg.norm(propagate_unitary(p, geom, substeps=10)[:, 0] - ref)
         assert err / half == pytest.approx(4.0, abs=0.5)
+
+
+def halving_pulse():
+    """A 3 us, 31-knot pulse of the bench's Lindblad workload (seed 1, on
+    3 atoms 6.857 um apart), knots rounded to 1 kHz.  With fitted noise and
+    dt=1e-2 the first pass drifts in trace, so the step is halved once."""
+    omega = [0.0, 1.435, 1.872, 0.343, 0.9, 1.166, 2.118, 2.12, 2.11, 2.067,
+             0.161, 0.659, 1.354, 2.027, 1.76, 0.562, 0.745, 0.075, 0.757,
+             1.831, 0.116, 1.024, 1.484, 2.126, 0.097, 0.693, 0.602, 1.413,
+             1.428, 1.172, 0.0]
+    delta = [6.202, -6.418, 11.144, 15.331, -9.063, 2.122, 4.684, -3.454,
+             11.519, 12.688, 15.534, 12.986, -10.487, -17.844, -12.498,
+             11.185, -7.856, -0.985, 1.145, 4.538, -15.323, -0.47, -15.71,
+             17.734, -3.431, 11.264, 8.148, -13.296, -17.368, -5.847, -11.042]
+    return ControlPulse(np.arange(31) * 0.1, mhz(np.array(omega)), mhz(np.array(delta)))
+
+
+def random_state(dim, seed, mixed):
+    """A random pure state vector, or a random full-rank density matrix."""
+    rng = np.random.default_rng(seed)
+    if not mixed:
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return psi / np.linalg.norm(psi)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2  # Hermitian to the last bit
+    return rho / np.trace(rho).real
+
+
+class TestBatchedLindblad:
+    """The stacked-generator RK4 against the one-stage-at-a-time oracle."""
+
+    CASES = {  # id: (pulse, atoms, spacing, noise, initial state, dt)
+        "1 atom quiet": (lambda: uneven_pulse(1, 1.0), 1, 6.5, NoiseModel(), None, None),
+        "2 atoms fitted mixed": (lambda: uneven_pulse(2, 1.0), 2, 6.5,
+                                 NoiseModel.fitted(), "mixed", None),
+        "3 atoms quiet pure": (lambda: uneven_pulse(3, 1.2), 3, 6.5, NoiseModel(), "pure", None),
+        "3 atoms fitted mixed": (lambda: uneven_pulse(5, 1.5), 3, 7.5,
+                                 NoiseModel.fitted(), "mixed", None),
+        "4 atoms fitted pure": (lambda: uneven_pulse(4, 0.6), 4, 6.5,
+                                NoiseModel.fitted(), "pure", None),
+        "3 atoms halving": (halving_pulse, 3, 6.857, NoiseModel.fitted(), None, 1e-2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_stepwise_oracle(self, case):
+        make_pulse, n_atoms, spacing, noise, state, dt = self.CASES[case]
+        pulse, geom = make_pulse(), AtomGeometry.chain(n_atoms, spacing)
+        init = None if state is None else random_state(2 ** n_atoms, n_atoms, state == "mixed")
+        kwargs = {} if dt is None else {"dt": dt}
+        got = propagate_lindblad(pulse, geom, noise, initial_state=init, **kwargs)
+        want = stepwise_lindblad_trajectory(pulse, geom, noise, dt=dt, initial_state=init)
+        assert [s.time for s in got] == [t for t, _ in want] == pulse.times.tolist()
+        for s, (_, rho) in zip(got, want):
+            assert np.max(np.abs(s.rho - rho)) <= 1e-12
+
+    def test_oracle_cases_span_several_chunks(self):
+        # a G stack holds at most _BATCH_BYTES / 8 bytes of complex matrices,
+        # so at most this many RK4 steps; some interval must need several stacks
+        for case in ("3 atoms quiet pure", "3 atoms fitted mixed", "4 atoms fitted pure"):
+            make_pulse, n_atoms = self.CASES[case][:2]
+            per_stack = propagation._BATCH_BYTES // 8 // (16 * 4 ** n_atoms) // 2
+            steps = np.ceil(np.diff(make_pulse().times) / propagation.DEFAULT_LINDBLAD_DT)
+            assert steps.max() > 2 * per_stack
+            assert len(set(steps.tolist())) > 1
+
+    def test_halving_case_halves(self):
+        make_pulse, n_atoms, spacing, noise, _, dt = self.CASES["3 atoms halving"]
+        geom = AtomGeometry.chain(n_atoms, spacing)
+        with pytest.raises(PropagationError, match="suggested dt <= 0.005"):
+            propagate_lindblad(make_pulse(), geom, noise, dt=dt, max_halvings=0)
+        assert len(propagate_lindblad(make_pulse(), geom, noise, dt=dt, max_halvings=1)) == 31
+
+    def test_default_lindblad_dt_error_contract(self):
+        # DEFAULT_LINDBLAD_DT quotes the mild probe pulse's 1.17e-5 state
+        # error on 3 atoms at 6 um with fitted noise, a fourth-order RK4 defect
+        p, geom, noise = mild_probe_pulse(), AtomGeometry.chain(3, 6.0), NoiseModel.fitted()
+        measured = 1.17e-5
+        ref = propagate_lindblad(p, geom, noise, dt=1e-4)[-1].rho
+        err = np.linalg.norm(propagate_lindblad(p, geom, noise)[-1].rho - ref)
+        assert measured / 2 < err < 2 * measured
+        # halving the step divides the error by 16
+        half = np.linalg.norm(propagate_lindblad(p, geom, noise, dt=5e-4)[-1].rho - ref)
+        assert err / half == pytest.approx(16.0, abs=4.0)
 
 
 class TestLindblad:
@@ -267,6 +356,30 @@ class TestLindblad:
         p = ControlPulse(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
         with pytest.raises(PropagationError):
             propagate_lindblad(p, lone_atom(), quiet_noise(), dt=-1.0)
+
+    def test_initial_state_list_accepted(self):
+        p = ControlPulse(np.array([0.0, 0.5, 1.0]),
+                         np.array([0.0, mhz(1.0), 0.0]), np.zeros(3))
+        noise = NoiseModel(gamma=0.2)
+        for state in ([0.6, 0.8], [[0.5, 0.1], [0.1, 0.5]]):
+            got = propagate_lindblad(p, lone_atom(), noise, initial_state=state)
+            want = propagate_lindblad(p, lone_atom(), noise,
+                                      initial_state=np.array(state, dtype=complex))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.rho, b.rho)
+
+    def test_initial_state_wrong_shape_rejected(self):
+        p = ControlPulse(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+        for bad in (np.ones(4), np.eye(4), np.ones((2, 2, 2)), [[1.0, 0.0]], 1.0):
+            with pytest.raises(PropagationError, match=r"\(2,\) vector or a Hermitian \(2, 2\)"):
+                propagate_lindblad(p, lone_atom(), quiet_noise(), initial_state=bad)
+
+    def test_non_hermitian_initial_state_rejected(self):
+        # each RK4 stage evaluates G rho + (G rho)^dag, which needs rho = rho^dag
+        p = ControlPulse(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+        with pytest.raises(PropagationError, match="Hermitian"):
+            propagate_lindblad(p, lone_atom(), quiet_noise(),
+                               initial_state=np.array([[0.5, 0.2], [0.0, 0.5]]))
 
 
 class TestObservables:
