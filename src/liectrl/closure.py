@@ -1,13 +1,27 @@
 """Dynamical Lie algebra closure and universality decisions.
 
-Two interchangeable backends compute the real Lie algebra generated by a
-set of Hermitian operators under the normalized bracket (1/(2i))[A, B]:
+Two backends compute the real Lie algebra generated by a set of Hermitian
+operators under the normalized bracket (1/(2i))[A, B]:
 
-* ``pauli``  - elements are :class:`~liectrl.pauli.PauliSum` values,
-  orthonormalized as coefficient vectors over the Pauli strings seen so
-  far.  Exact string bookkeeping, scales with the closure's support.
-* ``dense``  - elements are Hermitian matrices, orthonormalized as
-  real-stacked vectors of length 2*D**2.
+* ``pauli``  - exact.  Elements are :class:`~liectrl.pauli.PauliSum`
+  values.  The coefficients of each generator must be integer multiples
+  of its smallest one, and N <= 31 so that a string fits one int64 key
+  (x << N) | z; anything else raises :class:`ClosureError` (use
+  ``representation="dense"``).  The bracket of two canonical strings is
+  +/- a string, so the closure stays integral and is computed over GF(p),
+  kept as sparse reduced row-echelon rows mod p.  The primes lie below
+  2**24, so p**2 times the at most 2**15 products merged into one entry
+  stays below 2**63 and every integer sum is exact in int64.
+  A GF(p) dimension never exceeds the rational one, so a universal
+  verdict (4**N - 1 rows mod p) certifies universality over the
+  rationals.  A non-universal dimension is a lower bound, short only if
+  p divides an elementary divisor of the integer matrix of bracket
+  words, so it is rerun on a second prime: a universal rerun makes the
+  verdict universal, and two non-universal dimensions must agree, or
+  :class:`ClosureError` names both.
+* ``dense``  - floating point.  Elements are Hermitian matrices,
+  orthonormalized as real-stacked vectors of length 2*D**2 with a
+  relative tolerance and an absolute floor.
 
 Both run a breadth-first expansion that commutes every new basis element
 with every *generator* only.  By the Jacobi identity the span of such
@@ -24,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Literal, Sequence
 
 import numpy as np
@@ -41,17 +56,22 @@ Representation = Literal["pauli", "dense"]
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DEPTH_LIMIT = 64
+# GF(p) runs of the pauli backend, in order; both below 2**24.
+PRIMES = (16777213, 16777199)
+MAX_EXACT_QUBITS = 31
+_MAX_GENERATOR_TERMS = 2 ** 15
+_INTEGER_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _HERM_TOL = 1e-12
 _ZERO_FLOOR = 1e-14
-# Residuals below this floor are treated as roundoff regardless of the
-# relative rule.  Operands are unit-norm, candidates are processed oldest
-# first (so genuine directions enter at large residuals before deep, noisier
-# brackets arrive), and stored rows are denoised (components below _SNAP
-# zeroed).  Measured on the chain/sector algebras this build targets,
-# genuine new directions carry residuals of 2e-3 and above while
-# accumulated noise stays below 2e-8; the floor sits between the scales
-# with >2 orders of margin on each side.
+# Dense backend only: residuals below this floor are treated as roundoff
+# regardless of the relative rule.  Operands are unit-norm, candidates are
+# processed oldest first (so genuine directions enter at large residuals
+# before deep, noisier brackets arrive), and stored rows are denoised
+# (components below _SNAP zeroed).  Measured on the sector algebras this
+# backend serves, genuine new directions carry residuals of 2e-3 and above
+# while accumulated noise stays below 2e-8.  Coefficient ratios near 1e6
+# push genuine brackets under the floor.
 _ABS_FLOOR = 1e-6
 _SNAP = 1e-12
 _CHUNK = 384
@@ -103,104 +123,198 @@ class GeneratorSet:
         return self.generators[0].shape[0]
 
 
-@dataclass
-class ClosureResult:
-    """Orthonormal basis of the generated algebra plus the verdict."""
+# -- exact rows over GF(p) (pauli backend) --------------------------------
 
-    dimension: int
-    converged: bool
-    depth_reached: int
-    universality: Literal["universal", "non_universal", "undetermined"]
-    representation: Representation
-    theoretical_cap: int
-    n_qubits: int | None = None
-    elapsed_s: float = 0.0
-    pattern_reflection_symmetric: bool | None = None  # chain checks only
-    _matrix: np.ndarray = field(default=None, repr=False)
-    _keys_x: np.ndarray = field(default=None, repr=False)
-    _keys_z: np.ndarray = field(default=None, repr=False)
+def _merge(ids, keys, vals, p):
+    """COO entries summed per (id, key), sorted, zeros dropped (mod p unless p is None)."""
+    order = np.lexsort((keys, ids))
+    ids, keys, vals = ids[order], keys[order], vals[order]
+    starts = np.flatnonzero((np.diff(ids, prepend=-1) != 0) | (np.diff(keys, prepend=-1) != 0))
+    vals = np.add.reduceat(vals, starts) if len(starts) else vals
+    if p is not None:
+        vals %= p
+    keep = vals != 0
+    return ids[starts][keep], keys[starts][keep], vals[keep]
+
+
+def _lift(vals: np.ndarray, p: int) -> np.ndarray:
+    """Rationals (as floats) with residues ``vals`` mod p.
+
+    Small symmetric residues are integers; any other residue goes through
+    rational reconstruction with numerator and denominator below
+    sqrt(p/2).
+    """
+    out = np.where(vals > p // 2, vals - p, vals).astype(float)
+    bound = isqrt(p // 2)
+    for i in np.flatnonzero(np.abs(out) > bound):
+        r0, r1, s0, s1 = p, int(vals[i]), 0, 1
+        while r1 > bound:
+            r0, r1, s0, s1 = r1, r0 % r1, s1, s0 - (r0 // r1) * s1
+        if abs(s1) > bound:
+            raise ClosureError(f"residue {int(vals[i])} mod {p} has no small rational lift")
+        out[i] = r1 / s1
+    return out
+
+
+class _Rows:
+    """Sparse rows in reduced echelon form.
+
+    Row i is 1 at the string key ``pivots[i]`` and every row is 0 at every
+    other row's pivot, so reducing a vector against all rows is one sparse
+    product.  Values are residues mod ``p``, or floats when ``p`` is None
+    (rows lifted to the rationals).  Entries ``(row, key, val)`` are COO
+    arrays sorted by row.
+    """
+
+    def __init__(self, p, pivots, row, key, val):
+        self.p, self.pivots = p, pivots
+        self.row, self.key, self.val = row, key, val
+        order = np.argsort(pivots, kind="stable")
+        self._sorted, self._row_of = pivots[order], order
 
     @property
-    def basis(self) -> list:
-        """Orthonormalized basis elements (unit Hilbert-Schmidt norm)."""
-        if self.representation == "pauli":
-            scale = 2.0 ** (-self.n_qubits / 2)
-            out = []
-            for row in self._matrix:
-                nz = np.nonzero(np.abs(row) > 1e-15)[0]
-                out.append(arrays_to_sum(
-                    self.n_qubits, self._keys_x[nz], self._keys_z[nz], row[nz] * scale))
-            return out
-        d = int(np.sqrt(self._matrix.shape[1] // 2))
-        out = []
-        for row in self._matrix:
-            m = (row[: d * d] + 1j * row[d * d:]).reshape(d, d)
-            out.append(m)
-        return out
+    def n_rows(self) -> int:
+        return len(self.pivots)
 
-    def contains(self, element, tol: float = 1e-8) -> tuple[bool, float]:
-        """Span membership of a Hermitian element; returns (member, residual)."""
-        if self.representation == "pauli":
-            xs, zs, cs = sum_to_arrays(element)
-            v = _terms_to_vector(xs, zs, cs, self._keys_x, self._keys_z,
-                                 self._matrix.shape[1])
-            if v is None:  # has strings outside the closure's support
-                return False, 1.0
+    def lifted(self) -> "_Rows":
+        return _Rows(None, self.pivots, self.row, self.key, _lift(self.val, self.p))
+
+    def entries(self, rows: np.ndarray):
+        """(position in ``rows``, key, value) of the entries of ``rows``."""
+        lo = np.searchsorted(self.row, rows, "left")
+        counts = np.searchsorted(self.row, rows, "right") - lo
+        idx = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return np.repeat(np.arange(len(rows)), counts), self.key[idx], self.val[idx]
+
+    def reduce(self, ids, keys, vals):
+        """COO vectors minus their pivot coefficients times these rows.
+
+        The result is zero at every pivot, merged per (id, key) and sorted.
+        """
+        if self.n_rows:
+            pos = np.minimum(np.searchsorted(self._sorted, keys), self.n_rows - 1)
+            hit = np.flatnonzero(self._sorted[pos] == keys)
+            which, r_key, r_val = self.entries(self._row_of[pos[hit]])
+            a = vals[hit][which]
+            ids = np.concatenate([ids, ids[hit][which]])
+            keys = np.concatenate([keys, r_key])
+            vals = np.concatenate([vals, -a * r_val if self.p is None
+                                   else a * (self.p - r_val) % self.p])
+        return _merge(ids, keys, vals, self.p)
+
+    def absorb(self, ids, keys, vals, cap: int) -> list[int]:
+        """Append the candidates' new directions (up to ``cap`` rows in all); return their indices."""
+        ids, keys, vals = self.reduce(ids, keys, vals)
+        if not len(ids) or self.n_rows >= cap:
+            return []
+        new = _echelon_block(ids, keys, vals, self.p, cap - self.n_rows)
+        n0 = self.n_rows
+        # back-substitute the new pivots out of the old rows
+        row, key, val = new.reduce(self.row, self.key, self.val)
+        self.__init__(self.p, np.concatenate([self.pivots, new.pivots]),
+                      np.concatenate([row, new.row + n0]),
+                      np.concatenate([key, new.key]), np.concatenate([val, new.val]))
+        return list(range(n0, self.n_rows))
+
+
+def _axpy(row: dict, a: int, other: dict, p: int) -> None:
+    """row += a * other mod p, dropping zeros."""
+    for k, v in other.items():
+        w = (row.get(k, 0) + a * v) % p
+        if w:
+            row[k] = w
         else:
-            v = _stack_matrix(np.asarray(element, dtype=complex))
-        nrm = np.linalg.norm(v)
-        if nrm < _ZERO_FLOOR:
-            return True, 0.0
-        v = v / nrm
-        v = v - (v @ self._matrix.T) @ self._matrix
-        v = v - (v @ self._matrix.T) @ self._matrix
-        resid = float(np.linalg.norm(v))
-        return resid < tol, resid
+            del row[k]
 
 
-def _terms_to_vector(xs, zs, cs, keys_x, keys_z, n_cols):
-    """Coefficient vector of a PauliSum over an existing string index."""
-    if len(xs) == 0:
-        return np.zeros(n_cols)
-    packed = _pack_keys(xs, zs)
-    table = _pack_keys(keys_x[:n_cols], keys_z[:n_cols])
-    order = np.argsort(table, kind="stable")
-    sorted_table = table[order]
-    pos = np.searchsorted(sorted_table, packed)
-    pos = np.clip(pos, 0, len(sorted_table) - 1)
-    if not np.all(sorted_table[pos] == packed):
-        return None
-    v = np.zeros(n_cols)
-    np.add.at(v, order[pos], cs)
-    return v
+def _echelon_block(ids, keys, vals, p: int, limit: int) -> _Rows:
+    """Reduced echelon rows spanning candidate vectors, in candidate order.
+
+    Candidates are COO entries sorted by id.  Each is reduced against the
+    rows found before it; a nonzero remainder, scaled to 1 at its largest
+    key, becomes a row and is eliminated from the earlier rows.  At most
+    ``limit`` rows are kept.
+    """
+    k_list, v_list = keys.tolist(), vals.tolist()
+    edges = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), len(k_list)]
+    rows: list[dict] = []
+    index: dict[int, int] = {}  # pivot key -> row
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        row = dict(zip(k_list[lo:hi], v_list[lo:hi]))
+        for k in [k for k in row if k in index]:
+            _axpy(row, p - row[k], rows[index[k]], p)
+        if not row:
+            continue
+        piv = max(row)
+        inv = pow(row[piv], p - 2, p)
+        row = {k: v * inv % p for k, v in row.items()}
+        for other in rows:
+            if piv in other:
+                _axpy(other, p - other[piv], row, p)
+        index[piv] = len(rows)
+        rows.append(row)
+        if len(rows) >= limit:
+            break
+    entries = [(i, k, v) for i, row in enumerate(rows) for k, v in row.items()]
+    row, key, val = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return _Rows(p, np.array(list(index), dtype=np.int64), row, key, val)
 
 
-def _pack_keys(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    # single-word key; masks beyond 32 bits take the slow object path
-    if len(xs) and (int(xs.max()) >= 1 << 32 or int(zs.max()) >= 1 << 32):
-        return np.array([(int(x) << 64) | int(z) for x, z in zip(xs, zs)], dtype=object)
-    return (xs.astype(np.uint64) << np.uint64(32)) | zs.astype(np.uint64)
+def _string_keys(xs: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
+    return (xs.astype(np.int64) << n) | zs.astype(np.int64)
 
+
+def _split_keys(keys: np.ndarray, n: int):
+    return keys >> n, keys & ((1 << n) - 1)
+
+
+def _integer_terms(g: PauliSum, n: int):
+    """(keys, integer coefficients) of g, itself or divided by its smallest |coefficient|."""
+    xs, zs, cs = sum_to_arrays(g)
+    if len(cs) > _MAX_GENERATOR_TERMS:
+        raise ClosureError(f"pauli generator has more than {_MAX_GENERATOR_TERMS} terms")
+    for ratio in (cs, cs / np.min(np.abs(cs), initial=np.inf)):
+        ints = np.rint(ratio)
+        if np.all(np.abs(ratio - ints) <= _INTEGER_TOL):
+            return _string_keys(xs, zs, n), [int(c) for c in ints]
+    raise ClosureError("pauli generator coefficients must be integers or integer multiples "
+                       "of the smallest one; use representation=\"dense\" otherwise")
+
+
+class _ModPEngine:
+    """Closure state for the pauli backend over GF(p)."""
+
+    def __init__(self, n: int, terms: Sequence[tuple], p: int):
+        self.n, self.p, self.n_gens = n, p, len(terms)
+        self.rows = _Rows(p, *[np.zeros(0, np.int64)] * 4)
+        self.g_key = np.concatenate([k for k, _ in terms])
+        self.g_val = np.array([c % p for _, cs in terms for c in cs], dtype=np.int64)
+        self.g_lab = np.repeat(np.arange(self.n_gens), [len(k) for k, _ in terms])
+
+    def seed(self, cap: int) -> list[int]:
+        return self.rows.absorb(self.g_lab, self.g_key, self.g_val, cap)
+
+    def expand(self, block: list[int], cap: int) -> list[int]:
+        """Bracket a block of rows with every generator in one call and absorb."""
+        pos, keys, vals = self.rows.entries(np.asarray(block))
+        x3, z3, c3, lab = commutator_arrays(
+            *_split_keys(keys, self.n), vals, *_split_keys(self.g_key, self.n), self.g_val,
+            labels=(pos * self.n_gens, self.g_lab))
+        return self.rows.absorb(lab, (x3 << self.n) | z3, c3 % self.p, cap)
+
+
+# -- float rows (dense backend) --------------------------------------------
 
 class _Basis:
     """Row-orthonormal basis with amortized growth and chunked projection."""
 
-    def __init__(self, n_cols_hint: int = 64):
-        self._rows = np.zeros((64, max(n_cols_hint, 1)))
+    def __init__(self, n_cols: int):
+        self._rows = np.zeros((64, n_cols))
         self.n_rows = 0
-        self.n_cols = 0
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._rows[: self.n_rows, : self.n_cols]
-
-    def ensure_cols(self, n_cols: int) -> None:
-        if n_cols > self._rows.shape[1]:
-            width = max(n_cols, 2 * self._rows.shape[1])
-            grown = np.zeros((self._rows.shape[0], width))
-            grown[:, : self._rows.shape[1]] = self._rows
-            self._rows = grown
-        self.n_cols = max(self.n_cols, n_cols)
+        return self._rows[: self.n_rows]
 
     def _ensure_rows(self, extra: int) -> None:
         if self.n_rows + extra > self._rows.shape[0]:
@@ -213,11 +327,6 @@ class _Basis:
         """Project candidate rows, append the independent ones, return indices."""
         if cands.shape[0] == 0:
             return []
-        self.ensure_cols(cands.shape[1])
-        if cands.shape[1] < self.n_cols:
-            padded = np.zeros((cands.shape[0], self.n_cols))
-            padded[:, : cands.shape[1]] = cands
-            cands = padded
         orig = np.linalg.norm(cands, axis=1)
         live = orig > _ZERO_FLOOR
         cands, orig = cands[live], orig[live]
@@ -237,7 +346,7 @@ class _Basis:
         for i in range(cands.shape[0]):
             row = cands[i]
             if added:
-                New = self._rows[added[0]: added[-1] + 1, : self.n_cols]
+                New = self._rows[added[0]: added[-1] + 1]
                 row = row - (row @ New.T) @ New
                 row = row - (row @ New.T) @ New
             r = np.linalg.norm(row)
@@ -258,7 +367,7 @@ class _Basis:
             row[np.abs(row) < _SNAP] = 0.0
             row = row / np.linalg.norm(row)
             self._ensure_rows(1)
-            self._rows[self.n_rows, : self.n_cols] = row
+            self._rows[self.n_rows] = row
             added.append(self.n_rows)
             self.n_rows += 1
             if cap is not None and self.n_rows >= cap:
@@ -266,178 +375,163 @@ class _Basis:
         return added
 
 
-class _PauliEngine:
-    """Closure state for the Pauli-string backend."""
-
-    def __init__(self, gens: Sequence[PauliSum]):
-        self.n_qubits = gens[0].n_qubits
-        self.keys_x = np.zeros(64, dtype=np.uint64)
-        self.keys_z = np.zeros(64, dtype=np.uint64)
-        self.n_keys = 0
-        self._sorted_packed = np.zeros(0, dtype=np.uint64)
-        self._sorted_cols = np.zeros(0, dtype=np.int64)
-        self.basis = _Basis()
-        norm_terms = []
-        for g in gens:
-            xs, zs, cs = sum_to_arrays(g)
-            nrm = np.linalg.norm(cs)
-            if nrm < _ZERO_FLOOR:
-                # zero generators contribute nothing but keep their slot so
-                # generator indices stay stable for warm starts
-                norm_terms.append((xs[:0], zs[:0], cs[:0]))
-            else:
-                norm_terms.append((xs, zs, cs / nrm))
-        self.gen_terms = norm_terms
-
-    def _register_keys(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Columns for the given strings, creating columns for unseen ones."""
-        packed = _pack_keys(xs, zs)
-        if self.n_keys:
-            pos = np.searchsorted(self._sorted_packed, packed)
-            pos = np.clip(pos, 0, self.n_keys - 1)
-            hit = self._sorted_packed[pos] == packed
-        else:
-            pos = np.zeros(len(packed), dtype=np.int64)
-            hit = np.zeros(len(packed), dtype=bool)
-        cols = np.empty(len(packed), dtype=np.int64)
-        cols[hit] = self._sorted_cols[pos[hit]]
-        if not np.all(hit):
-            miss = ~hit
-            miss_idx = np.nonzero(miss)[0]
-            new_packed, first_local, inverse = np.unique(
-                packed[miss], return_index=True, return_inverse=True)
-            first_idx = miss_idx[first_local]
-            start = self.n_keys
-            need = start + len(new_packed)
-            if need > len(self.keys_x):
-                grow = max(need, 2 * len(self.keys_x))
-                for name in ("keys_x", "keys_z"):
-                    old = getattr(self, name)
-                    g = np.zeros(grow, dtype=np.uint64)
-                    g[: self.n_keys] = old[: self.n_keys]
-                    setattr(self, name, g)
-            self.keys_x[start:need] = xs[first_idx]
-            self.keys_z[start:need] = zs[first_idx]
-            self.n_keys = need
-            all_packed = np.concatenate([self._sorted_packed, new_packed])
-            all_cols = np.concatenate([self._sorted_cols,
-                                       np.arange(start, need, dtype=np.int64)])
-            order = np.argsort(all_packed, kind="stable")
-            self._sorted_packed = all_packed[order]
-            self._sorted_cols = all_cols[order]
-            cols[miss] = start + inverse
-        return cols
-
-    def vectorize(self, xs, zs, cs) -> np.ndarray:
-        cols = self._register_keys(xs, zs)
-        self.basis.ensure_cols(self.n_keys)
-        v = np.bincount(cols, weights=cs, minlength=self.n_keys)
-        return v
-
-    def ingest(self, keys_x: np.ndarray, keys_z: np.ndarray, matrix: np.ndarray) -> None:
-        """Preload a converged basis (columns re-mapped to this engine's keys)."""
-        cols = self._register_keys(keys_x.astype(np.uint64), keys_z.astype(np.uint64))
-        self.basis.ensure_cols(self.n_keys)
-        self.basis._ensure_rows(matrix.shape[0])
-        for row in matrix:
-            dest = np.zeros(self.basis._rows.shape[1])
-            dest[cols] = row
-            self.basis._rows[self.basis.n_rows, :] = dest
-            self.basis.n_rows += 1
-
-    def row_terms(self, row_idx: int):
-        row = self.basis._rows[row_idx, : self.n_keys]
-        nz = np.nonzero(np.abs(row) > 1e-13)[0]
-        return self.keys_x[nz], self.keys_z[nz], row[nz]
-
-    def candidate_rows(self, frontier: Sequence[int],
-                       gen_subset: Sequence[int] | None = None) -> np.ndarray:
-        gens = (self.gen_terms if gen_subset is None
-                else [self.gen_terms[i] for i in gen_subset])
-        rows = []
-        for idx in frontier:
-            vx, vz, vc = self.row_terms(idx)
-            for gx, gz, gc in gens:
-                xs, zs, cs = commutator_arrays(gx, gz, gc, vx, vz, vc)
-                if len(xs) == 0:
-                    rows.append(None)
-                else:
-                    rows.append(self.vectorize(xs, zs, cs))
-        out = np.zeros((len(rows), self.n_keys))
-        for i, r in enumerate(rows):
-            if r is not None:
-                out[i, : len(r)] = r
-        return out
-
-
 class _DenseEngine:
     """Closure state for the dense-matrix backend."""
 
-    def __init__(self, gens: Sequence[np.ndarray]):
+    def __init__(self, gens: Sequence[np.ndarray], tol: float):
         self.d = gens[0].shape[0]
-        self.basis = _Basis(n_cols_hint=2 * self.d * self.d)
-        self.basis.ensure_cols(2 * self.d * self.d)
+        self.tol, self.n_gens = tol, len(gens)
+        self.rows = _Basis(2 * self.d * self.d)
         self.gen_mats = []
         for g in gens:
             nrm = np.linalg.norm(g)
-            # zero generators keep their slot (as zeros) so generator
-            # indices stay stable; they produce no candidates
+            # zero generators stay as zeros and produce no candidates
             self.gen_mats.append(g / nrm if nrm >= _ZERO_FLOOR else g * 0.0)
         if all(np.linalg.norm(g) < _ZERO_FLOOR for g in self.gen_mats):
             raise ClosureError("all generators are zero")
         self._gen_stack = np.stack(self.gen_mats)
 
-    def vectorize(self, mat: np.ndarray) -> np.ndarray:
-        return _stack_matrix(mat)
+    def seed(self, cap: int) -> list[int]:
+        seeds = np.stack([_stack_matrix(g) for g in self.gen_mats])
+        return self.rows.absorb(seeds, self.tol, cap)
 
-    def row_matrix(self, row_idx: int) -> np.ndarray:
-        row = self.basis._rows[row_idx, : self.basis.n_cols]
-        d = self.d
-        return (row[: d * d] + 1j * row[d * d:]).reshape(d, d)
-
-    def candidate_rows(self, frontier: Sequence[int],
-                       gen_subset: Sequence[int] | None = None) -> np.ndarray:
-        V = np.stack([self.row_matrix(i) for i in frontier])
-        G = (self._gen_stack if gen_subset is None
-             else self._gen_stack[list(gen_subset)])
-        GV = np.einsum("gab,vbc->vgac", G, V)
-        VG = np.einsum("vab,gbc->vgac", V, G)
-        C = (GV - VG) / 2j
-        k = C.shape[0] * C.shape[1]
-        C = C.reshape(k, self.d, self.d)
-        out = np.empty((k, 2 * self.d * self.d))
-        out[:, : self.d * self.d] = C.real.reshape(k, -1)
-        out[:, self.d * self.d:] = C.imag.reshape(k, -1)
-        return out
+    def expand(self, block: list[int], cap: int) -> list[int]:
+        dd = self.d * self.d
+        rows = self.rows.matrix[block]
+        V = (rows[:, :dd] + 1j * rows[:, dd:]).reshape(-1, self.d, self.d)
+        G = self._gen_stack
+        C = (np.einsum("gab,vbc->vgac", G, V) - np.einsum("vab,gbc->vgac", V, G)) / 2j
+        C = C.reshape(-1, dd)
+        return self.rows.absorb(np.concatenate([C.real, C.imag], axis=1), self.tol, cap)
 
 
 def _stack_matrix(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
-def _pauli_seed_rows(engine: _PauliEngine, gens: Sequence[PauliSum]) -> np.ndarray:
-    rows = [engine.vectorize(*sum_to_arrays(g)) for g in gens]
-    seeds = np.zeros((len(rows), engine.n_keys))
-    for i, r in enumerate(rows):
-        seeds[i, : len(r)] = r
-    return seeds
+# -- breadth-first closure ----------------------------------------------------
+
+def _bfs(engine, theoretical: int, cap: int | None, depth_limit: int):
+    """Expand the frontier against the generators until nothing new appears.
+
+    Returns (converged, depth reached, verdict).  Frontier blocks are
+    expanded oldest first: on the dense backend shallow brackets carry the
+    least numerical noise, so genuine directions enter at large residuals.
+    """
+    hard_cap = theoretical if cap is None else min(cap, theoretical)
+    block_size = max(1, _CHUNK // engine.n_gens)
+    frontier = engine.seed(hard_cap)
+    depth = 0
+    converged = engine.rows.n_rows >= hard_cap or not frontier
+    while not converged and depth < depth_limit:
+        depth += 1
+        new: list[int] = []
+        for lo in range(0, len(frontier), block_size):
+            new.extend(engine.expand(frontier[lo: lo + block_size], hard_cap))
+            if engine.rows.n_rows >= hard_cap:
+                break
+        converged = engine.rows.n_rows >= hard_cap or not new
+        frontier = new
+    dim = engine.rows.n_rows
+    verdict = ("universal" if dim >= theoretical else "non_universal"
+               if converged and (cap is None or dim < hard_cap) else "undetermined")
+    return converged, depth, verdict
+
+
+@dataclass
+class ClosureResult:
+    """Basis of the generated algebra plus the verdict.
+
+    ``primes`` lists the GF(p) runs behind a pauli verdict, in order; the
+    result keeps the exact echelon rows mod the last one.
+    """
+
+    dimension: int
+    converged: bool
+    depth_reached: int
+    universality: Literal["universal", "non_universal", "undetermined"]
+    representation: Representation
+    theoretical_cap: int
+    n_qubits: int | None = None
+    elapsed_s: float = 0.0
+    pattern_reflection_symmetric: bool | None = None  # chain checks only
+    primes: tuple[int, ...] = ()
+    _matrix: np.ndarray = field(default=None, repr=False)
+    _rows: _Rows = field(default=None, repr=False)
+
+    @property
+    def basis(self) -> list:
+        """Orthonormalized basis elements (unit Hilbert-Schmidt norm)."""
+        if self.representation == "pauli":
+            # float QR over the exact rows lifted to the rationals
+            n, rows = self.n_qubits, self._rows.lifted()
+            support, col = np.unique(rows.key, return_inverse=True)
+            m = np.zeros((len(support), rows.n_rows))
+            m[col, rows.row] = rows.val
+            q = np.linalg.qr(m)[0] * 2.0 ** (-n / 2)
+            xs, zs = _split_keys(support, n)
+            return [arrays_to_sum(n, xs, zs, q[:, i]) for i in range(rows.n_rows)]
+        d = int(np.sqrt(self._matrix.shape[1] // 2))
+        return [(row[: d * d] + 1j * row[d * d:]).reshape(d, d) for row in self._matrix]
+
+    def contains(self, element, tol: float = 1e-8) -> tuple[bool, float]:
+        """Span membership of a Hermitian element; returns (member, residual).
+
+        The residual is that of the unit-norm element.  On the pauli
+        backend it is the norm of v - v[pivots] R over the exact rows R
+        lifted to the rationals, an upper bound on the distance to the span.
+        """
+        if self.representation == "pauli":
+            if element.n_qubits != self.n_qubits:
+                raise ClosureError("qubit count mismatch")
+            xs, zs, v = sum_to_arrays(element)
+        else:
+            v = _stack_matrix(np.asarray(element, dtype=complex))
+        nrm = np.linalg.norm(v)
+        if nrm < _ZERO_FLOOR:
+            return True, 0.0
+        v = v / nrm
+        if self.representation == "pauli":
+            keys = _string_keys(xs, zs, self.n_qubits)
+            v = self._rows.lifted().reduce(np.zeros(len(v), np.int64), keys, v)[2]
+        else:
+            v = v - (v @ self._matrix.T) @ self._matrix
+            v = v - (v @ self._matrix.T) @ self._matrix
+        resid = float(np.linalg.norm(v))
+        return resid < tol, resid
+
+
+def _close_pauli(gen: GeneratorSet, cap: int | None, depth_limit: int) -> ClosureResult:
+    n = gen.n_qubits
+    if n > MAX_EXACT_QUBITS:
+        raise ClosureError(f"pauli backend needs N <= {MAX_EXACT_QUBITS}, got {n}")
+    terms = [_integer_terms(g, n) for g in gen.generators]
+    dims = []
+    for p in PRIMES:
+        engine = _ModPEngine(n, terms, p)
+        converged, depth, verdict = _bfs(engine, 4 ** n - 1, cap, depth_limit)
+        dims.append(engine.rows.n_rows)
+        if verdict != "non_universal":
+            break
+    primes = PRIMES[: len(dims)]
+    if verdict != "universal" and len(set(dims)) > 1:
+        raise ClosureError(f"closure dimensions {dims} differ over GF(p) for p in {primes}")
+    return ClosureResult(
+        dimension=dims[-1], converged=converged, depth_reached=depth,
+        universality=verdict, representation="pauli", theoretical_cap=4 ** n - 1,
+        n_qubits=n, primes=primes, _rows=engine.rows)
 
 
 def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL,
-          depth_limit: int = DEFAULT_DEPTH_LIMIT,
-          warm_base: "ClosureResult | None" = None,
-          warm_closed_gens: int = 0) -> ClosureResult:
+          depth_limit: int = DEFAULT_DEPTH_LIMIT) -> ClosureResult:
     """Breadth-first Lie closure of a generator set.
 
     ``cap`` bounds the basis size; hitting it terminates with
     ``converged=True`` (the closure then provably contains a
     cap-dimensional algebra).  With cap equal to the representation's
-    theoretical maximum, hitting it certifies universality.
-
-    ``warm_base`` may hold the converged closure of the first
-    ``warm_closed_gens`` generators; only the remaining generators are
-    then expanded against it.  A converged closure is a Lie algebra, so
-    an extra generator already inside the base span changes nothing.
+    theoretical maximum, hitting it certifies universality.  ``tol`` is
+    the dense backend's relative rank tolerance; the pauli backend is
+    exact and has none.
     """
     if tol <= 0:
         raise ClosureError("tol must be positive")
@@ -445,88 +539,19 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL,
         raise ClosureError("cap must be >= 1")
     t0 = time.perf_counter()
     if gen.representation == "pauli":
-        n = gen.n_qubits
-        theoretical = 4 ** n - 1
-        engine = _PauliEngine(gen.generators)
+        result = _close_pauli(gen, cap, depth_limit)
     else:
         d = gen.dim
         has_trace = any(abs(np.trace(g)) > _TRACE_TOL * np.linalg.norm(g)
                         for g in gen.generators)
         theoretical = d * d if has_trace else d * d - 1
-        engine = _DenseEngine(gen.generators)
-    hard_cap = theoretical if cap is None else min(cap, theoretical)
-    block_size = max(1, _CHUNK // max(1, len(gen.generators)))
-    depth = 0
-
-    if warm_base is not None:
-        if gen.representation != "pauli" or warm_base.representation != "pauli":
-            raise ClosureError("warm start requires the pauli representation")
-        if warm_base.n_qubits != gen.n_qubits or not warm_base.converged:
-            raise ClosureError("warm base must be a converged closure of equal size")
-        engine.ingest(warm_base._keys_x, warm_base._keys_z, warm_base._matrix)
-        new_gen_idx = list(range(warm_closed_gens, len(gen.generators)))
-        seeds = _pauli_seed_rows(engine, [gen.generators[i] for i in new_gen_idx])
-        frontier = engine.basis.absorb(seeds, tol, hard_cap)
-        if frontier and engine.basis.n_rows < hard_cap:
-            # the base was never commuted against the genuinely new fields
-            depth = 1
-            base_rows = list(range(warm_base.dimension))
-            for lo in range(0, len(base_rows), block_size):
-                cands = engine.candidate_rows(base_rows[lo: lo + block_size],
-                                              gen_subset=new_gen_idx)
-                frontier.extend(engine.basis.absorb(cands, tol, hard_cap))
-                if engine.basis.n_rows >= hard_cap:
-                    break
-    else:
-        if gen.representation == "pauli":
-            seeds = _pauli_seed_rows(engine, gen.generators)
-        else:
-            seeds = np.stack([engine.vectorize(g) for g in engine.gen_mats])
-        frontier = engine.basis.absorb(seeds, tol, hard_cap)
-
-    # an empty frontier at this point means every generator already lies in
-    # a converged base span, so there is nothing left to expand
-    converged = engine.basis.n_rows >= hard_cap or not frontier
-    while frontier and not converged and depth < depth_limit:
-        depth += 1
-        new: list[int] = []
-        # oldest elements first: shallow brackets carry the least numerical
-        # noise, so genuine directions enter at large residuals
-        for lo in range(0, len(frontier), block_size):
-            block = frontier[lo: lo + block_size]
-            cands = engine.candidate_rows(block)
-            new.extend(engine.basis.absorb(cands, tol, hard_cap))
-            if engine.basis.n_rows >= hard_cap:
-                converged = True
-                break
-        if converged:
-            break
-        if not new:
-            converged = True
-            break
-        frontier = new
-
-    dim = engine.basis.n_rows
-    if dim >= theoretical:
-        verdict = "universal"
-    elif converged and (cap is None or dim < hard_cap):
-        verdict = "non_universal"
-    else:
-        verdict = "undetermined"
-    result = ClosureResult(
-        dimension=dim,
-        converged=converged,
-        depth_reached=depth,
-        universality=verdict,
-        representation=gen.representation,
-        theoretical_cap=theoretical,
-        n_qubits=gen.n_qubits if gen.representation == "pauli" else None,
-        elapsed_s=time.perf_counter() - t0,
-        _matrix=engine.basis.matrix.copy(),
-    )
-    if gen.representation == "pauli":
-        result._keys_x = engine.keys_x[: engine.n_keys].copy()
-        result._keys_z = engine.keys_z[: engine.n_keys].copy()
+        engine = _DenseEngine(gen.generators, tol)
+        converged, depth, verdict = _bfs(engine, theoretical, cap, depth_limit)
+        result = ClosureResult(
+            dimension=engine.rows.n_rows, converged=converged, depth_reached=depth,
+            universality=verdict, representation="dense", theoretical_cap=theoretical,
+            _matrix=engine.rows.matrix.copy())
+    result.elapsed_s = time.perf_counter() - t0
     return result
 
 
@@ -539,23 +564,20 @@ def uniform_qubit_generators(n_qubits: int, break_pattern: Sequence[int] = ()) -
     pattern = sorted(set(break_pattern))
     if pattern and (pattern[0] < 1 or pattern[-1] > n_qubits):
         raise ClosureError(f"break pattern {pattern} out of range 1..{n_qubits}")
-    hx = PauliSum.zero(n_qubits)
-    hz = PauliSum.zero(n_qubits)
-    for j in range(1, n_qubits + 1):
-        hx = hx + PauliSum.single_site(n_qubits, j, "X")
-        hz = hz + PauliSum.single_site(n_qubits, j, "Z")
+    sites = range(1, n_qubits + 1)
     hzz = PauliSum.zero(n_qubits)
     for j in range(1, n_qubits):
         label = "I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1)
         hzz = hzz + PauliSum.from_label(label)
-    gens = [hx, hz, hzz]
+    gens = [_site_sum(n_qubits, sites, "X"), _site_sum(n_qubits, sites, "Z"), hzz]
     if pattern:
-        hbreak = PauliSum.zero(n_qubits)
-        for j in pattern:
-            hbreak = hbreak + PauliSum.single_site(n_qubits, j, "X")
-        gens.append(hbreak)
+        gens.append(_site_sum(n_qubits, pattern, "X"))
     tag = ",".join(map(str, pattern)) if pattern else "none"
     return GeneratorSet("pauli", gens, label=f"chain N={n_qubits} break={tag}")
+
+
+def _site_sum(n_qubits: int, sites, kind: str) -> PauliSum:
+    return sum((PauliSum.single_site(n_qubits, j, kind) for j in sites), PauliSum.zero(n_qubits))
 
 
 def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int]) -> bool:
@@ -565,24 +587,13 @@ def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int])
 
 def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
                              backend: Representation = "pauli",
-                             tol: float = DEFAULT_TOL,
-                             warm_uniform: "ClosureResult | None" = None) -> ClosureResult:
-    """Universality of the uniform chain controls plus a partial X field.
-
-    ``warm_uniform`` may carry the converged closure of the bare
-    {H_X, H_Z, H_ZZ} set for the same N (pauli backend) to skip
-    re-deriving the shared part across many break patterns.
-    """
+                             tol: float = DEFAULT_TOL) -> ClosureResult:
+    """Universality of the uniform chain controls plus a partial X field."""
     gen = uniform_qubit_generators(n_qubits, break_pattern)
     if backend == "dense":
         gen = GeneratorSet("dense", [g.to_dense() for g in gen.generators],
                            label=gen.label)
-        result = close(gen, cap=4 ** n_qubits - 1, tol=tol)
-    elif warm_uniform is not None and len(gen.generators) > 3:
-        result = close(gen, cap=4 ** n_qubits - 1, tol=tol,
-                       warm_base=warm_uniform, warm_closed_gens=3)
-    else:
-        result = close(gen, cap=4 ** n_qubits - 1, tol=tol)
+    result = close(gen, cap=4 ** n_qubits - 1, tol=tol)
     result.pattern_reflection_symmetric = pattern_is_reflection_symmetric(
         n_qubits, break_pattern)
     if result.representation == "dense":
@@ -590,32 +601,23 @@ def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
     return result
 
 
-def reflection_sector_check(result: ClosureResult, n_qubits: int,
-                            tol: float = 1e-9) -> bool:
-    """True iff every basis element is invariant under the chain reflection."""
+def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:
+    """True iff every basis element is invariant under the chain reflection.
+
+    Exact: every echelon row must equal its bit-reversed image, compared as
+    residues mod p (equal exactly when the rows lifted to the rationals are).
+    """
     if result.representation != "pauli":
         raise ClosureError("reflection check requires the pauli representation")
     if result.n_qubits != n_qubits:
         raise ClosureError("qubit count mismatch")
-    keys_x, keys_z = result._keys_x, result._keys_z
-    rx = reflect_masks(keys_x, n_qubits)
-    rz = reflect_masks(keys_z, n_qubits)
-    packed = _pack_keys(keys_x, keys_z)
-    rpacked = _pack_keys(rx, rz)
-    order = np.argsort(packed, kind="stable")
-    pos = np.searchsorted(packed[order], rpacked)
-    pos = np.clip(pos, 0, len(order) - 1)
-    hit = packed[order][pos] == rpacked
-    perm = order[pos]
-    B = result._matrix
-    if not np.all(hit):
-        # reflected strings outside the support: their coefficients must vanish
-        bad_cols = np.nonzero(~hit)[0]
-        if np.max(np.abs(B[:, bad_cols])) > tol:
-            return False
-    reflected = np.zeros_like(B)
-    reflected[:, perm[hit]] = B[:, hit]
-    return bool(np.max(np.abs(reflected - B)) < tol) if B.size else True
+    rows = result._rows
+    xs, zs = _split_keys(rows.key, n_qubits)
+    rkeys = _string_keys(reflect_masks(xs.astype(np.uint64), n_qubits),
+                         reflect_masks(zs.astype(np.uint64), n_qubits), n_qubits)
+    a, b = np.lexsort((rows.key, rows.row)), np.lexsort((rkeys, rows.row))
+    return bool(np.array_equal(rows.key[a], rkeys[b])
+                and np.array_equal(rows.val[a], rows.val[b]))
 
 
 def verify_lemma_b2_targets(n_qubits: int, tol: float = 1e-8) -> bool:
@@ -625,13 +627,9 @@ def verify_lemma_b2_targets(n_qubits: int, tol: float = 1e-8) -> bool:
     result = close(uniform_qubit_generators(n_qubits))
     ok = True
     for j in range(1, n_qubits // 2 + 1):
-        mirror = n_qubits - j + 1
-        hxj = (PauliSum.single_site(n_qubits, j, "X")
-               + PauliSum.single_site(n_qubits, mirror, "X"))
-        hzj = (PauliSum.single_site(n_qubits, j, "Z")
-               + PauliSum.single_site(n_qubits, mirror, "Z"))
-        ok &= result.contains(hxj, tol)[0]
-        ok &= result.contains(hzj, tol)[0]
+        pair = (j, n_qubits - j + 1)
+        ok &= result.contains(_site_sum(n_qubits, pair, "X"), tol)[0]
+        ok &= result.contains(_site_sum(n_qubits, pair, "Z"), tol)[0]
         za = "I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1)
         k = n_qubits - j  # left index of the mirrored bond
         zb = "I" * (k - 1) + "ZZ" + "I" * (n_qubits - k - 1)
@@ -648,13 +646,18 @@ def verify_lemma_b2_targets(n_qubits: int, tol: float = 1e-8) -> bool:
 
 # -- Trotter product formulas -------------------------------------------
 
-def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Spectral-norm error of the n-step product formula for exp(A+B)."""
+def _trotter_operands(A, B, n: int) -> tuple[np.ndarray, np.ndarray]:
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ClosureError("dimension mismatch")
     if n < 1:
         raise ClosureError("n must be >= 1")
+    return A, B
+
+
+def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
+    """Spectral-norm error of the n-step product formula for exp(A+B)."""
+    A, B = _trotter_operands(A, B, n)
     exact = scipy.linalg.expm(A + B)
     step = scipy.linalg.expm(A / n) @ scipy.linalg.expm(B / n)
     approx = np.linalg.matrix_power(step, n)
@@ -663,11 +666,7 @@ def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
 
 def trotter_commutator_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
     """Spectral-norm error of the n-step group-commutator formula for exp([A,B])."""
-    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise ClosureError("dimension mismatch")
-    if n < 1:
-        raise ClosureError("n must be >= 1")
+    A, B = _trotter_operands(A, B, n)
     exact = scipy.linalg.expm(A @ B - B @ A)
     s = np.sqrt(n)
     step = (scipy.linalg.expm(A / s) @ scipy.linalg.expm(B / s)

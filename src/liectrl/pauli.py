@@ -316,23 +316,7 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """
     if a.n_qubits != b.n_qubits:
         raise PauliError("size mismatch in commutator")
-    n = a.n_qubits
-    out = PauliSum(n)
-    acc = out.terms
-    for (x1, z1), c1 in a.terms.items():
-        q1 = _popcount(x1 & z1)
-        for (x2, z2), c2 in b.terms.items():
-            # anticommute iff the symplectic form is odd
-            if (_popcount(z1 & x2) + _popcount(x1 & z2)) % 2 == 0:
-                continue
-            x3, z3 = x1 ^ x2, z1 ^ z2
-            q3 = _popcount(x3 & z3)
-            e = (q1 + _popcount(x2 & z2) + 2 * _popcount(z1 & x2) - 1 - q3) % 4
-            sign = 1.0 if e == 0 else -1.0
-            key = (x3, z3)
-            acc[key] = acc.get(key, 0.0) + sign * c1 * c2
-    out._prune()
-    return out
+    return arrays_to_sum(a.n_qubits, *commutator_arrays(*sum_to_arrays(a), *sum_to_arrays(b)))
 
 
 # -- batched term arrays (used by the closure engine) ------------------
@@ -355,16 +339,19 @@ def arrays_to_sum(n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray)
     return out
 
 
-def commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2):
-    """Vectorized (1/(2i))[A,B] on term arrays; returns merged term arrays."""
-    if len(xs1) == 0 or len(xs2) == 0:
-        return (np.zeros(0, np.uint64), np.zeros(0, np.uint64), np.zeros(0))
+def commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2, labels=None):
+    """Vectorized (1/(2i))[A,B] on term arrays; returns merged term arrays.
+
+    Coefficients may be float or integer arrays; integer results are exact
+    while every merged sum of products fits int64.  ``labels = (l1, l2)``
+    forms many brackets in one call: the term pair (i, j) belongs to
+    bracket ``l1[i] + l2[j]``, terms merge only within a bracket, and the
+    bracket of each output term comes back as a fourth array.
+    """
     X1, Z1 = xs1[:, None], zs1[:, None]
     X2, Z2 = xs2[None, :], zs2[None, :]
     sym = (np.bitwise_count(Z1 & X2) + np.bitwise_count(X1 & Z2)) % 2
     i1, i2 = np.nonzero(sym)
-    if len(i1) == 0:
-        return (np.zeros(0, np.uint64), np.zeros(0, np.uint64), np.zeros(0))
     x1, z1, c1 = xs1[i1], zs1[i1], cs1[i1]
     x2, z2, c2 = xs2[i2], zs2[i2], cs2[i2]
     x3, z3 = x1 ^ x2, z1 ^ z2
@@ -373,17 +360,19 @@ def commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2):
          + 2 * np.bitwise_count(z1 & x2)
          - 1
          - np.bitwise_count(x3 & z3)) % 4
-    coeff = np.where(e == 0, 1.0, -1.0) * c1 * c2
-    # merge duplicate strings
-    order = np.lexsort((z3, x3))
-    x3, z3, coeff = x3[order], z3[order], coeff[order]
-    new_group = np.empty(len(x3), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (x3[1:] != x3[:-1]) | (z3[1:] != z3[:-1])
-    starts = np.nonzero(new_group)[0]
-    merged = np.add.reduceat(coeff, starts)
+    coeff = np.where(e == 0, c1, -c1) * c2
+    lab = (np.zeros(len(i1), np.int64) if labels is None
+           else labels[0][i1] + labels[1][i2])
+    # merge duplicate strings within each bracket
+    order = np.lexsort((z3, x3, lab))
+    x3, z3, coeff, lab = x3[order], z3[order], coeff[order], lab[order]
+    new_group = np.ones(len(x3), dtype=bool)
+    new_group[1:] = (lab[1:] != lab[:-1]) | (x3[1:] != x3[:-1]) | (z3[1:] != z3[:-1])
+    starts = np.flatnonzero(new_group)
+    merged = np.add.reduceat(coeff, starts) if len(starts) else coeff
     keep = np.abs(merged) >= PRUNE_TOL
-    return x3[starts][keep], z3[starts][keep], merged[keep]
+    out = x3[starts][keep], z3[starts][keep], merged[keep]
+    return out if labels is None else out + (lab[starts][keep],)
 
 
 def reflect_masks(masks: np.ndarray, n_qubits: int) -> np.ndarray:

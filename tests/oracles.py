@@ -7,7 +7,9 @@ with incremental Gram-Schmidt.  The unitary propagation oracle takes the
 midpoint rule one substep at a time with complex arithmetic, rather than
 in real symmetric batches.  The Lindblad oracle takes each RK4 stage with
 scalar controls, the commutator and a loop over the atoms' decay terms,
-rather than a pre-sampled stack of non-Hermitian generators.
+rather than a pre-sampled stack of non-Hermitian generators.  The
+commutator oracle applies the symplectic sign rule one term pair at a
+time on PauliSum dicts, rather than on batched mask arrays.
 """
 
 import numpy as np
@@ -54,6 +56,44 @@ def dense_closure_dimension(generators, tol=1e-9, max_rounds=60):
         q, _ = np.linalg.qr(B.T)
         B = q.T
     raise RuntimeError("oracle closure did not converge")
+
+
+def scalar_commutator(a, b):
+    """(1/(2i))[A, B] of two PauliSums, one term pair at a time."""
+    from liectrl.pauli import PauliSum
+
+    def popcount(v):
+        return bin(v).count("1")
+
+    out = PauliSum(a.n_qubits)
+    acc = out.terms
+    for (x1, z1), c1 in a.terms.items():
+        q1 = popcount(x1 & z1)
+        for (x2, z2), c2 in b.terms.items():
+            # anticommute iff the symplectic form is odd
+            if (popcount(z1 & x2) + popcount(x1 & z2)) % 2 == 0:
+                continue
+            x3, z3 = x1 ^ x2, z1 ^ z2
+            q3 = popcount(x3 & z3)
+            e = (q1 + popcount(x2 & z2) + 2 * popcount(z1 & x2) - 1 - q3) % 4
+            sign = 1.0 if e == 0 else -1.0
+            key = (x3, z3)
+            acc[key] = acc.get(key, 0.0) + sign * c1 * c2
+    out._prune()
+    return out
+
+
+def reflection_sector_dimension(n_qubits):
+    """Closure dimension of a reflection-symmetric chain (the d-plus-minus formula).
+
+    The reflection splits the 2^N-dimensional space into even and odd
+    parts of sizes d+ and d- = (2^N +- 2^ceil(N/2)) / 2; the dimension is
+    (d+^2 - 1) + (d-^2 - 1), plus one for even N.
+    """
+    half = 2 ** ((n_qubits + 1) // 2)
+    d_plus = (2 ** n_qubits + half) // 2
+    d_minus = (2 ** n_qubits - half) // 2
+    return (d_plus ** 2 - 1) + (d_minus ** 2 - 1) + (n_qubits % 2 == 0)
 
 
 def haar_average_state_fidelity(u, v):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from liectrl.closure import (
+    MAX_EXACT_QUBITS,
+    PRIMES,
     ClosureError,
     GeneratorSet,
     check_universality_qubit,
@@ -16,7 +18,7 @@ from liectrl.closure import (
 )
 from liectrl.pauli import PauliSum, commutator
 
-from oracles import dense_closure_dimension
+from oracles import dense_closure_dimension, reflection_sector_dimension
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -132,12 +134,25 @@ class TestChainTheorem:
         assert res.dimension == 4 ** 6 - 1
 
     def test_warm_start_matches_cold(self):
-        base = close(uniform_qubit_generators(5))
         for pat, want in [({1}, 1023), ({2, 4}, 542), ({5}, 1023)]:
-            warm = check_universality_qubit(5, pat, warm_uniform=base)
-            assert warm.dimension == want
             cold = check_universality_qubit(5, pat)
             assert cold.dimension == want
+
+    def test_reflection_oracle_matches_frozen(self):
+        for n in (3, 4, 5):
+            assert reflection_sector_dimension(n) == self.FROZEN[(n, ())]
+
+    @pytest.mark.parametrize("pattern", [(1, 6), (3, 4)])
+    def test_symmetric_n6_matches_reflection_oracle(self, pattern):
+        res = check_universality_qubit(6, set(pattern))
+        assert res.universality == "non_universal"
+        assert res.dimension == reflection_sector_dimension(6) == 2079
+        assert reflection_sector_check(res, 6)
+
+    def test_n7_single_break_universal(self):
+        res = check_universality_qubit(7, {1})
+        assert res.universality == "universal"
+        assert res.dimension == 4 ** 7 - 1
 
     def test_monotone_in_generators(self):
         base = check_universality_qubit(4, set()).dimension
@@ -156,6 +171,56 @@ class TestChainTheorem:
             mixed = [sum((float(m[i, j]) * gens[j] for j in range(len(gens))),
                          PauliSum.zero(3)) for i in range(len(gens))]
             assert close(GeneratorSet("pauli", mixed)).dimension == dim0
+
+
+class TestExactPauliBackend:
+    def test_large_coefficient_ratio(self):
+        # su(2) on qubit 1 plus X on qubit 2; with unit-norm operands the
+        # first bracket has norm 1e-6, under a float rank floor
+        x1 = PauliSum.from_label("XI")
+        z1_x2 = PauliSum.from_label("ZI") + PauliSum.from_label("IX", 1e6)
+        res = close(GeneratorSet("pauli", [x1, z1_x2]))
+        assert res.dimension == 4
+        assert res.universality == "non_universal"
+        assert res.primes == PRIMES
+
+    def test_primes_that_disagree_raise(self):
+        # the IX coefficient vanishes mod the first prime only: dims 3 and 4
+        x1 = PauliSum.from_label("XI")
+        z1_x2 = PauliSum.from_label("ZI") + PauliSum.from_label("IX", float(PRIMES[0]))
+        with pytest.raises(ClosureError, match=r"\[3, 4\]"):
+            close(GeneratorSet("pauli", [x1, z1_x2]))
+
+    def test_universal_verdict_needs_one_prime(self):
+        res = check_universality_qubit(3, {1})
+        assert res.universality == "universal"
+        assert res.primes == PRIMES[:1]
+
+    def test_non_integer_generator_rejected(self):
+        x1 = PauliSum.from_label("XI")
+        irrational = PauliSum.from_label("ZI") + PauliSum.from_label("IX", np.sqrt(2))
+        with pytest.raises(ClosureError, match='representation="dense"'):
+            close(GeneratorSet("pauli", [x1, irrational]))
+        # integer multiples of the smallest coefficient are accepted
+        scaled = PauliSum.from_label("ZI", 0.3) + PauliSum.from_label("IX", 0.9)
+        assert close(GeneratorSet("pauli", [x1 * 0.5, scaled])).dimension == 4
+
+    def test_too_many_qubits_rejected(self):
+        gen = GeneratorSet("pauli", [PauliSum.single_site(MAX_EXACT_QUBITS + 1, 1, "X")])
+        with pytest.raises(ClosureError, match=f"N <= {MAX_EXACT_QUBITS}"):
+            close(gen)
+
+    def test_fractional_rows_lift_exactly(self):
+        # the echelon row of ZI + 2 IX is IX + ZI/2, stored as a residue
+        g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", 2.0)
+        res = close(GeneratorSet("pauli", [g]))
+        assert res.dimension == 1
+        member, resid = res.contains(g * 3.0, tol=1e-12)
+        assert member, resid
+        assert not res.contains(PauliSum.from_label("ZI"))[0]
+        (b,) = res.basis
+        assert b.hs_inner(b) == pytest.approx(1.0)
+        assert b.coeff("IX") == pytest.approx(2 * b.coeff("ZI"))
 
 
 class TestReflectionChecks:
@@ -178,6 +243,12 @@ class TestReflectionChecks:
         gen = GeneratorSet("pauli", [PauliSum.single_site(3, 2, "X")])
         res = close(gen)
         assert reflection_sector_check(res, 3)
+
+    def test_antisymmetric_element_is_not_invariant(self):
+        # X1 - X3 has a reflection-invariant support but flips sign
+        g = PauliSum.single_site(3, 1, "X") - PauliSum.single_site(3, 3, "X")
+        res = close(GeneratorSet("pauli", [g]))
+        assert not reflection_sector_check(res, 3)
 
     def test_rejects_dense_representation(self):
         res = close(GeneratorSet("dense", [X, Z]))

@@ -243,6 +243,7 @@ class TestSumBasics:
 
 class TestArrayKernels:
     def test_commutator_arrays_matches_scalar(self):
+        from oracles import scalar_commutator as commutator
         rng = np.random.default_rng(7)
         for _ in range(30):
             n = int(rng.integers(1, 7))
