@@ -18,7 +18,11 @@ operators under the normalized bracket (1/(2i))[A, B]:
   p divides an elementary divisor of the integer matrix of bracket
   words, so it is rerun on a second prime: a universal rerun makes the
   verdict universal, and two non-universal dimensions must agree, or
-  :class:`ClosureError` names both.
+  :class:`ClosureError` names both.  ``basis`` and ``contains`` lift the
+  rows to the rationals by CRT over the primes run and rational
+  reconstruction, exact for entries with numerator and denominator up to
+  about 1.2e7 (2.9e3 after a single universal run); every generator must
+  reduce to exactly 0 against the lift, or :class:`ClosureError` is raised.
 * ``dense``  - floating point.  Elements are Hermitian matrices,
   orthonormalized as real-stacked vectors of length 2*D**2 with a
   relative tolerance and an absolute floor.
@@ -38,7 +42,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import isqrt
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, isqrt
 from typing import Literal, Sequence
 
 import numpy as np
@@ -126,44 +132,22 @@ class GeneratorSet:
 # -- exact rows over GF(p) (pauli backend) --------------------------------
 
 def _merge(ids, keys, vals, p):
-    """COO entries summed per (id, key), sorted, zeros dropped (mod p unless p is None)."""
+    """COO entries summed per (id, key) mod p, sorted, zeros dropped."""
     order = np.lexsort((keys, ids))
     ids, keys, vals = ids[order], keys[order], vals[order]
     starts = np.flatnonzero((np.diff(ids, prepend=-1) != 0) | (np.diff(keys, prepend=-1) != 0))
-    vals = np.add.reduceat(vals, starts) if len(starts) else vals
-    if p is not None:
-        vals %= p
+    vals = (np.add.reduceat(vals, starts) if len(starts) else vals) % p
     keep = vals != 0
     return ids[starts][keep], keys[starts][keep], vals[keep]
 
 
-def _lift(vals: np.ndarray, p: int) -> np.ndarray:
-    """Rationals (as floats) with residues ``vals`` mod p.
-
-    Small symmetric residues are integers; any other residue goes through
-    rational reconstruction with numerator and denominator below
-    sqrt(p/2).
-    """
-    out = np.where(vals > p // 2, vals - p, vals).astype(float)
-    bound = isqrt(p // 2)
-    for i in np.flatnonzero(np.abs(out) > bound):
-        r0, r1, s0, s1 = p, int(vals[i]), 0, 1
-        while r1 > bound:
-            r0, r1, s0, s1 = r1, r0 % r1, s1, s0 - (r0 // r1) * s1
-        if abs(s1) > bound:
-            raise ClosureError(f"residue {int(vals[i])} mod {p} has no small rational lift")
-        out[i] = r1 / s1
-    return out
-
-
 class _Rows:
-    """Sparse rows in reduced echelon form.
+    """Sparse rows over GF(p) in reduced echelon form.
 
     Row i is 1 at the string key ``pivots[i]`` and every row is 0 at every
     other row's pivot, so reducing a vector against all rows is one sparse
-    product.  Values are residues mod ``p``, or floats when ``p`` is None
-    (rows lifted to the rationals).  Entries ``(row, key, val)`` are COO
-    arrays sorted by row.
+    product.  Entries ``(row, key, val)`` are COO arrays sorted by row,
+    values are residues mod ``p``.
     """
 
     def __init__(self, p, pivots, row, key, val):
@@ -175,9 +159,6 @@ class _Rows:
     @property
     def n_rows(self) -> int:
         return len(self.pivots)
-
-    def lifted(self) -> "_Rows":
-        return _Rows(None, self.pivots, self.row, self.key, _lift(self.val, self.p))
 
     def entries(self, rows: np.ndarray):
         """(position in ``rows``, key, value) of the entries of ``rows``."""
@@ -195,11 +176,9 @@ class _Rows:
             pos = np.minimum(np.searchsorted(self._sorted, keys), self.n_rows - 1)
             hit = np.flatnonzero(self._sorted[pos] == keys)
             which, r_key, r_val = self.entries(self._row_of[pos[hit]])
-            a = vals[hit][which]
             ids = np.concatenate([ids, ids[hit][which]])
             keys = np.concatenate([keys, r_key])
-            vals = np.concatenate([vals, -a * r_val if self.p is None
-                                   else a * (self.p - r_val) % self.p])
+            vals = np.concatenate([vals, vals[hit][which] * (self.p - r_val) % self.p])
         return _merge(ids, keys, vals, self.p)
 
     def absorb(self, ids, keys, vals, cap: int) -> list[int]:
@@ -301,6 +280,57 @@ class _ModPEngine:
             *_split_keys(keys, self.n), vals, *_split_keys(self.g_key, self.n), self.g_val,
             labels=(pos * self.n_gens, self.g_lab))
         return self.rows.absorb(lab, (x3 << self.n) | z3, c3 % self.p, cap)
+
+
+def _rational(u: int, m: int, bound: int) -> tuple[int, int]:
+    """(a, b) with a = b u mod m, |a| <= bound and 0 < b <= bound."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        raise ClosureError(f"residue {u} mod {m} has no rational lift below {bound}")
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(runs: Sequence[_Rows], terms: Sequence[tuple]):
+    """The echelon rows over the rationals, from their residues in every run.
+
+    Entries are matched by (pivot, key), combined by CRT mod the product m
+    of the runs' primes and rationally reconstructed with numerator and
+    denominator at most sqrt(m/2): about 2.9e3 for one prime, 1.2e7 for
+    two.  A larger true entry fails the reconstruction or comes back as a
+    wrong fraction, so every generator in ``terms`` must then reduce to
+    exactly 0 against the lifted rows.  Returns (pivot, key, value) float
+    entries sorted by pivot; raises :class:`ClosureError` on any failure.
+    """
+    ref = np.sort(runs[-1].pivots)
+    if any(not np.array_equal(np.sort(r.pivots), ref) for r in runs):
+        raise ClosureError("echelon pivots differ between primes")
+    pairs, inv = np.unique(np.concatenate([np.stack([r.pivots[r.row], r.key], 1) for r in runs]),
+                           axis=0, return_inverse=True)
+    inv, u, m, start = inv.reshape(-1), np.zeros(len(pairs), np.int64), 1, 0
+    for r in runs:  # u < m <= p**2 < 2**48
+        v = np.zeros(len(pairs), np.int64)
+        v[inv[start: start + len(r.key)]] = r.val
+        start += len(r.key)
+        u += m * ((v - u) % r.p * pow(m, -1, r.p) % r.p)
+        m *= r.p
+    bound = isqrt(m // 2)
+    num, den = np.where(u > m // 2, u - m, u), np.ones(len(u), np.int64)
+    for i in np.flatnonzero(np.abs(num) > bound):
+        num[i], den[i] = _rational(int(u[i]), m, bound)
+    piv, key = pairs[:, 0], pairs[:, 1]
+    for g_key, g_val in terms:
+        resid = dict(zip(g_key.tolist(), map(Fraction, g_val)))
+        for k, c in zip(g_key.tolist(), g_val):
+            lo, hi = np.searchsorted(piv, [k, k + 1])
+            for kk, a, b in zip(key[lo:hi].tolist(), num[lo:hi].tolist(), den[lo:hi].tolist()):
+                resid[kk] = resid.get(kk, 0) - c * Fraction(a, b)
+        if any(resid.values()):
+            raise ClosureError(f"rows lifted mod {m} miss a generator: an exact entry "
+                               f"exceeds the reconstruction bound {bound}")
+    return piv, key, num / den
 
 
 # -- float rows (dense backend) --------------------------------------------
@@ -442,8 +472,9 @@ def _bfs(engine, theoretical: int, cap: int | None, depth_limit: int):
 class ClosureResult:
     """Basis of the generated algebra plus the verdict.
 
-    ``primes`` lists the GF(p) runs behind a pauli verdict, in order; the
-    result keeps the exact echelon rows mod the last one.
+    ``primes`` lists the GF(p) runs behind a pauli verdict, in order.  The
+    result keeps the exact echelon rows of every run that agrees with the
+    verdict; ``basis`` and ``contains`` use them lifted to the rationals.
     """
 
     dimension: int
@@ -457,22 +488,32 @@ class ClosureResult:
     pattern_reflection_symmetric: bool | None = None  # chain checks only
     primes: tuple[int, ...] = ()
     _matrix: np.ndarray = field(default=None, repr=False)
-    _rows: _Rows = field(default=None, repr=False)
+    _runs: tuple[_Rows, ...] = field(default=(), repr=False)
+    _terms: list = field(default_factory=list, repr=False)  # generators the rows span
+
+    @cached_property
+    def _lifted(self):
+        return _lift(self._runs, self._terms)
 
     @property
     def basis(self) -> list:
         """Orthonormalized basis elements (unit Hilbert-Schmidt norm)."""
         if self.representation == "pauli":
             # float QR over the exact rows lifted to the rationals
-            n, rows = self.n_qubits, self._rows.lifted()
-            support, col = np.unique(rows.key, return_inverse=True)
-            m = np.zeros((len(support), rows.n_rows))
-            m[col, rows.row] = rows.val
+            n, (piv, key, val) = self.n_qubits, self._lifted
+            pivots, row = np.unique(piv, return_inverse=True)
+            support, col = np.unique(key, return_inverse=True)
+            m = np.zeros((len(support), len(pivots)))
+            m[col, row] = val
             q = np.linalg.qr(m)[0] * 2.0 ** (-n / 2)
             xs, zs = _split_keys(support, n)
-            return [arrays_to_sum(n, xs, zs, q[:, i]) for i in range(rows.n_rows)]
+            return [arrays_to_sum(n, xs, zs, q[:, i]) for i in range(len(pivots))]
         d = int(np.sqrt(self._matrix.shape[1] // 2))
-        return [(row[: d * d] + 1j * row[d * d:]).reshape(d, d) for row in self._matrix]
+        out = []
+        for row in self._matrix:
+            m = (row[: d * d] + 1j * row[d * d:]).reshape(d, d)
+            out.append(m)
+        return out
 
     def contains(self, element, tol: float = 1e-8) -> tuple[bool, float]:
         """Span membership of a Hermitian element; returns (member, residual).
@@ -492,8 +533,13 @@ class ClosureResult:
             return True, 0.0
         v = v / nrm
         if self.representation == "pauli":
+            piv, key, val = self._lifted
             keys = _string_keys(xs, zs, self.n_qubits)
-            v = self._rows.lifted().reduce(np.zeros(len(v), np.int64), keys, v)[2]
+            order = np.argsort(keys)
+            pos = np.minimum(np.searchsorted(keys[order], piv), len(keys) - 1)
+            hit = keys[order][pos] == piv  # entries of the rows pivoted in v
+            _, inv = np.unique(np.concatenate([keys, key[hit]]), return_inverse=True)
+            v = np.bincount(inv, np.concatenate([v, -v[order][pos][hit] * val[hit]]))
         else:
             v = v - (v @ self._matrix.T) @ self._matrix
             v = v - (v @ self._matrix.T) @ self._matrix
@@ -506,20 +552,23 @@ def _close_pauli(gen: GeneratorSet, cap: int | None, depth_limit: int) -> Closur
     if n > MAX_EXACT_QUBITS:
         raise ClosureError(f"pauli backend needs N <= {MAX_EXACT_QUBITS}, got {n}")
     terms = [_integer_terms(g, n) for g in gen.generators]
-    dims = []
+    runs = []
     for p in PRIMES:
         engine = _ModPEngine(n, terms, p)
         converged, depth, verdict = _bfs(engine, 4 ** n - 1, cap, depth_limit)
-        dims.append(engine.rows.n_rows)
+        runs.append(engine.rows)
         if verdict != "non_universal":
             break
-    primes = PRIMES[: len(dims)]
+    dims, primes = [r.n_rows for r in runs], PRIMES[: len(runs)]
     if verdict != "universal" and len(set(dims)) > 1:
         raise ClosureError(f"closure dimensions {dims} differ over GF(p) for p in {primes}")
     return ClosureResult(
         dimension=dims[-1], converged=converged, depth_reached=depth,
         universality=verdict, representation="pauli", theoretical_cap=4 ** n - 1,
-        n_qubits=n, primes=primes, _rows=engine.rows)
+        n_qubits=n, primes=primes,
+        _runs=tuple(runs[-1:] if verdict == "universal" else runs),
+        # a cap below the generator count may stop the seeding short
+        _terms=terms if cap is None or cap >= len(terms) else [])
 
 
 def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL,
@@ -564,20 +613,23 @@ def uniform_qubit_generators(n_qubits: int, break_pattern: Sequence[int] = ()) -
     pattern = sorted(set(break_pattern))
     if pattern and (pattern[0] < 1 or pattern[-1] > n_qubits):
         raise ClosureError(f"break pattern {pattern} out of range 1..{n_qubits}")
-    sites = range(1, n_qubits + 1)
+    hx = PauliSum.zero(n_qubits)
+    hz = PauliSum.zero(n_qubits)
+    for j in range(1, n_qubits + 1):
+        hx = hx + PauliSum.single_site(n_qubits, j, "X")
+        hz = hz + PauliSum.single_site(n_qubits, j, "Z")
     hzz = PauliSum.zero(n_qubits)
     for j in range(1, n_qubits):
         label = "I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1)
         hzz = hzz + PauliSum.from_label(label)
-    gens = [_site_sum(n_qubits, sites, "X"), _site_sum(n_qubits, sites, "Z"), hzz]
+    gens = [hx, hz, hzz]
     if pattern:
-        gens.append(_site_sum(n_qubits, pattern, "X"))
+        hbreak = PauliSum.zero(n_qubits)
+        for j in pattern:
+            hbreak = hbreak + PauliSum.single_site(n_qubits, j, "X")
+        gens.append(hbreak)
     tag = ",".join(map(str, pattern)) if pattern else "none"
     return GeneratorSet("pauli", gens, label=f"chain N={n_qubits} break={tag}")
-
-
-def _site_sum(n_qubits: int, sites, kind: str) -> PauliSum:
-    return sum((PauliSum.single_site(n_qubits, j, kind) for j in sites), PauliSum.zero(n_qubits))
 
 
 def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int]) -> bool:
@@ -611,7 +663,7 @@ def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:
         raise ClosureError("reflection check requires the pauli representation")
     if result.n_qubits != n_qubits:
         raise ClosureError("qubit count mismatch")
-    rows = result._rows
+    rows = result._runs[-1]
     xs, zs = _split_keys(rows.key, n_qubits)
     rkeys = _string_keys(reflect_masks(xs.astype(np.uint64), n_qubits),
                          reflect_masks(zs.astype(np.uint64), n_qubits), n_qubits)
@@ -627,9 +679,13 @@ def verify_lemma_b2_targets(n_qubits: int, tol: float = 1e-8) -> bool:
     result = close(uniform_qubit_generators(n_qubits))
     ok = True
     for j in range(1, n_qubits // 2 + 1):
-        pair = (j, n_qubits - j + 1)
-        ok &= result.contains(_site_sum(n_qubits, pair, "X"), tol)[0]
-        ok &= result.contains(_site_sum(n_qubits, pair, "Z"), tol)[0]
+        mirror = n_qubits - j + 1
+        hxj = (PauliSum.single_site(n_qubits, j, "X")
+               + PauliSum.single_site(n_qubits, mirror, "X"))
+        hzj = (PauliSum.single_site(n_qubits, j, "Z")
+               + PauliSum.single_site(n_qubits, mirror, "Z"))
+        ok &= result.contains(hxj, tol)[0]
+        ok &= result.contains(hzj, tol)[0]
         za = "I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1)
         k = n_qubits - j  # left index of the mirrored bond
         zb = "I" * (k - 1) + "ZZ" + "I" * (n_qubits - k - 1)
@@ -646,18 +702,13 @@ def verify_lemma_b2_targets(n_qubits: int, tol: float = 1e-8) -> bool:
 
 # -- Trotter product formulas -------------------------------------------
 
-def _trotter_operands(A, B, n: int) -> tuple[np.ndarray, np.ndarray]:
+def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
+    """Spectral-norm error of the n-step product formula for exp(A+B)."""
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ClosureError("dimension mismatch")
     if n < 1:
         raise ClosureError("n must be >= 1")
-    return A, B
-
-
-def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Spectral-norm error of the n-step product formula for exp(A+B)."""
-    A, B = _trotter_operands(A, B, n)
     exact = scipy.linalg.expm(A + B)
     step = scipy.linalg.expm(A / n) @ scipy.linalg.expm(B / n)
     approx = np.linalg.matrix_power(step, n)
@@ -666,7 +717,11 @@ def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
 
 def trotter_commutator_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
     """Spectral-norm error of the n-step group-commutator formula for exp([A,B])."""
-    A, B = _trotter_operands(A, B, n)
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    if A.shape != B.shape:
+        raise ClosureError("dimension mismatch")
+    if n < 1:
+        raise ClosureError("n must be >= 1")
     exact = scipy.linalg.expm(A @ B - B @ A)
     s = np.sqrt(n)
     step = (scipy.linalg.expm(A / s) @ scipy.linalg.expm(B / s)

@@ -210,9 +210,11 @@ class TestExactPauliBackend:
         with pytest.raises(ClosureError, match=f"N <= {MAX_EXACT_QUBITS}"):
             close(gen)
 
-    def test_fractional_rows_lift_exactly(self):
-        # the echelon row of ZI + 2 IX is IX + ZI/2, stored as a residue
-        g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", 2.0)
+    @pytest.mark.parametrize("c", [2.0, 5000.0])
+    def test_fractional_rows_lift_exactly(self, c):
+        # the echelon row of ZI + c IX is IX + ZI/c, stored as residues; a
+        # denominator of 5000 is above one prime's lift bound
+        g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", c)
         res = close(GeneratorSet("pauli", [g]))
         assert res.dimension == 1
         member, resid = res.contains(g * 3.0, tol=1e-12)
@@ -220,7 +222,21 @@ class TestExactPauliBackend:
         assert not res.contains(PauliSum.from_label("ZI"))[0]
         (b,) = res.basis
         assert b.hs_inner(b) == pytest.approx(1.0)
-        assert b.coeff("IX") == pytest.approx(2 * b.coeff("ZI"))
+        assert b.coeff("IX") == pytest.approx(c * b.coeff("ZI"))
+
+    def test_row_beyond_the_lift_bound_raises(self):
+        g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", 2.0 ** 40)
+        res = close(GeneratorSet("pauli", [g]))
+        assert res.dimension == 1
+        with pytest.raises(ClosureError):
+            res.contains(g)
+        with pytest.raises(ClosureError):
+            res.basis
+
+    def test_cap_below_generator_count_still_lifts(self):
+        res = close(uniform_qubit_generators(3, {1}), cap=2)
+        assert res.dimension == 2
+        assert res.contains(uniform_qubit_generators(3).generators[0])[0]
 
 
 class TestReflectionChecks:
