@@ -23,9 +23,12 @@ operators under the normalized bracket (1/(2i))[A, B]:
   reconstruction, exact for entries with numerator and denominator up to
   about 1.2e7 (2.9e3 after a single universal run); every generator must
   reduce to exactly 0 against the lift, or :class:`ClosureError` is raised.
-* ``dense``  - floating point.  Elements are Hermitian matrices,
-  orthonormalized as real-stacked vectors of length 2*D**2 with a
-  relative tolerance and an absolute floor.
+* ``dense``  - floating point.  Elements are Hermitian matrices, stored
+  as real vectors of length D**2 in Hermitian coordinates (diagonal,
+  sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
+  the Hilbert-Schmidt inner product, and orthonormalized with a relative
+  tolerance and an absolute floor.  ``rank_margin`` reports how far the
+  accepted residuals stayed from the rejected ones.
 
 Both run a breadth-first expansion that commutes every new basis element
 with every *generator* only.  By the Jacobi identity the span of such
@@ -40,6 +43,7 @@ and expose the reflection-sector diagnostics used by the chain theorem.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,13 +78,21 @@ _ZERO_FLOOR = 1e-14
 # regardless of the relative rule.  Operands are unit-norm, candidates are
 # processed oldest first (so genuine directions enter at large residuals
 # before deep, noisier brackets arrive), and stored rows are denoised
-# (components below _SNAP zeroed).  Measured on the sector algebras this
-# backend serves, genuine new directions carry residuals of 2e-3 and above
-# while accumulated noise stays below 2e-8.  Coefficient ratios near 1e6
-# push genuine brackets under the floor.
+# (components below _SNAP zeroed).  Measured on the bench's sector chains
+# (fermion and boson N=5, 7 at n=2, 3; spinful N=3), accepted residuals go
+# down to 1.4e-4 (fermion N=7 n=3) and rejected ones up to 1.4e-7 (boson
+# N=7 n=2); every result reports its own ratio as ``rank_margin``, and
+# tests/test_sectors.py::TestDenseRankDecisions requires it above 100 on
+# the smaller cases.  Coefficient ratios near 1e6 push genuine brackets
+# under the floor.
 _ABS_FLOOR = 1e-6
 _SNAP = 1e-12
+_SQRT2 = np.sqrt(2.0)
 _CHUNK = 384
+# a dense result whose rank margin falls below this is logged as a warning
+_MARGIN_WARN = 100.0
+
+log = logging.getLogger("liectrl")
 
 
 class ClosureError(ValueError):
@@ -110,8 +122,7 @@ class GeneratorSet:
             for g in gens:
                 if g.shape != (d, d):
                     raise ClosureError("inconsistent generator dimensions")
-                if np.max(np.abs(g - g.conj().T)) >= _HERM_TOL:
-                    raise ClosureError("dense generator is not Hermitian")
+                _check_hermitian(g, "dense generator")
             self.generators = gens
         else:
             raise ClosureError(f"unknown representation {self.representation!r}")
@@ -335,16 +346,56 @@ def _lift(runs: Sequence[_Rows], terms: Sequence[tuple]):
 
 # -- float rows (dense backend) --------------------------------------------
 
+def _hermitian_coords(d: int):
+    """Flat indices of the diagonal, upper and lower triangles of a d x d matrix."""
+    up_r, up_c = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), up_r * d + up_c, up_c * d + up_r
+
+
+def _stack_matrix(m: np.ndarray) -> np.ndarray:
+    """Hermitian m as (diag, sqrt2 Re upper, sqrt2 Im upper), length d**2.
+
+    The dot product of two such rows is Re tr(A^dagger B), the
+    Hilbert-Schmidt inner product, so norms and residuals are unchanged.
+    """
+    diag, up, _ = _hermitian_coords(m.shape[0])
+    flat = m.ravel()
+    return np.concatenate([flat[diag].real, _SQRT2 * flat[up].real, _SQRT2 * flat[up].imag])
+
+
+def _unstack_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`_stack_matrix` for a stack of rows: (n, d, d) complex."""
+    diag, up, lo = _hermitian_coords(d)
+    off = (rows[:, d: d + len(up)] + 1j * rows[:, d + len(up):]) / _SQRT2
+    out = np.zeros((len(rows), d * d), dtype=complex)
+    out[:, diag], out[:, up], out[:, lo] = rows[:, :d], off, off.conj()
+    return out.reshape(-1, d, d)
+
+
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.max(np.abs(m - m.conj().T)) >= _HERM_TOL:
+        raise ClosureError(f"{what} is not a Hermitian matrix")
+
+
 class _Basis:
-    """Row-orthonormal basis with amortized growth and chunked projection."""
+    """Row-orthonormal basis with amortized growth and chunked projection.
+
+    Records the smallest residual it accepted and the largest it rejected;
+    their ratio is the rank-decision margin.
+    """
 
     def __init__(self, n_cols: int):
         self._rows = np.zeros((64, n_cols))
         self.n_rows = 0
+        self.min_accepted, self.max_rejected = np.inf, 0.0
 
     @property
     def matrix(self) -> np.ndarray:
         return self._rows[: self.n_rows]
+
+    @property
+    def margin(self) -> float:
+        return float(self.min_accepted / self.max_rejected) if self.max_rejected else np.inf
 
     def _ensure_rows(self, extra: int) -> None:
         if self.n_rows + extra > self._rows.shape[0]:
@@ -368,7 +419,10 @@ class _Basis:
             # second pass before entering the basis ("twice is enough")
             cands = cands - (cands @ B.T) @ B
             gate = np.maximum(tol * orig, _ABS_FLOOR)
-            survivors = np.linalg.norm(cands, axis=1) > gate
+            resid = np.linalg.norm(cands, axis=1)
+            survivors = resid > gate
+            if not survivors.all():
+                self.max_rejected = max(self.max_rejected, resid[~survivors].max())
             cands, orig = cands[survivors], orig[survivors]
             if cands.shape[0] == 0:
                 return []
@@ -381,6 +435,7 @@ class _Basis:
                 row = row - (row @ New.T) @ New
             r = np.linalg.norm(row)
             if r <= max(tol * orig[i], _ABS_FLOOR):
+                self.max_rejected = max(self.max_rejected, r)
                 continue
             row = row / r
             if r < 1e-2 * orig[i]:
@@ -390,8 +445,11 @@ class _Basis:
                 row = row - (row @ M.T) @ M
                 rr = np.linalg.norm(row)
                 if rr <= 0.5:
+                    self.max_rejected = max(self.max_rejected, r * rr)
                     continue
                 row = row / rr
+                r *= rr
+            self.min_accepted = min(self.min_accepted, r)
             # snap noise components so they cannot be recycled into later
             # candidates and masquerade as new directions
             row[np.abs(row) < _SNAP] = 0.0
@@ -411,7 +469,7 @@ class _DenseEngine:
     def __init__(self, gens: Sequence[np.ndarray], tol: float):
         self.d = gens[0].shape[0]
         self.tol, self.n_gens = tol, len(gens)
-        self.rows = _Basis(2 * self.d * self.d)
+        self.rows = _Basis(self.d * self.d)
         self.gen_mats = []
         for g in gens:
             nrm = np.linalg.norm(g)
@@ -419,24 +477,29 @@ class _DenseEngine:
             self.gen_mats.append(g / nrm if nrm >= _ZERO_FLOOR else g * 0.0)
         if all(np.linalg.norm(g) < _ZERO_FLOOR for g in self.gen_mats):
             raise ClosureError("all generators are zero")
-        self._gen_stack = np.stack(self.gen_mats)
+        self._gen_rows = np.concatenate(self.gen_mats)  # (g*d, d)
+        self._coords = _hermitian_coords(self.d)
 
     def seed(self, cap: int) -> list[int]:
         seeds = np.stack([_stack_matrix(g) for g in self.gen_mats])
         return self.rows.absorb(seeds, self.tol, cap)
 
     def expand(self, block: list[int], cap: int) -> list[int]:
-        dd = self.d * self.d
-        rows = self.rows.matrix[block]
-        V = (rows[:, :dd] + 1j * rows[:, dd:]).reshape(-1, self.d, self.d)
-        G = self._gen_stack
-        C = (np.einsum("gab,vbc->vgac", G, V) - np.einsum("vab,gbc->vgac", V, G)) / 2j
-        C = C.reshape(-1, dd)
-        return self.rows.absorb(np.concatenate([C.real, C.imag], axis=1), self.tol, cap)
+        """Bracket a block of rows with every generator in one GEMM and absorb.
 
-
-def _stack_matrix(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+        W = G V for every (v, g) pair comes from one product; since G and V
+        are Hermitian, V G = W^dagger, so C = (W - W^dagger)/(2i) is read off W
+        directly in Hermitian coordinates.  Candidates are ordered (v, g).
+        """
+        d, n_v = self.d, len(block)
+        V = _unstack_rows(self.rows.matrix[block], d)
+        W = self._gen_rows @ V.transpose(1, 0, 2).reshape(d, n_v * d)
+        W = W.reshape(self.n_gens, d, n_v, d).transpose(2, 0, 1, 3).reshape(-1, d * d)
+        diag, up, lo = self._coords
+        w_up, w_lo = W[:, up], W[:, lo]
+        cands = np.concatenate([W[:, diag].imag, (w_up.imag + w_lo.imag) / _SQRT2,
+                                (w_lo.real - w_up.real) / _SQRT2], axis=1)
+        return self.rows.absorb(cands, self.tol, cap)
 
 
 # -- breadth-first closure ----------------------------------------------------
@@ -475,6 +538,9 @@ class ClosureResult:
     ``primes`` lists the GF(p) runs behind a pauli verdict, in order.  The
     result keeps the exact echelon rows of every run that agrees with the
     verdict; ``basis`` and ``contains`` use them lifted to the rationals.
+    ``rank_margin`` (dense backend) is the smallest residual accepted as a
+    new direction over the largest rejected one: ``inf`` when nothing was
+    rejected, ``None`` on the exact pauli backend.
     """
 
     dimension: int
@@ -487,6 +553,7 @@ class ClosureResult:
     elapsed_s: float = 0.0
     pattern_reflection_symmetric: bool | None = None  # chain checks only
     primes: tuple[int, ...] = ()
+    rank_margin: float | None = None
     _matrix: np.ndarray = field(default=None, repr=False)
     _runs: tuple[_Rows, ...] = field(default=(), repr=False)
     _terms: list = field(default_factory=list, repr=False)  # generators the rows span
@@ -508,12 +575,7 @@ class ClosureResult:
             q = np.linalg.qr(m)[0] * 2.0 ** (-n / 2)
             xs, zs = _split_keys(support, n)
             return [arrays_to_sum(n, xs, zs, q[:, i]) for i in range(len(pivots))]
-        d = int(np.sqrt(self._matrix.shape[1] // 2))
-        out = []
-        for row in self._matrix:
-            m = (row[: d * d] + 1j * row[d * d:]).reshape(d, d)
-            out.append(m)
-        return out
+        return list(_unstack_rows(self._matrix, isqrt(self._matrix.shape[1])))
 
     def contains(self, element, tol: float = 1e-8) -> tuple[bool, float]:
         """Span membership of a Hermitian element; returns (member, residual).
@@ -527,7 +589,11 @@ class ClosureResult:
                 raise ClosureError("qubit count mismatch")
             xs, zs, v = sum_to_arrays(element)
         else:
-            v = _stack_matrix(np.asarray(element, dtype=complex))
+            m = np.asarray(element, dtype=complex)
+            _check_hermitian(m, "element")
+            if m.size != self._matrix.shape[1]:
+                raise ClosureError("matrix dimension mismatch")
+            v = _stack_matrix(m)
         nrm = np.linalg.norm(v)
         if nrm < _ZERO_FLOOR:
             return True, 0.0
@@ -599,7 +665,11 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL,
         result = ClosureResult(
             dimension=engine.rows.n_rows, converged=converged, depth_reached=depth,
             universality=verdict, representation="dense", theoretical_cap=theoretical,
-            _matrix=engine.rows.matrix.copy())
+            rank_margin=engine.rows.margin, _matrix=engine.rows.matrix.copy())
+        if result.rank_margin < _MARGIN_WARN:
+            log.warning("dense closure %s: rank margin %.3g is below %g; dimension %d "
+                        "may be wrong", gen.label or "(unlabelled)", result.rank_margin,
+                        _MARGIN_WARN, result.dimension)
     result.elapsed_s = time.perf_counter() - t0
     return result
 

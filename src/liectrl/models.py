@@ -134,8 +134,7 @@ def density_operator(n_qubits: int, site: int) -> PauliSum:
     return ident + _site(n_qubits, site, "Z", -0.5)
 
 
-def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float,
-                        n_max_dense: int = _DENSE_ATOM_BUDGET) -> PauliSum:
+def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float) -> PauliSum:
     """Global-drive Rydberg chain Hamiltonian (rad/us) as a PauliSum.
 
     H = (Omega/2) sum_l X_l - Delta sum_l n_l + sum_{j<l} V_jl n_j n_l
@@ -144,8 +143,6 @@ def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float,
     if not np.isfinite(omega) or not np.isfinite(delta):
         raise ModelError("omega and delta must be finite")
     n = geom.n_atoms
-    if n > n_max_dense:
-        raise ModelError(f"geometry with {n} atoms exceeds the dense budget {n_max_dense}")
     h = PauliSum.zero(n)
     for l in range(1, n + 1):
         h = h + _site(n, l, "X", omega / 2.0)

@@ -239,6 +239,71 @@ class TestExactPauliBackend:
         assert res.contains(uniform_qubit_generators(3).generators[0])[0]
 
 
+def random_hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return m + m.conj().T
+
+
+class TestDenseCoordinates:
+    """Hermitian coordinates of the dense backend against complex traces."""
+
+    @pytest.fixture
+    def closed(self):
+        # two random complex 3x3 blocks embedded in 4x4: u(3), not all of u(4)
+        rng = np.random.default_rng(11)
+        gens = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
+        for g in gens:
+            g[:3, :3] = random_hermitian(rng, 3)
+        return close(GeneratorSet("dense", gens)), rng
+
+    def test_basis_hermitian_and_orthonormal(self, closed):
+        res, _ = closed
+        assert res.dimension == 9
+        basis = res.basis
+        for b in basis:
+            np.testing.assert_allclose(b, b.conj().T, atol=1e-14)
+        gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
+        np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+
+    def test_basis_closed_under_brackets(self, closed):
+        res, _ = closed
+        basis = res.basis
+        for a in basis:
+            for b in basis:
+                member, resid = res.contains((a @ b - b @ a) / 2j, tol=1e-9)
+                assert member, resid
+
+    def test_contains_residual_matches_complex_projection(self, closed):
+        res, rng = closed
+        basis = res.basis
+        for _ in range(5):
+            m = random_hermitian(rng, 4)
+            m /= np.linalg.norm(m)
+            r = m - sum(np.trace(b.conj().T @ m) * b for b in basis)
+            member, resid = res.contains(m)
+            assert not member
+            assert resid == pytest.approx(np.linalg.norm(r), rel=1e-10)
+
+    def test_contains_rejects_non_hermitian(self, closed):
+        res, _ = closed
+        with pytest.raises(ClosureError, match="Hermitian"):
+            res.contains(np.triu(np.ones((4, 4))))
+
+    def test_low_rank_margin_is_logged(self, caplog):
+        # commuting generators; with tol=0.5 the second one's residual
+        # (0.1/sqrt(1.01) of its norm) is rejected against the first
+        gen = GeneratorSet("dense", [np.diag([1.0, 0, 0]), np.diag([1.0, 0.1, 0])])
+        with caplog.at_level("WARNING", logger="liectrl"):
+            res = close(gen, tol=0.5)
+        assert res.dimension == 1
+        assert res.rank_margin == pytest.approx(np.sqrt(101))
+        assert "rank margin" in caplog.text
+
+    def test_margin_inf_without_rejections_and_none_on_pauli(self):
+        assert close(GeneratorSet("dense", [X, Z])).rank_margin == np.inf
+        assert close(uniform_qubit_generators(3)).rank_margin is None
+
+
 class TestReflectionChecks:
     def test_pattern_symmetry_predicate(self):
         assert pattern_is_reflection_symmetric(4, set())

@@ -18,7 +18,7 @@ from liectrl.models import (
     to_mhz,
     zxz_hamiltonian,
 )
-from liectrl.pauli import PauliSum, commutator
+from liectrl.pauli import PauliError, PauliSum, commutator
 from oracles import pauli_rydberg_terms
 
 
@@ -136,10 +136,12 @@ class TestRydberg:
                         for s1 in (-1, 1) for s2 in (-1, 1)])
         np.testing.assert_allclose(evals, want, atol=1e-9)
 
-    def test_budget(self):
-        g = AtomGeometry.chain(11, 9.0)
-        with pytest.raises(ModelError):
-            rydberg_hamiltonian(g, 1.0, 1.0)
+    def test_eleven_atoms_build_but_refuse_dense(self):
+        # the PauliSum has no dense budget; to_dense keeps its own
+        h = rydberg_hamiltonian(AtomGeometry.chain(11, 9.0), 1.0, 1.0)
+        assert h.n_qubits == 11
+        with pytest.raises(PauliError):
+            h.to_dense()
 
 
 class TestZXZ:

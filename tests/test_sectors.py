@@ -183,6 +183,30 @@ class TestChainControls:
         assert freeb.dimension < 36
 
 
+class TestDenseRankDecisions:
+    # (dimension, depth_reached) frozen from the real-stacked float closure
+    # that preceded Hermitian coordinates; they guard the BFS order
+    @pytest.mark.parametrize("case,want", [
+        (("fermion", 5, 2), (100, 7)),
+        (("fermion", 7, 2), (441, 11)),
+        (("boson", 5, 2), (225, 9)),
+        (("spinful", 3, 1), (36, 5)),
+        (("spinful", 3, 2), (225, 9)),
+    ])
+    def test_dimension_depth_and_margin(self, case, want):
+        kind, n, p = case
+        if kind == "spinful":
+            tilted = build_spinful_controls(n, p, 1.0, 0.0)
+            uniform = build_spinful_controls(n, p, 0.0, 1.0)
+            gen = GeneratorSet("dense", tilted.generators + [uniform.generators[5]])
+        else:
+            gen = build_hubbard_chain_controls(kind, n, p)
+        res = close(gen)
+        assert (res.dimension, res.depth_reached) == want
+        # smallest accepted residual over largest rejected one
+        assert res.rank_margin > 100
+
+
 class TestSpinfulControls:
     def test_mode_layout(self):
         assert spinful_mode(1, "up") == 1
