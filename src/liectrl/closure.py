@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
@@ -716,11 +716,9 @@ def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
         gen = GeneratorSet("dense", [g.to_dense() for g in gen.generators],
                            label=gen.label)
     result = close(gen, cap=4 ** n_qubits - 1, tol=tol)
-    result.pattern_reflection_symmetric = pattern_is_reflection_symmetric(
-        n_qubits, break_pattern)
-    if result.representation == "dense":
-        result.n_qubits = n_qubits
-    return result
+    return replace(
+        result, n_qubits=n_qubits,
+        pattern_reflection_symmetric=pattern_is_reflection_symmetric(n_qubits, break_pattern))
 
 
 def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:

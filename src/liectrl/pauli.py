@@ -254,10 +254,10 @@ class PauliSum:
 
     def reflection_image(self) -> "PauliSum":
         """Map qubit j -> N-j+1 (mask bit reversal), coefficients unchanged."""
-        n = self.n_qubits
-        out = PauliSum(n)
-        out.terms = {(_bit_reverse(x, n), _bit_reverse(z, n)): c
-                     for (x, z), c in self.terms.items()}
+        masks = np.array(list(self.terms), dtype=np.uint64).reshape(-1, 2)
+        out = PauliSum(self.n_qubits)
+        out.terms = dict(zip(map(tuple, reflect_masks(masks, self.n_qubits).tolist()),
+                             self.terms.values()))
         return out
 
     # -- text form ---------------------------------------------------
@@ -298,14 +298,6 @@ class PauliSum:
             term = PauliTerm(self.n_qubits, x, z, _canonical_phase(x, z))
             parts.append(f"{self.terms[(x, z)]:+.6g}*{term.label()}")
         return " ".join(parts)
-
-
-def _bit_reverse(v: int, n: int) -> int:
-    out = 0
-    for j in range(n):
-        if (v >> j) & 1:
-            out |= 1 << (n - 1 - j)
-    return out
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

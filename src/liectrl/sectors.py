@@ -93,16 +93,6 @@ class SectorOperator:
     basis: SectorBasis
     matrix: np.ndarray
 
-    def __add__(self, other: "SectorOperator") -> "SectorOperator":
-        if other.basis is not self.basis and other.basis != self.basis:
-            raise SectorError("operators live on different sectors")
-        return SectorOperator(self.basis, self.matrix + other.matrix)
-
-    def __mul__(self, scalar: float) -> "SectorOperator":
-        return SectorOperator(self.basis, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 def _check_mode(basis: SectorBasis, i: int) -> int:
     if not 1 <= i <= basis.n_modes:

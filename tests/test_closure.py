@@ -133,6 +133,13 @@ class TestChainTheorem:
         assert res.universality == "universal"
         assert res.dimension == 4 ** 6 - 1
 
+    def test_dense_result_declares_chain_fields(self):
+        res = check_universality_qubit(3, {1}, backend="dense")
+        assert res.representation == "dense"
+        assert res.n_qubits == 3
+        assert res.pattern_reflection_symmetric is False
+        assert res.dimension == 4 ** 3 - 1
+
     def test_warm_start_matches_cold(self):
         for pat, want in [({1}, 1023), ({2, 4}, 542), ({5}, 1023)]:
             cold = check_universality_qubit(5, pat)

@@ -259,6 +259,7 @@ class TestArrayKernels:
         masks = rng.integers(0, 2**n, size=20).astype(np.uint64)
         got = reflect_masks(masks, n)
         for m, g in zip(masks, got):
+            assert int(g) == int(format(int(m), f"0{n}b")[::-1], 2)  # reversed bit string
             p = PauliSum(n, {(int(m), 0): 1.0})
             (xr, _), = p.reflection_image().terms
             assert int(g) == xr

@@ -128,7 +128,7 @@ class TestUnitary:
         u = propagate_unitary(p, AtomGeometry.chain(3, 8.9), force=True)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-9)
 
-    def test_second_order_self_convergence(self):
+    def test_fourth_order_self_convergence(self):
         rng = np.random.default_rng(1)
         t = np.arange(0, 11) * 0.05
         om = np.concatenate([[0.0], mhz(rng.uniform(0.2, 2.0, 9)), [0.0]])
@@ -137,10 +137,12 @@ class TestUnitary:
         geom = AtomGeometry.chain(2, 8.9)
         ref = propagate_unitary(p, geom, substeps=80, force=True)
         err = []
-        for s in (2, 4):
+        for s in (1, 2, 4, 8):
             u = propagate_unitary(p, geom, substeps=s, force=True)
             err.append(np.linalg.norm(u - ref))
-        assert err[0] / err[1] == pytest.approx(4.0, abs=0.5)
+        # each halving of the step divides the error by 16
+        for coarse, fine in zip(err, err[1:]):
+            assert coarse / fine == pytest.approx(16.0, abs=1.0)
 
     def test_refuses_unvalidated_without_force(self):
         p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
@@ -155,6 +157,20 @@ class TestUnitary:
         assert [pt for pt, _ in traj] == pytest.approx(t.tolist())
         np.testing.assert_allclose(traj[0][1], np.eye(2), atol=1e-15)
 
+    @pytest.mark.parametrize("spacing", [0.1, 3 * propagation.DEFAULT_STEP],
+                             ids=["bench-grid", "three-steps"])
+    def test_knot_roundoff_adds_no_step(self, spacing):
+        # 0.1 us is the bench's knot grid; at 3 DEFAULT_STEP every gap is
+        # three steps up to roundoff, which a bare ceil(gap / step) turns
+        # into four on some intervals
+        p = halving_pulse()
+        p = ControlPulse(np.arange(31) * spacing, p.omegas, p.deltas)
+        geom = AtomGeometry.chain(3, 6.857)
+        got = unitary_trajectory(p, geom, force=True)
+        want = unitary_trajectory(p, geom, substeps=3, force=True)
+        for (_, u), (_, w) in zip(got, want):
+            assert np.max(np.abs(u - w)) <= 1e-15
+
 
 def uneven_pulse(seed, duration):
     """Valid pulse with knot gaps of 0.05-0.4 us, so intervals differ in steps."""
@@ -163,6 +179,19 @@ def uneven_pulse(seed, duration):
     t = np.concatenate([[0.0], np.cumsum(gaps * duration / gaps.sum())])
     om = np.concatenate([[0.0], mhz(rng.uniform(0.2, 2.4, len(t) - 2)), [0.0]])
     return ControlPulse(t, om, mhz(rng.uniform(-19, 19, len(t))))
+
+
+def sweep_probe_pulse():
+    """The 2 us "sweep" probe pulse: bench-shaped, 0.1 us knots and
+    amplitudes across the hardware profile (MHz knots)."""
+    omega = [0.0, 1.51, 1.463, 2.167, 1.487, 1.461, 1.374, 1.982, 1.512,
+             0.429, 0.766, 1.661, 1.96, 0.51, 0.867, 1.73, 0.847, 1.795,
+             0.925, 1.209, 0.0]
+    delta = [-3.457, 6.109, -10.562, -5.911, -12.082, -1.532, 3.727, 13.983,
+             8.964, -7.782, 14.74, -9.921, -5.973, -0.215, -6.799, -6.61,
+             12.875, -13.241, 8.392, -1.064, -12.211]
+    return ControlPulse(np.round(np.arange(21) * 0.1, 10),
+                        mhz(np.array(omega)), mhz(np.array(delta)))
 
 
 def mild_probe_pulse():
@@ -178,13 +207,13 @@ def mild_probe_pulse():
 
 
 class TestBatchedUnitary:
-    """The batched propagator against the one-substep-at-a-time oracle."""
+    """The batched propagator against the one-step-at-a-time CF4 oracle."""
 
     @pytest.mark.parametrize("n_atoms, noise, substeps, duration", [
         (1, None, None, 1.0),
         (3, None, None, 1.0),
         (3, NoiseModel.fitted(), None, 1.5),
-        (3, None, None, 45.0),  # over 4000 substeps: several 8x8 batches
+        (3, None, None, 80.0),  # over 5000 exponentials: several 8x8 batches
         (6, NoiseModel.fitted(), 7, 0.8),
         (6, None, None, 1.2),
     ])
@@ -198,25 +227,38 @@ class TestBatchedUnitary:
             assert np.max(np.abs(u - w)) <= 1e-12
 
     def test_oracle_cases_span_several_batches(self):
-        for n_atoms, duration in ((3, 45.0), (6, 1.2)):
+        # a batch stacks one H per exponential, two per CF4 step
+        for n_atoms, duration in ((3, 80.0), (6, 1.2)):
             batch = propagation._BATCH_BYTES // (8 * 4 ** n_atoms)
-            steps = np.ceil(np.diff(uneven_pulse(n_atoms, duration).times)
-                            / propagation.DEFAULT_SUBSTEP)
-            assert steps.sum() > 2 * batch
+            steps = np.ceil(np.round(np.diff(uneven_pulse(n_atoms, duration).times)
+                                     / propagation.DEFAULT_STEP, 9))
+            assert 2 * steps.sum() > 2 * batch  # exponentials, over two batches
             assert len(set(steps.tolist())) > 1
 
-    def test_default_substep_error_contract(self):
-        # the 1 us "mild" probe pulse; DEFAULT_SUBSTEP quotes its 8.6e-3
-        # state error on 3 atoms at 6 um, a second-order midpoint defect
+    def test_default_step_error_contract(self):
+        # the 1 us "mild" probe pulse; DEFAULT_STEP quotes its 2.1e-3 state
+        # error on 3 atoms at 6 um, a fourth-order CF4 defect
         p = mild_probe_pulse()
         geom = AtomGeometry.chain(3, 6.0)
-        measured = 8.6e-3
-        ref = propagate_unitary(p, geom, substeps=800)[:, 0]
+        measured = 2.1e-3
+        ref = propagate_unitary(p, geom, substeps=160)[:, 0]
         err = np.linalg.norm(propagate_unitary(p, geom)[:, 0] - ref)
         assert measured / 2 < err < 2 * measured
-        # halving the substep quarters the error
-        half = np.linalg.norm(propagate_unitary(p, geom, substeps=10)[:, 0] - ref)
-        assert err / half == pytest.approx(4.0, abs=0.5)
+        # in the asymptotic range (the default's 2 steps per interval is not)
+        # halving the step divides the error by 16
+        e8, e16 = (np.linalg.norm(propagate_unitary(p, geom, substeps=s)[:, 0] - ref)
+                   for s in (8, 16))
+        assert e8 / e16 == pytest.approx(16.0, abs=2.0)
+
+    def test_default_step_error_contract_bench_shaped(self):
+        # the 2 us "sweep" probe pulse; DEFAULT_STEP quotes its 1.07e-2
+        # state error on 3 atoms at 6 um (3 CF4 steps per 0.1 us interval)
+        p = sweep_probe_pulse()
+        geom = AtomGeometry.chain(3, 6.0)
+        measured = 1.07e-2
+        ref = propagate_unitary(p, geom, substeps=60)[:, 0]
+        err = np.linalg.norm(propagate_unitary(p, geom)[:, 0] - ref)
+        assert measured / 2 < err < 2 * measured
 
 
 def halving_pulse():
@@ -312,8 +354,9 @@ class TestLindblad:
         p = ControlPulse(t, om, de)
         geom = AtomGeometry.chain(2, 8.9)
         states = propagate_lindblad(p, geom, quiet_noise(), force=True)
-        # resolve the midpoint rule's control sampling below the 1e-6 scale
-        u = propagate_unitary(p, geom, substeps=200, force=True)
+        # 20 CF4 steps per 0.05 us interval keep the unitary's own error
+        # far below the 1e-6 scale
+        u = propagate_unitary(p, geom, substeps=20, force=True)
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1.0
         want = np.outer(u @ psi0, (u @ psi0).conj())
