@@ -18,7 +18,7 @@ qubit 1).  Masks are kept as Python ints but must fit 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -192,9 +192,6 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.terms.items())
-
     def coeff(self, label: str) -> float:
         term = PauliTerm.from_label(label)
         if term.n_qubits != self.n_qubits:
@@ -232,14 +229,7 @@ class PauliSum:
         dot = sum(c * big[k] for k, c in small.items() if k in big)
         return (2 ** self.n_qubits) * dot
 
-    def hs_norm(self) -> float:
-        return float(np.sqrt(2 ** self.n_qubits) * np.linalg.norm(list(self.terms.values()) or [0.0]))
-
     # -- products ----------------------------------------------------
-
-    def commutator(self, other: "PauliSum") -> "PauliSum":
-        """(1/(2i)) [A, B], Hermitian with real coefficients."""
-        return commutator(self, other)
 
     def to_dense(self, max_qubits: int = 10) -> np.ndarray:
         """Exact dense matrix; refuses N above the memory budget."""

@@ -4,9 +4,13 @@ Unitary propagation splits every knot interval of a piecewise-linear
 pulse into equal steps of the fourth-order commutator-free Magnus scheme
 (CF4, exactly unitary).  H(t) is affine inside an interval, so each CF4
 step is two exponentials of length h/2 with H sampled at 1/6 and 5/6 of
-the step.  They run in batches of stacked real symmetric Hamiltonians:
-one ``eigh`` per batch, and each exponential is applied in its eigenbasis
-as two real matrix products.  Open-system propagation integrates the
+the step.  A chain's H(t) commutes with the site reflection j -> N+1-j,
+so the propagator is held as its even and odd parity blocks, of sizes
+(2^N +- 2^ceil(N/2))/2, the odd one zero-padded and stacked with the
+even one; an interaction that is not reflection symmetric runs as one
+block of 2^N.  Each batch of exponentials takes one batched ``eigh`` per
+block, and each exponential is applied in its eigenbasis as one stacked
+pair of real matrix products.  Open-system propagation integrates the
 master equation (per-atom decay |g><r|, constant control offsets) by
 fixed-step RK4 over per-interval stacks of non-Hermitian generators,
 halving the step when the trace drifts.
@@ -23,12 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import AtomGeometry, NoiseModel, mhz, rydberg_terms, to_mhz
+from .pauli import reflect_masks
 
 # us per CF4 step; fourth order: from |g..g> on 3 atoms at 6 um, the 1 us
 # "mild" probe pulse ends 2.1e-3 and the 2 us "sweep" probe 1.07e-2 from the
 # converged state
 DEFAULT_STEP = 0.034
-_BATCH_BYTES = 1 << 20  # stacked H or G per batch; larger only raises peak memory
+_BATCH_BYTES = 1 << 20  # stacked block eigenvectors or G per batch; more only adds memory
+# max|v - v o r| <= _MIRROR_ULPS * eps * max|v| counts as reflection symmetric;
+# AtomGeometry.chain roundoff reaches 9 eps on chains of 2 to 10 atoms
+_MIRROR_ULPS = 32
 # us; fourth order: from |g..g> on 3 atoms at 6 um with fitted noise, the 1 us
 # "mild" probe pulse ends 1.17e-5 from the converged state (1.2e-3 on bench pulses)
 DEFAULT_LINDBLAD_DT = 1e-3
@@ -89,10 +97,6 @@ class ControlPulse:
     @property
     def n_knots(self) -> int:
         return len(self.times)
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
 
     def sample(self, t):  # floats for a scalar t, arrays for an array
         om = np.interp(t, self.times, self.omegas)
@@ -180,6 +184,38 @@ class DensityState:
         return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
 
 
+def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The Rydberg terms and the identity in reflection-parity blocks.
+
+    If the interaction v is reflection symmetric (see ``_MIRROR_ULPS``),
+    the blocks are the parity sectors of the bit reversal r: the even one
+    spans |k> for k = r(k) and (|k> + |r(k)>)/sqrt(2) for k < r(k), the odd
+    one (|k> - |r(k)>)/sqrt(2), each in the order of k.  Otherwise, or when
+    the odd block is empty, one block holds the identity map.  Returns the
+    block sizes, the blocks of (sum X, sum n, V, 1) zero-padded to the first
+    size and stacked, and the gather back: full entry (m, n) is
+    sum_b coef[b, m, n] * blocks.flat[idx[b, m, n]].
+    """
+    terms = rydberg_terms(geom)
+    v = np.diag(terms[2])
+    k = np.arange(v.size)
+    r = reflect_masks(k.astype(np.uint64), geom.n_atoms).astype(np.intp)
+    if np.abs(v - v[r]).max() > _MIRROR_ULPS * np.finfo(float).eps * np.abs(v).max():
+        r = k
+    even, odd, half = k <= r, k < r, np.sqrt(0.5)
+    sizes = [int(n) for n in (even.sum(), odd.sum()) if n]
+    nb, dim = len(sizes), sizes[0]
+    # block position of each state's orbit {k, r(k)}; palindromes get weight 0 in the odd block
+    pos = np.stack([np.cumsum(even) - 1, np.maximum(np.cumsum(odd) - 1, 0)])[:nb, np.minimum(k, r)]
+    coef = np.stack([np.where(r == k, 1.0, half), np.sign(r - k) * half])[:nb]
+    coef = coef[:, :, None] * coef[:, None, :]
+    idx = (dim * np.arange(nb)[:, None, None] + pos[:, :, None]) * dim + pos[:, None, :]
+    # P_b^T A P_b as a scatter onto the stacked blocks, the pads staying zero
+    blocks = [np.bincount(idx.ravel(), (coef * a).ravel(), nb * dim * dim)
+              for a in (*terms, np.eye(v.size))]
+    return sizes, np.reshape(blocks, (4, nb, dim, dim)), idx, coef
+
+
 def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
                        substeps: int | None = None, force: bool = False,
                        profile: ConstraintProfile | None = None,
@@ -190,6 +226,15 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     exponentials each, or by default the fewest steps no longer than
     ``DEFAULT_STEP``.  ``noise`` applies only the coherent control offsets
     here; decay needs the open-system integrator.
+
+    The propagator is held in the reflection-parity blocks of
+    ``_parity_blocks``; each knot snapshot is gathered back into the
+    computational basis as it is reached.  The interaction counts as
+    reflection symmetric when max|v - v o r| <= 32 eps max|v|
+    (``_MIRROR_ULPS``); the blocks are then built from the
+    reflection-averaged V, which moves the propagator by at most
+    T max|v - v o r| / 2 in the spectral norm over a pulse of length T.
+    Beyond that tolerance one block of size 2^N runs with the exact V.
     """
     if not force:
         pulse.validate(profile)
@@ -212,22 +257,27 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     if noise is not None:
         om, de = noise.realized_controls(om, de)
     dts = (gaps / (2 * steps))[k]
-    x_tot, n_tot, v = rydberg_terms(geom)
-    batch = max(1, _BATCH_BYTES // x_tot.nbytes)
-    u = np.eye(len(x_tot), dtype=complex)
-    out = [(float(pulse.times[0]), u)]
+    sizes, (x_b, n_b, v_b, u), idx, coef = _parity_blocks(geom)
+    batch = max(1, _BATCH_BYTES // u.nbytes)  # stacked real W per exponential
+    u = u.astype(complex).view(np.float64)  # (D, 2D) real views of the blocks
+    out = [(float(pulse.times[0]), np.eye(idx.shape[1], dtype=complex))]
     for lo in range(0, dts.size, batch):
         sl = slice(lo, lo + batch)
-        hs = (om[sl, None, None] / 2.0) * x_tot - de[sl, None, None] * n_tot + v
-        evals, vecs = np.linalg.eigh(hs)
-        phases = np.exp(-1j * evals * dts[sl, None])
-        for j, (w, phase) in enumerate(zip(vecs, phases), start=lo + 1):
-            # u <- W (e^{-i lambda dt} * (W^T u)) as real GEMMs on (d, 2d) views
-            y = (w.T @ u.view(np.float64)).view(complex)
-            y *= phase[:, None]
-            u = (w @ y.view(np.float64)).view(complex)  # new, so no snapshot copies
-            if j == knot_ends[len(out) - 1]:
-                out.append((float(pulse.times[len(out)]), u))
+        w = np.zeros((dts[sl].size,) + x_b.shape)
+        lam = np.zeros(w.shape[:3])
+        for b, d in enumerate(sizes):
+            hs = (om[sl, None, None] / 2.0) * x_b[b] - de[sl, None, None] * n_b[b] + v_b[b]
+            lam[:, b, :d], w[:, b, :d, :d] = np.linalg.eigh(hs[:, :d, :d])
+        phases = np.exp(-1j * lam * dts[sl, None, None])[..., None]
+        for j, (wj, wtj, phase) in enumerate(zip(w, w.transpose(0, 1, 3, 2), phases), lo + 1):
+            # u <- W (e^{-i lambda dt} * (W^T u)) per block, as real GEMMs
+            y = wtj @ u
+            yc = y.view(complex)
+            yc *= phase
+            u = wj @ y
+            if j == knot_ends[len(out) - 1]:  # sum_b P_b U_b P_b^T, gathered as reached
+                full = sum(c * u.view(complex).take(i) for c, i in zip(coef, idx))
+                out.append((float(pulse.times[len(out)]), full))
     return out
 
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from liectrl import propagation
-from liectrl.models import AtomGeometry, NoiseModel, mhz, zxz_hamiltonian
+from liectrl.models import AtomGeometry, NoiseModel, mhz, rydberg_terms, zxz_hamiltonian
 from liectrl.propagation import (
     ConstraintProfile,
     ControlPulse,
@@ -209,17 +209,23 @@ def mild_probe_pulse():
 class TestBatchedUnitary:
     """The batched propagator against the one-step-at-a-time CF4 oracle."""
 
-    @pytest.mark.parametrize("n_atoms, noise, substeps, duration", [
+    @pytest.mark.parametrize("atoms, noise, substeps, duration", [
         (1, None, None, 1.0),
         (3, None, None, 1.0),
         (3, NoiseModel.fitted(), None, 1.5),
-        (3, None, None, 80.0),  # over 5000 exponentials: several 8x8 batches
+        (3, None, None, 80.0),  # over 5000 exponentials: several batches
         (6, NoiseModel.fitted(), 7, 0.8),
         (6, None, None, 1.2),
+        (2, None, None, 1.0),  # parity blocks of 3 and 1
+        (6, None, None, 2.0),  # 130 exponentials: three batches
+        (8, None, None, 0.3),  # parity blocks of 136 and 120
+        pytest.param((0.0, 6.5, 13.5, 19.0), None, None, 1.0, id="uneven-4-chain"),
     ])
-    def test_matches_stepwise_oracle(self, n_atoms, noise, substeps, duration):
-        pulse = uneven_pulse(n_atoms, duration)
-        geom = AtomGeometry.chain(n_atoms, 6.5)
+    def test_matches_stepwise_oracle(self, atoms, noise, substeps, duration):
+        # atoms: the size of a 6.5 um chain, or the x positions of an uneven one
+        geom = (AtomGeometry.chain(atoms, 6.5) if isinstance(atoms, int)
+                else AtomGeometry(tuple((x, 0.0) for x in atoms)))
+        pulse = uneven_pulse(geom.n_atoms, duration)
         got = unitary_trajectory(pulse, geom, substeps=substeps, noise=noise)
         want = stepwise_unitary_trajectory(pulse, geom, substeps=substeps, noise=noise)
         assert [t for t, _ in got] == [t for t, _ in want] == pulse.times.tolist()
@@ -227,9 +233,12 @@ class TestBatchedUnitary:
             assert np.max(np.abs(u - w)) <= 1e-12
 
     def test_oracle_cases_span_several_batches(self):
-        # a batch stacks one H per exponential, two per CF4 step
-        for n_atoms, duration in ((3, 80.0), (6, 1.2)):
-            batch = propagation._BATCH_BYTES // (8 * 4 ** n_atoms)
+        # a batch stacks, per exponential (two per CF4 step), the real
+        # eigenvectors of both parity blocks, each padded to the even size
+        # d+ = (2^N + 2^ceil(N/2)) / 2
+        for n_atoms, duration in ((3, 80.0), (6, 2.0)):
+            d_even = (2 ** n_atoms + 2 ** -(-n_atoms // 2)) // 2
+            batch = propagation._BATCH_BYTES // (8 * 2 * d_even ** 2)
             steps = np.ceil(np.round(np.diff(uneven_pulse(n_atoms, duration).times)
                                      / propagation.DEFAULT_STEP, 9))
             assert 2 * steps.sum() > 2 * batch  # exponentials, over two batches
@@ -259,6 +268,79 @@ class TestBatchedUnitary:
         ref = propagate_unitary(p, geom, substeps=60)[:, 0]
         err = np.linalg.norm(propagate_unitary(p, geom)[:, 0] - ref)
         assert measured / 2 < err < 2 * measured
+
+
+def mirror_defect(geom):
+    """max|v - v o r| of the interaction diagonal, r the bit reversal."""
+    n = geom.n_atoms
+    v = np.diag(rydberg_terms(geom)[2])
+    r = [int(format(k, f"0{n}b")[::-1], 2) for k in range(2 ** n)]
+    return np.max(np.abs(v - v[r]))
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The matrix sizes handed to np.linalg.eigh while the test runs."""
+    sizes, eigh = set(), np.linalg.eigh
+
+    def recording(a):
+        sizes.add(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+def moved_chain(n_atoms, shift):
+    """A 6.5 um chain whose last atom sits ``shift`` um further out."""
+    return AtomGeometry(tuple((6.5 * i + shift * (i == n_atoms - 1), 0.0)
+                              for i in range(n_atoms)))
+
+
+class TestParityBlocks:
+    """Unitary runs on chains use the even/odd blocks of the reflection."""
+
+    SHORT = ControlPulse(np.array([0.0, 0.05]), np.zeros(2), np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_chain_block_sizes(self, n_atoms, eigh_sizes):
+        unitary_trajectory(self.SHORT, AtomGeometry.chain(n_atoms, 6.5))
+        half = 2 ** -(-n_atoms // 2)
+        # the odd block is empty for one atom and then dropped
+        assert eigh_sizes == {(2 ** n_atoms + half) // 2, (2 ** n_atoms - half) // 2} - {0}
+        assert max(eigh_sizes) <= 136
+
+    def test_asymmetric_geometry_is_one_block(self, eigh_sizes):
+        geom = AtomGeometry(((0.0, 0.0), (6.5, 0.0), (13.5, 0.0), (19.0, 0.0)))
+        unitary_trajectory(self.SHORT, geom)
+        assert eigh_sizes == {16}
+
+    def test_chain_roundoff_counts_as_symmetric(self, eigh_sizes):
+        # the chain's own interaction sums are not bit-symmetric
+        geom = AtomGeometry.chain(8, 6.0)
+        assert mirror_defect(geom) > 0
+        unitary_trajectory(self.SHORT, geom)
+        assert eigh_sizes == {136, 120}
+
+    def test_moved_atom_takes_one_block(self, eigh_sizes):
+        pulse, geom = uneven_pulse(6, 1.0), moved_chain(6, 1e-9)
+        got = unitary_trajectory(pulse, geom)
+        assert eigh_sizes == {64}
+        for (_, u), (_, w) in zip(got, stepwise_unitary_trajectory(pulse, geom)):
+            assert np.max(np.abs(u - w)) <= 1e-12
+
+    def test_averaged_interaction_deviation_bound(self, monkeypatch, eigh_sizes):
+        # with the tolerance opened up, a visibly asymmetric chain runs on
+        # the blocks of the reflection-averaged V; the docstring bounds the
+        # change of the propagator by T max|v - v o r| / 2
+        monkeypatch.setattr(propagation, "_MIRROR_ULPS", 1e16)
+        pulse, geom = uneven_pulse(4, 1.0), moved_chain(4, 1e-3)
+        got = unitary_trajectory(pulse, geom)
+        assert eigh_sizes == {10, 6}
+        bound = pulse.times[-1] * mirror_defect(geom) / 2
+        dev = max(np.linalg.norm(u - w, 2) for (_, u), (_, w)
+                  in zip(got, stepwise_unitary_trajectory(pulse, geom)))
+        assert bound / 2 < dev <= bound  # measured: 0.86 of the bound
 
 
 def halving_pulse():
