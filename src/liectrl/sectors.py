@@ -2,7 +2,10 @@
 
 Operators are dense matrices on the occupation-number basis of one
 particle-number sector, which keeps them exact (no Fock truncation) and
-feeds directly into the dense closure backend.  Fermionic matrix
+feeds directly into the dense closure backend.  Every operator is built
+from the basis's (dim, n_modes) integer occupation array: diagonal
+generators are weighted sums of its columns, and every hopping is one
+vectorized sum of c_i^dag c_j over a list of mode pairs.  Fermionic matrix
 elements carry Jordan-Wigner parity signs in a fixed mode order; for
 spinful fermions the modes are ordered (site 1 up, site 1 down,
 site 2 up, ...).
@@ -15,7 +18,7 @@ builders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Literal
 
@@ -26,6 +29,7 @@ from .closure import GeneratorSet
 SectorKind = Literal["fermion", "boson", "spinful_fermion"]
 
 DENSE_SECTOR_BUDGET = 512
+_NNN_RESIDUAL_TOL = 1e-9  # relative residual below which an NNN identity holds
 
 
 class SectorError(ValueError):
@@ -34,13 +38,15 @@ class SectorError(ValueError):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Occupation basis of one fixed-particle-number sector."""
+    """Occupation basis of one fixed-particle-number sector: ``states`` in
+    ascending lexicographic order, and ``_occ`` the same as an integer array."""
 
     kind: SectorKind
     n_modes: int
     n_particles: int
     states: tuple = field(repr=False)
     index: dict = field(repr=False, hash=False, compare=False)
+    _occ: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, kind: SectorKind, n_modes: int, n_particles: int,
@@ -50,25 +56,22 @@ class SectorBasis:
         if kind in ("fermion", "spinful_fermion"):
             if n_particles > n_modes:
                 raise SectorError("more fermions than modes")
-            dim = comb(n_modes, n_particles)
-            if dim > budget:
-                raise SectorError(f"sector dimension {dim} exceeds budget {budget}")
-            states = []
-            for occupied in combinations(range(n_modes), n_particles):
-                occ = [0] * n_modes
-                for m in occupied:
-                    occ[m] = 1
-                states.append(tuple(occ))
+            pick, dim = combinations, comb(n_modes, n_particles)
         elif kind == "boson":
+            pick = combinations_with_replacement
             dim = comb(n_particles + n_modes - 1, n_particles)
-            if dim > budget:
-                raise SectorError(f"sector dimension {dim} exceeds budget {budget}")
-            states = list(_boson_states(n_modes, n_particles))
         else:
             raise SectorError(f"unknown sector kind {kind!r}")
-        states.sort()
-        index = {s: k for k, s in enumerate(states)}
-        return cls(kind, n_modes, n_particles, tuple(states), index)
+        if dim > budget:
+            raise SectorError(f"sector dimension {dim} exceeds budget {budget}")
+        # the modes each particle sits in, one row per state, counted per mode
+        picked = np.array(list(pick(range(n_modes), n_particles)), dtype=int)
+        flat = np.arange(dim)[:, None] * n_modes + picked.reshape(dim, n_particles)
+        occ = np.bincount(flat.ravel(), minlength=dim * n_modes).reshape(dim, n_modes)
+        occ = occ[np.lexsort(occ.T[::-1])]
+        states = tuple(map(tuple, occ.tolist()))
+        return cls(kind, n_modes, n_particles, states,
+                   {s: k for k, s in enumerate(states)}, occ)
 
     @property
     def dim(self) -> int:
@@ -77,15 +80,6 @@ class SectorBasis:
     @property
     def fermionic(self) -> bool:
         return self.kind in ("fermion", "spinful_fermion")
-
-
-def _boson_states(n_modes: int, n_particles: int):
-    if n_modes == 1:
-        yield (n_particles,)
-        return
-    for head in range(n_particles + 1):
-        for tail in _boson_states(n_modes - 1, n_particles - head):
-            yield (head,) + tail
 
 
 @dataclass
@@ -100,32 +94,45 @@ def _check_mode(basis: SectorBasis, i: int) -> int:
     return i - 1
 
 
+def _transfers(basis: SectorBasis, pairs) -> np.ndarray:
+    """Sum of c_i^dag c_j over 0-based mode pairs (i, j), i != j, built in
+    one pass over every (state, pair) that can move a particle j -> i."""
+    occ, dim = basis._occ, basis.dim
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    movable = occ[:, j] > 0
+    if basis.fermionic:
+        movable &= occ[:, i] == 0
+    col, p = np.nonzero(movable)
+    i, j = i[p], j[p]
+    if basis.fermionic:
+        # parity of the modes c_j passes, then of those c_i^dag passes once j is empty
+        before = np.cumsum(occ, axis=1) - occ
+        amp = (-1.0) ** (before[col, j] + before[col, i] - (j < i))
+    else:
+        amp = np.sqrt(occ[col, j]) * np.sqrt(occ[col, i] + 1)
+    step = np.eye(basis.n_modes, dtype=int)
+    moved = occ[col] + step[i] - step[j]
+    row = np.array([basis.index[s] for s in map(tuple, moved.tolist())], dtype=int)
+    out = np.bincount(row * dim + col, amp, minlength=dim * dim)
+    return out.reshape(dim, dim).astype(complex)
+
+
+def _hopping(basis: SectorBasis, pairs) -> np.ndarray:
+    """Sum of c_i^dag c_j + c_j^dag c_i over 0-based mode pairs."""
+    t = _transfers(basis, pairs)
+    return t + t.conj().T
+
+
+def _diag(values: np.ndarray) -> np.ndarray:
+    return np.diag(np.asarray(values, dtype=complex))
+
+
 def transfer(basis: SectorBasis, i: int, j: int) -> np.ndarray:
     """Matrix of c_i^dag c_j on the sector (modes 1-based, i != j)."""
     mi, mj = _check_mode(basis, i), _check_mode(basis, j)
     if mi == mj:
         raise SectorError("transfer needs distinct modes; use number_op")
-    dim = basis.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(basis.states):
-        if basis.fermionic:
-            if occ[mj] == 0 or occ[mi] == 1:
-                continue
-            sign = (-1) ** sum(occ[:mj])
-            mid = list(occ)
-            mid[mj] = 0
-            sign *= (-1) ** sum(mid[:mi])
-            mid[mi] = 1
-            out[basis.index[tuple(mid)], col] += sign
-        else:
-            if occ[mj] == 0:
-                continue
-            amp = np.sqrt(occ[mj]) * np.sqrt(occ[mi] + 1)
-            mid = list(occ)
-            mid[mj] -= 1
-            mid[mi] += 1
-            out[basis.index[tuple(mid)], col] += amp
-    return out
+    return _transfers(basis, [(mi, mj)])
 
 
 def hopping(basis: SectorBasis, i: int, j: int) -> SectorOperator:
@@ -135,20 +142,7 @@ def hopping(basis: SectorBasis, i: int, j: int) -> SectorOperator:
 
 
 def number_op(basis: SectorBasis, i: int) -> SectorOperator:
-    mi = _check_mode(basis, i)
-    diag = np.array([occ[mi] for occ in basis.states], dtype=float)
-    return SectorOperator(basis, np.diag(diag).astype(complex))
-
-
-def _zero(basis: SectorBasis) -> SectorOperator:
-    return SectorOperator(basis, np.zeros((basis.dim, basis.dim), dtype=complex))
-
-
-def _diag_product(basis: SectorBasis, i: int, j: int) -> np.ndarray:
-    """n_i n_j as a diagonal matrix (i, j may coincide)."""
-    mi, mj = _check_mode(basis, i), _check_mode(basis, j)
-    diag = np.array([occ[mi] * occ[mj] for occ in basis.states], dtype=float)
-    return np.diag(diag).astype(complex)
+    return SectorOperator(basis, _diag(basis._occ[:, _check_mode(basis, i)]))
 
 
 def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
@@ -167,23 +161,14 @@ def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
             "the alternating-control universality statements assume an odd "
             f"number of sites >= 3; got n_sites={n_sites}")
     basis = SectorBasis.build(kind, n_sites, n_particles)
-    h_odd_hop, h_even_hop = _zero(basis), _zero(basis)
-    for i in range(1, n_sites):
-        (h_odd_hop if i % 2 == 1 else h_even_hop).matrix[...] += hopping(basis, i, i + 1).matrix
-    h_odd_mu, h_even_mu = _zero(basis), _zero(basis)
-    for i in range(1, n_sites + 1):
-        (h_odd_mu if i % 2 == 1 else h_even_mu).matrix[...] += number_op(basis, i).matrix
-    h_u = _zero(basis)
-    for i in range(1, n_sites):
-        if kind == "fermion":
-            h_u.matrix[...] += _diag_product(basis, i, i + 1)
-        else:
-            h_u.matrix[...] += _diag_product(basis, i, i) - number_op(basis, i).matrix
-    gens = [h_odd_hop, h_even_hop, h_odd_mu, h_even_mu, h_u]
-    names = ["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu", "H_U"]
-    return GeneratorSet("dense", [g.matrix for g in gens],
-                        label=f"{kind} chain N={n_sites} n={n_particles}",
-                        names=names, basis=basis)
+    occ = basis._occ
+    bonds = [(s, s + 1) for s in range(n_sites - 1)]  # 0-based, odd bonds first
+    h_u = occ[:, :-1] * (occ[:, 1:] if kind == "fermion" else occ[:, :-1] - 1)
+    gens = [_hopping(basis, bonds[0::2]), _hopping(basis, bonds[1::2]),
+            _diag(occ[:, 0::2].sum(1)), _diag(occ[:, 1::2].sum(1)), _diag(h_u.sum(1))]
+    return GeneratorSet("dense", gens, label=f"{kind} chain N={n_sites} n={n_particles}",
+                        names=["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu", "H_U"],
+                        basis=basis)
 
 
 def spinful_mode(site: int, spin: Literal["up", "down"]) -> int:
@@ -205,48 +190,28 @@ def build_spinful_controls(n_sites: int, n_particles: int,
             "the spinful universality statement assumes an odd number of "
             f"sites >= 3; got n_sites={n_sites}")
     basis = SectorBasis.build("spinful_fermion", 2 * n_sites, n_particles)
-    h_odd_hop, h_even_hop = _zero(basis), _zero(basis)
-    for i in range(1, n_sites):
-        target = h_odd_hop if i % 2 == 1 else h_even_hop
-        for spin in ("up", "down"):
-            target.matrix[...] += hopping(
-                basis, spinful_mode(i, spin), spinful_mode(i + 1, spin)).matrix
-    h_odd_mu, h_even_mu = _zero(basis), _zero(basis)
-    for i in range(1, n_sites + 1):
-        target = h_odd_mu if i % 2 == 1 else h_even_mu
-        for spin in ("up", "down"):
-            target.matrix[...] += number_op(basis, spinful_mode(i, spin)).matrix
-    h_bx = _zero(basis)
-    for i in range(1, n_sites + 1):
-        h_bx.matrix[...] += hopping(
-            basis, spinful_mode(i, "up"), spinful_mode(i, "down")).matrix
-    h_bz = _zero(basis)
-    for i in range(1, n_sites + 1):
-        w = a * i + b
-        h_bz.matrix[...] += w * (number_op(basis, spinful_mode(i, "up")).matrix
-                                 - number_op(basis, spinful_mode(i, "down")).matrix)
-    h_u = _zero(basis)
-    for i in range(1, n_sites + 1):
-        h_u.matrix[...] += _diag_product(
-            basis, spinful_mode(i, "up"), spinful_mode(i, "down"))
-    gens = [h_odd_hop, h_even_hop, h_odd_mu, h_even_mu, h_bx, h_bz, h_u]
-    names = ["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu",
-             "H_BX", f"H_BZ(a={a},b={b})", "H_U"]
-    return GeneratorSet("dense", [g.matrix for g in gens],
-                        label=f"spinful chain N={n_sites} n={n_particles}",
-                        names=names, basis=basis)
+    up, down = basis._occ[:, 0::2], basis._occ[:, 1::2]  # column s: site s + 1
+    odd, even = ([(2 * s + spin, 2 * s + 2 + spin)  # 0-based modes, both spins
+                  for s in range(first, n_sites - 1, 2) for spin in (0, 1)]
+                 for first in (0, 1))
+    gens = [_hopping(basis, odd), _hopping(basis, even),
+            _diag((up + down)[:, 0::2].sum(1)), _diag((up + down)[:, 1::2].sum(1)),
+            _hopping(basis, [(2 * s, 2 * s + 1) for s in range(n_sites)]),
+            _diag((up - down) @ (a * np.arange(1, n_sites + 1) + b)),
+            _diag((up * down).sum(1))]
+    return GeneratorSet("dense", gens, label=f"spinful chain N={n_sites} n={n_particles}",
+                        names=["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu",
+                               "H_BX", f"H_BZ(a={a},b={b})", "H_U"], basis=basis)
 
 
 # -- 2D superlattice with four species ----------------------------------
 
 NNN_LABELS = ("14R", "23L", "23R", "14L", "32R", "41L", "41R", "32L")
 
-# species of a lattice coordinate (row, col), all 1-based
-_SPECIES = {(1, 1): 1, (1, 0): 2, (0, 1): 3, (0, 0): 4}
-
 
 def _species(row: int, col: int) -> int:
-    return _SPECIES[(row % 2, col % 2)]
+    """Species of a 1-based (row, col): 1 odd/odd, 2 odd/even, 3 even/odd, 4 even/even."""
+    return 4 - 2 * (row % 2) - col % 2
 
 
 def lattice_mode(row: int, col: int, cols: int) -> int:
@@ -267,23 +232,15 @@ def build_nnn_lattice(rows: int, cols: int, n_particles: int = 1) -> GeneratorSe
             "superlattice needs odd rows, cols >= 3 so every species and "
             f"bond class occurs; got {rows}x{cols}")
     basis = SectorBasis.build("fermion", rows * cols, n_particles)
-    mus = [_zero(basis) for _ in range(4)]
-    for r in range(1, rows + 1):
-        for c in range(1, cols + 1):
-            mus[_species(r, c) - 1].matrix[...] += number_op(
-                basis, lattice_mode(r, c, cols)).matrix
-    hops = [_zero(basis) for _ in range(4)]
-    for r in range(1, rows + 1):
-        for c in range(1, cols):
-            which = 0 if c % 2 == 1 else 1
-            hops[which].matrix[...] += hopping(
-                basis, lattice_mode(r, c + 1, cols), lattice_mode(r, c, cols)).matrix
-    for r in range(1, rows):
-        for c in range(1, cols + 1):
-            which = 2 if r % 2 == 1 else 3
-            hops[which].matrix[...] += hopping(
-                basis, lattice_mode(r + 1, c, cols), lattice_mode(r, c, cols)).matrix
-    return GeneratorSet("dense", [m.matrix for m in mus] + [h.matrix for h in hops],
+    sites = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]  # mode order
+    species = np.array([_species(r, c) for r, c in sites])
+    mus = [_diag(basis._occ[:, species == s].sum(1)) for s in (1, 2, 3, 4)]
+    # 0-based (right or lower neighbour, site) per class, starting on odd then even
+    hops = [[(m + 1, m) for m, (r, c) in enumerate(sites) if c < cols and c % 2 == parity]
+            for parity in (1, 0)]
+    hops += [[(m + cols, m) for m, (r, c) in enumerate(sites) if r < rows and r % 2 == parity]
+             for parity in (1, 0)]
+    return GeneratorSet("dense", mus + [_hopping(basis, h) for h in hops],
                         label=f"NNN superlattice {rows}x{cols}",
                         names=["H1_mu", "H2_mu", "H3_mu", "H4_mu",
                                "H1_hop", "H2_hop", "H3_hop", "H4_hop"],
@@ -294,19 +251,12 @@ def _nnn_target(basis: SectorBasis, rows: int, cols: int,
                 src_species: int, direction: Literal["L", "R"]) -> np.ndarray:
     """Direct construction of the diagonal next-nearest-neighbor hopping."""
     dc = 1 if direction == "R" else -1
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    found = False
-    for r in range(1, rows):
-        for c in range(1, cols + 1):
-            if _species(r, c) != src_species or not 1 <= c + dc <= cols:
-                continue
-            t = transfer(basis, lattice_mode(r + 1, c + dc, cols),
-                         lattice_mode(r, c, cols))
-            out += t + t.conj().T
-            found = True
-    if not found:
+    pairs = [(lattice_mode(r + 1, c + dc, cols) - 1, lattice_mode(r, c, cols) - 1)
+             for r in range(1, rows) for c in range(1, cols + 1)
+             if _species(r, c) == src_species and 1 <= c + dc <= cols]
+    if not pairs:
         raise SectorError("lattice too small to contain the requested bond class")
-    return out
+    return _hopping(basis, pairs)
 
 
 # (label) -> (mu_a, [mu_b, hop_1], [mu_c, hop_2]) indices into the
@@ -323,8 +273,7 @@ _NNN_RECIPES = {
 }
 
 
-def verify_nnn_identity(which: str, rows: int, cols: int,
-                        residual_tol: float = 1e-9) -> tuple[bool, float]:
+def verify_nnn_identity(which: str, rows: int, cols: int) -> tuple[bool, float]:
     """Compare one triple-nested-commutator construction with the direct
     next-nearest-neighbor hopping; returns (passed, fitted constant)."""
     if which not in _NNN_RECIPES:
@@ -342,4 +291,4 @@ def verify_nnn_identity(which: str, rows: int, cols: int,
     target = _nnn_target(gen.basis, rows, cols, species, direction)
     scale = np.vdot(target, built).real / np.vdot(target, target).real
     residual = np.linalg.norm(built - scale * target) / np.linalg.norm(built)
-    return bool(residual < residual_tol), float(scale)
+    return bool(residual < _NNN_RESIDUAL_TOL), float(scale)
