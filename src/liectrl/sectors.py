@@ -163,7 +163,7 @@ def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
     basis = SectorBasis.build(kind, n_sites, n_particles)
     occ = basis._occ
     bonds = [(s, s + 1) for s in range(n_sites - 1)]  # 0-based, odd bonds first
-    h_u = occ[:, :-1] * (occ[:, 1:] if kind == "fermion" else occ[:, :-1] - 1)
+    h_u = occ[:, :-1] * occ[:, 1:] if kind == "fermion" else occ * (occ - 1)
     gens = [_hopping(basis, bonds[0::2]), _hopping(basis, bonds[1::2]),
             _diag(occ[:, 0::2].sum(1)), _diag(occ[:, 1::2].sum(1)), _diag(h_u.sum(1))]
     return GeneratorSet("dense", gens, label=f"{kind} chain N={n_sites} n={n_particles}",

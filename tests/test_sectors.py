@@ -167,6 +167,18 @@ class TestChainControls:
         assert res.universality == "universal"
         assert res.theoretical_cap == want
 
+    @pytest.mark.parametrize("n,p", [(3, 2), (5, 3), (7, 2)])
+    def test_boson_interaction_covers_every_site(self, n, p):
+        # H_U = sum over all N sites of n_i (n_i - 1), so the site reflection keeps it
+        gen = build_hubbard_chain_controls("boson", n, p)
+        h_u, b = gen.generators[4], gen.basis
+        want = [sum(k * (k - 1) for k in occ) for occ in b.states]
+        np.testing.assert_array_equal(h_u, np.diag(want))
+        mirror = np.zeros((b.dim, b.dim))
+        for col, occ in enumerate(b.states):
+            mirror[b.index[occ[::-1]], col] = 1.0
+        np.testing.assert_array_equal(mirror @ h_u @ mirror.T, h_u)
+
     def test_oracle_agreement_small(self):
         gen = build_hubbard_chain_controls("boson", 3, 2)
         live = [g for g in gen.generators if np.linalg.norm(g) > 1e-12]
