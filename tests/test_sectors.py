@@ -52,6 +52,23 @@ def project_to_sector(op, basis):
     return op[np.ix_(idx, idx)]
 
 
+def boson_fock_operator(n_modes, mode, n_max):
+    """Annihilation operator a = sum_k sqrt(k) |k-1><k| of one mode on the
+    product of (n_max + 1)-level mode spaces, mode 0 the leftmost factor."""
+    lower = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    out = np.eye(1)
+    for k in range(n_modes):
+        out = np.kron(out, lower if k == mode else np.eye(n_max + 1))
+    return out
+
+
+def project_boson_to_sector(op, basis):
+    """Restrict an operator on the truncated boson Fock space to the sector."""
+    levels = (basis.n_particles + 1,) * basis.n_modes
+    idx = [int(np.ravel_multi_index(occ, levels)) for occ in basis.states]
+    return op[np.ix_(idx, idx)]
+
+
 class TestBasis:
     def test_fermion_dimensions(self):
         b = SectorBasis.build("fermion", 5, 2)
@@ -126,6 +143,19 @@ class TestLadderOperators:
             c_j = jw_fock_operator(m, j - 1)
             want = project_to_sector(c_i.conj().T @ c_j, b)
             np.testing.assert_allclose(transfer(b, int(i), int(j)), want, atol=1e-13)
+
+    def test_boson_matches_ladder_oracle(self):
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 4))
+            b = SectorBasis.build("boson", m, n)
+            i, j = (int(k) for k in rng.choice(m, size=2, replace=False) + 1)
+            for x, y in ((i, j), (j, i)):
+                a_x = boson_fock_operator(m, x - 1, n)
+                a_y = boson_fock_operator(m, y - 1, n)
+                want = project_boson_to_sector(a_x.conj().T @ a_y, b)
+                np.testing.assert_allclose(transfer(b, x, y), want, rtol=0, atol=1e-13)
 
     def test_canonical_commutation_on_sector(self):
         # [n_i, c_i^dag c_j] = c_i^dag c_j projected identity
