@@ -65,7 +65,7 @@ from .pauli import (
 Representation = Literal["pauli", "dense"]
 
 DEFAULT_TOL = 1e-9
-DEFAULT_DEPTH_LIMIT = 64
+DEFAULT_DEPTH_LIMIT = 64  # bracket depths before a closure stops unconverged
 # GF(p) runs of the pauli backend, in order; both below 2**24.
 PRIMES = (16777213, 16777199)
 MAX_EXACT_QUBITS = 31
@@ -504,7 +504,7 @@ class _DenseEngine:
 
 # -- breadth-first closure ----------------------------------------------------
 
-def _bfs(engine, theoretical: int, cap: int | None, depth_limit: int):
+def _bfs(engine, theoretical: int, cap: int | None):
     """Expand the frontier against the generators until nothing new appears.
 
     Returns (converged, depth reached, verdict).  Frontier blocks are
@@ -516,7 +516,7 @@ def _bfs(engine, theoretical: int, cap: int | None, depth_limit: int):
     frontier = engine.seed(hard_cap)
     depth = 0
     converged = engine.rows.n_rows >= hard_cap or not frontier
-    while not converged and depth < depth_limit:
+    while not converged and depth < DEFAULT_DEPTH_LIMIT:
         depth += 1
         new: list[int] = []
         for lo in range(0, len(frontier), block_size):
@@ -613,7 +613,7 @@ class ClosureResult:
         return resid < tol, resid
 
 
-def _close_pauli(gen: GeneratorSet, cap: int | None, depth_limit: int) -> ClosureResult:
+def _close_pauli(gen: GeneratorSet, cap: int | None) -> ClosureResult:
     n = gen.n_qubits
     if n > MAX_EXACT_QUBITS:
         raise ClosureError(f"pauli backend needs N <= {MAX_EXACT_QUBITS}, got {n}")
@@ -621,7 +621,7 @@ def _close_pauli(gen: GeneratorSet, cap: int | None, depth_limit: int) -> Closur
     runs = []
     for p in PRIMES:
         engine = _ModPEngine(n, terms, p)
-        converged, depth, verdict = _bfs(engine, 4 ** n - 1, cap, depth_limit)
+        converged, depth, verdict = _bfs(engine, 4 ** n - 1, cap)
         runs.append(engine.rows)
         if verdict != "non_universal":
             break
@@ -637,8 +637,7 @@ def _close_pauli(gen: GeneratorSet, cap: int | None, depth_limit: int) -> Closur
         _terms=terms if cap is None or cap >= len(terms) else [])
 
 
-def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL,
-          depth_limit: int = DEFAULT_DEPTH_LIMIT) -> ClosureResult:
+def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL) -> ClosureResult:
     """Breadth-first Lie closure of a generator set.
 
     ``cap`` bounds the basis size; hitting it terminates with
@@ -654,14 +653,14 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL,
         raise ClosureError("cap must be >= 1")
     t0 = time.perf_counter()
     if gen.representation == "pauli":
-        result = _close_pauli(gen, cap, depth_limit)
+        result = _close_pauli(gen, cap)
     else:
         d = gen.dim
         has_trace = any(abs(np.trace(g)) > _TRACE_TOL * np.linalg.norm(g)
                         for g in gen.generators)
         theoretical = d * d if has_trace else d * d - 1
         engine = _DenseEngine(gen.generators, tol)
-        converged, depth, verdict = _bfs(engine, theoretical, cap, depth_limit)
+        converged, depth, verdict = _bfs(engine, theoretical, cap)
         result = ClosureResult(
             dimension=engine.rows.n_rows, converged=converged, depth_reached=depth,
             universality=verdict, representation="dense", theoretical_cap=theoretical,
@@ -708,14 +707,13 @@ def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int])
 
 
 def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
-                             backend: Representation = "pauli",
-                             tol: float = DEFAULT_TOL) -> ClosureResult:
+                             backend: Representation = "pauli") -> ClosureResult:
     """Universality of the uniform chain controls plus a partial X field."""
     gen = uniform_qubit_generators(n_qubits, break_pattern)
     if backend == "dense":
         gen = GeneratorSet("dense", [g.to_dense() for g in gen.generators],
                            label=gen.label)
-    result = close(gen, cap=4 ** n_qubits - 1, tol=tol)
+    result = close(gen, cap=4 ** n_qubits - 1)
     return replace(
         result, n_qubits=n_qubits,
         pattern_reflection_symmetric=pattern_is_reflection_symmetric(n_qubits, break_pattern))
