@@ -165,6 +165,12 @@ def _pair_density(n: int, j: int, l: int) -> PauliSum:
     return zz + PauliSum.from_label("".join(label), 0.25)
 
 
+def basis_bits(n_qubits: int) -> np.ndarray:
+    """(2^N, N) table of computational-basis bits: row k holds the bits of
+    index k, column l-1 qubit l, qubit 1 the most significant bit."""
+    return (np.arange(2 ** n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
 def rydberg_terms(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense real (sum X_l, sum n_l, interaction) pieces for fast H(controls).
 
@@ -177,7 +183,7 @@ def rydberg_terms(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise ModelError(f"geometry with {n} atoms exceeds the dense budget "
                          f"of {_DENSE_ATOM_BUDGET} atoms")
     k = np.arange(2 ** n)
-    bits = (k[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column l-1: atom l
+    bits = basis_bits(n)
     x_total = np.zeros((2 ** n, 2 ** n))
     for shift in range(n):
         x_total[k, k ^ (1 << shift)] = 1.0
@@ -232,9 +238,5 @@ def doubly_excited_indices(n_qubits: int) -> np.ndarray:
 
     Qubit 1 is the most significant bit, matching the dense kron order.
     """
-    idx = []
-    for k in range(2 ** n_qubits):
-        bits = (k >> np.arange(n_qubits - 1, -1, -1)) & 1
-        if np.any(bits[:-1] & bits[1:]):
-            idx.append(k)
-    return np.array(idx, dtype=int)
+    bits = basis_bits(n_qubits)
+    return np.flatnonzero((bits[:, :-1] & bits[:, 1:]).any(axis=1))

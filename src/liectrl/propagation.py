@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import AtomGeometry, NoiseModel, mhz, rydberg_terms, to_mhz
+from .models import AtomGeometry, NoiseModel, basis_bits, mhz, rydberg_terms, to_mhz
 from .pauli import reflect_masks
 
 # us per CF4 step; fourth order: from |g..g> on 3 atoms at 6 um, the 1 us
@@ -393,17 +393,6 @@ class ObservableRecord:
         np.fill_diagonal(self.connected, 1.0 - self.expect_z ** 2)
 
 
-def _z_diagonals(n_sites: int) -> np.ndarray:
-    """Row s holds the diagonal of Z_s (qubit 1 = most significant bit)."""
-    dim = 2 ** n_sites
-    k = np.arange(dim)
-    out = np.empty((n_sites, dim))
-    for s in range(n_sites):
-        bit = (k >> (n_sites - 1 - s)) & 1
-        out[s] = 1.0 - 2.0 * bit
-    return out
-
-
 def observables(state: np.ndarray | DensityState,
                 initial_state: np.ndarray | None = None) -> ObservableRecord:
     """Exact single-site and pairwise Z statistics of a state.
@@ -429,7 +418,7 @@ def observables(state: np.ndarray | DensityState,
     n_sites = int(round(np.log2(dim)))
     if 2 ** n_sites != dim:
         raise PropagationError("state dimension is not a power of two")
-    zdiag = _z_diagonals(n_sites)
+    zdiag = np.ascontiguousarray(1.0 - 2.0 * basis_bits(n_sites).T)  # row s: Z_{s+1}
     expect_z = zdiag @ probs
     zz = (zdiag * probs) @ zdiag.T
     expect_n = (1.0 - expect_z) / 2.0
