@@ -74,6 +74,7 @@ _INTEGER_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _HERM_TOL = 1e-12
 _ZERO_FLOOR = 1e-14
+_TARGET_TOL = 1e-8  # membership residual of the Lemma B.2 targets
 # Dense backend only: residuals below this floor are treated as roundoff
 # regardless of the relative rule.  Operands are unit-norm, candidates are
 # processed oldest first (so genuine directions enter at large residuals
@@ -738,32 +739,16 @@ def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:
                 and np.array_equal(rows.val[a], rows.val[b]))
 
 
-def verify_lemma_b2_targets(n_qubits: int, tol: float = 1e-8) -> bool:
+def verify_lemma_b2_targets(n_qubits: int) -> bool:
     """Mirrored-pair X/Z/ZZ targets all lie in the uniform-control closure."""
     if n_qubits < 3:
         raise ClosureError("target check needs N >= 3")
     result = close(uniform_qubit_generators(n_qubits))
-    ok = True
-    for j in range(1, n_qubits // 2 + 1):
-        mirror = n_qubits - j + 1
-        hxj = (PauliSum.single_site(n_qubits, j, "X")
-               + PauliSum.single_site(n_qubits, mirror, "X"))
-        hzj = (PauliSum.single_site(n_qubits, j, "Z")
-               + PauliSum.single_site(n_qubits, mirror, "Z"))
-        ok &= result.contains(hxj, tol)[0]
-        ok &= result.contains(hzj, tol)[0]
-        za = "I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1)
-        k = n_qubits - j  # left index of the mirrored bond
-        zb = "I" * (k - 1) + "ZZ" + "I" * (n_qubits - k - 1)
-        hzzj = PauliSum.from_label(za)
-        if zb != za:
-            hzzj = hzzj + PauliSum.from_label(zb)
-        ok &= result.contains(hzzj, tol)[0]
-    if n_qubits % 2 == 1:
-        mid = n_qubits // 2 + 1
-        ok &= result.contains(PauliSum.single_site(n_qubits, mid, "X"), tol)[0]
-        ok &= result.contains(PauliSum.single_site(n_qubits, mid, "Z"), tol)[0]
-    return bool(ok)
+    ops = [PauliSum.single_site(n_qubits, j, kind)
+           for j in range(1, -(-n_qubits // 2) + 1) for kind in "XZ"]
+    ops += [PauliSum.from_label("I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1))
+            for j in range(1, n_qubits // 2 + 1)]
+    return all(result.contains(op + op.reflection_image(), _TARGET_TOL)[0] for op in ops)
 
 
 # -- Trotter product formulas -------------------------------------------

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import MAX_DENSE_QUBITS, PauliSum
 
 TWO_PI = 2.0 * np.pi
 
 # van der Waals coefficient of the 70S Rydberg state, rad/us * um^6
 DEFAULT_C6 = 862690.0 * TWO_PI
-_DENSE_ATOM_BUDGET = 10  # most atoms whose 2^N x 2^N matrices are built
 
 
 def mhz(value: float) -> float:
@@ -179,9 +178,9 @@ def rydberg_terms(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarra
     the most significant bit, bit 1 the Rydberg state).
     """
     n = geom.n_atoms
-    if n > _DENSE_ATOM_BUDGET:
+    if n > MAX_DENSE_QUBITS:
         raise ModelError(f"geometry with {n} atoms exceeds the dense budget "
-                         f"of {_DENSE_ATOM_BUDGET} atoms")
+                         f"of {MAX_DENSE_QUBITS} atoms")
     k = np.arange(2 ** n)
     bits = basis_bits(n)
     x_total = np.zeros((2 ** n, 2 ** n))

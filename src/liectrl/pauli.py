@@ -23,6 +23,7 @@ from typing import Mapping
 import numpy as np
 
 MAX_QUBITS = 64
+MAX_DENSE_QUBITS = 10  # most qubits whose 2^N x 2^N matrices are built
 
 # Coefficients below this magnitude are dropped after every arithmetic op.
 PRUNE_TOL = 1e-12
@@ -231,11 +232,11 @@ class PauliSum:
 
     # -- products ----------------------------------------------------
 
-    def to_dense(self, max_qubits: int = 10) -> np.ndarray:
-        """Exact dense matrix; refuses N above the memory budget."""
-        if self.n_qubits > max_qubits:
+    def to_dense(self) -> np.ndarray:
+        """Exact dense matrix; refuses N above ``MAX_DENSE_QUBITS``."""
+        if self.n_qubits > MAX_DENSE_QUBITS:
             raise PauliError(
-                f"dense budget exceeded: N={self.n_qubits} > {max_qubits}")
+                f"dense budget exceeded: N={self.n_qubits} > {MAX_DENSE_QUBITS}")
         dim = 2 ** self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for (x, z), c in self.terms.items():

@@ -12,8 +12,8 @@ block of 2^N.  Each batch of exponentials takes one batched ``eigh`` per
 block, and each exponential is applied in its eigenbasis as one stacked
 pair of real matrix products.  Open-system propagation integrates the
 master equation (per-atom decay |g><r|, constant control offsets) by
-fixed-step RK4 over per-interval stacks of non-Hermitian generators,
-halving the step when the trace drifts.
+fixed-step RK4 over stacks of non-Hermitian generators on the same step
+grid, and raises ``PropagationError`` when the trace drifts at a knot.
 
 All frequencies are angular (rad/us); CSV pulse files are in MHz with
 header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
@@ -22,7 +22,8 @@ header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _BATCH_BYTES = 1 << 20  # stacked block eigenvectors or G per batch; more only a
 # AtomGeometry.chain roundoff reaches 9 eps on chains of 2 to 10 atoms
 _MIRROR_ULPS = 32
 # us; fourth order: from |g..g> on 3 atoms at 6 um with fitted noise, the 1 us
-# "mild" probe pulse ends 1.17e-5 from the converged state (1.2e-3 on bench pulses)
+# "mild" probe pulse ends 1.2e-5 from the converged state (1.2e-3 on bench pulses)
 DEFAULT_LINDBLAD_DT = 1e-3
 TRACE_DRIFT_LIMIT = 1e-6
 
@@ -62,15 +63,10 @@ class ConstraintProfile:
     dt_min: float = 0.05
 
     def to_json(self) -> str:
-        import json
-        return json.dumps({
-            "omega_max": self.omega_max, "delta_range": self.delta_range,
-            "slew_omega": self.slew_omega, "slew_delta": self.slew_delta,
-            "dt_min": self.dt_min}, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintProfile":
-        import json
         return cls(**json.loads(text))
 
 
@@ -83,16 +79,15 @@ class ControlPulse:
     deltas: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        om = np.asarray(self.omegas, dtype=float)
-        de = np.asarray(self.deltas, dtype=float)
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        t, om, de = self.times, self.omegas, self.deltas
         if not (t.shape == om.shape == de.shape) or t.ndim != 1 or len(t) < 2:
             raise PulseError("need matching 1-d knot arrays with at least 2 knots")
+        if not np.isfinite([t, om, de]).all():
+            raise PulseError("knot times and controls must be finite")
         if np.any(np.diff(t) <= 0):
             raise PulseError("knot times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "deltas", de)
 
     @property
     def n_knots(self) -> int:
@@ -216,6 +211,27 @@ def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarra
     return sizes, np.reshape(blocks, (4, nb, dim, dim)), idx, coef
 
 
+def _step_grid(pulse: ControlPulse, step: float, substeps: int | None,
+               nodes: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(omega, delta) at each step's nodes, step lengths, steps done by each knot.
+
+    A knot interval takes ``substeps`` equal steps, or the fewest no longer
+    than ``step``, the ratio rounded before its ceil so that knot-time
+    roundoff adds no step.  Node c of step s of n sits at fraction (s + c)/n
+    of its interval, interpolated from that interval's knots: sampling at
+    absolute times biased the propagator by 2e-12 over a 45 us pulse.
+    """
+    gaps = np.diff(pulse.times)
+    steps = (np.maximum(1, np.ceil(np.round(gaps / step, 9))).astype(int)
+             if substeps is None else np.full(gaps.size, substeps))
+    knot_ends = np.cumsum(steps)
+    k = np.repeat(np.arange(gaps.size), steps)  # knot interval of each step
+    s = np.arange(k.size) - np.repeat(knot_ends - steps, steps)  # step within it
+    frac = ((s[:, None] + np.asarray(nodes)) / steps[k, None]).ravel()
+    k_node, knots = np.repeat(k, len(nodes)), np.stack([pulse.omegas, pulse.deltas])
+    return knots[:, k_node] + frac * np.diff(knots)[:, k_node], (gaps / steps)[k], knot_ends.tolist()
+
+
 def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
                        substeps: int | None = None, force: bool = False,
                        profile: ConstraintProfile | None = None,
@@ -240,23 +256,11 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
         pulse.validate(profile)
     if substeps is not None and substeps < 1:
         raise PropagationError("substeps must be >= 1")
-    gaps = np.diff(pulse.times)
-    # rounding first keeps knot-time roundoff from adding a step
-    steps = (np.maximum(1, np.ceil(np.round(gaps / DEFAULT_STEP, 9))).astype(int)
-             if substeps is None else np.full(gaps.size, substeps))
-    knot_ends = 2 * np.cumsum(steps)  # exponentials up to each knot
-    k = np.repeat(np.arange(gaps.size), steps)  # knot interval of each step
-    s = np.arange(k.size) - np.repeat(knot_ends // 2 - steps, steps)  # step within it
-    # exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) is the Gauss-node CF4 step
-    # for H affine in t; nodes are fractions of their interval, since sampling
-    # at absolute times biased the propagator by 2e-12 over a 45 us pulse
-    frac = ((s[:, None] + np.array([1 / 6, 5 / 6])) / steps[k, None]).ravel()
-    k = np.repeat(k, 2)
-    om = pulse.omegas[k] + frac * np.diff(pulse.omegas)[k]
-    de = pulse.deltas[k] + frac * np.diff(pulse.deltas)[k]
+    # the Gauss-node CF4 step for H affine in t: exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6))
+    (om, de), h, knot_ends = _step_grid(pulse, DEFAULT_STEP, substeps, (1 / 6, 5 / 6))
     if noise is not None:
         om, de = noise.realized_controls(om, de)
-    dts = (gaps / (2 * steps))[k]
+    dts = np.repeat(h / 2, 2)
     sizes, (x_b, n_b, v_b, u), idx, coef = _parity_blocks(geom)
     batch = max(1, _BATCH_BYTES // u.nbytes)  # stacked real W per exponential
     u = u.astype(complex).view(np.float64)  # (D, 2D) real views of the blocks
@@ -275,7 +279,7 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
             yc = y.view(complex)
             yc *= phase
             u = wj @ y
-            if j == knot_ends[len(out) - 1]:  # sum_b P_b U_b P_b^T, gathered as reached
+            if j == 2 * knot_ends[len(out) - 1]:  # sum_b P_b U_b P_b^T, gathered as reached
                 full = sum(c * u.view(complex).take(i) for c, i in zip(coef, idx))
                 out.append((float(pulse.times[len(out)]), full))
     return out
@@ -321,20 +325,19 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
                        noise: NoiseModel, dt: float = DEFAULT_LINDBLAD_DT,
                        initial_state: np.ndarray | None = None,
                        force: bool = False,
-                       profile: ConstraintProfile | None = None,
-                       max_halvings: int = 4) -> list[DensityState]:
+                       profile: ConstraintProfile | None = None) -> list[DensityState]:
     """Density-matrix trajectory recorded at every knot time.
 
     Integrates drho/dt = -i[H(t), rho] + gamma * sum_l D[sigma_l^-] rho by
     fixed-step RK4, each stage G rho + (G rho)^dag + gamma sum_l sigma_l^- rho
     sigma_l^+ with G = -i(H - (i gamma/2) n_total) from the noise-shifted
-    controls, stacked over an interval's stage times.  ``initial_state`` is a
-    vector or a Hermitian matrix.  A trace drift beyond 1e-6 halves the step;
-    if the smallest step still drifts, the failure reports the suggested step.
+    controls, stacked over consecutive steps' stage times.  ``initial_state``
+    is a vector or a Hermitian matrix.  A trace off 1 by more than 1e-6 (or
+    NaN) at a knot raises, naming the knot time and suggesting dt/2.
     """
     if not force:
         pulse.validate(profile)
-    if dt <= 0:
+    if not dt > 0:
         raise PropagationError("dt must be positive")
     x_tot, n_tot, v = rydberg_terms(geom)
     dim = len(x_tot)
@@ -346,34 +349,31 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
                                f"{dim}) matrix for {geom.n_atoms} atoms, got shape {rho0.shape}")
     gamma, jump, n_diag = noise.gamma, _jump_gather(geom.n_atoms), np.diag(n_tot)
     g_diag = -1j * np.diag(v) - 0.5 * gamma * n_diag  # the control-free part of G
+    # stage times: every step's start and midpoint, then the pulse's end
+    (om, de), h, knot_ends = _step_grid(pulse, dt, None, (0.0, 0.5))
+    om, de = noise.realized_controls(np.append(om, pulse.omegas[-1]),
+                                     np.append(de, pulse.deltas[-1]))
+    h, times = h.tolist(), pulse.times.tolist()
     # steps per G stack of at most _BATCH_BYTES / 8; full-budget stacks cost 3% peak RSS
     chunk = max(1, (_BATCH_BYTES // (128 * dim * dim) - 1) // 2)
-    for _ in range(max_halvings + 1):
-        rho = rho0
-        states = [DensityState(rho0.copy(), float(pulse.times[0]))]
-        for t0, t1 in zip(pulse.times[:-1].tolist(), pulse.times[1:].tolist()):
-            n_steps = max(1, int(np.ceil((t1 - t0) / dt)))
-            h = (t1 - t0) / n_steps
-            for lo in range(0, n_steps, chunk):
-                j = np.arange(2 * lo, 2 * min(n_steps, lo + chunk) + 1)  # stage times
-                om, de = noise.realized_controls(*pulse.sample(t0 + j * (h / 2)))
-                g = (-0.5j * om)[:, None, None] * x_tot  # G at every stage time
-                g.reshape(len(g), -1)[:, ::dim + 1] += 1j * de[:, None] * n_diag + g_diag
-                for s in range(0, len(g) - 1, 2):
-                    k1 = _master_rhs(g[s], rho, gamma, jump)
-                    k2 = _master_rhs(g[s + 1], rho + h / 2 * k1, gamma, jump)
-                    k3 = _master_rhs(g[s + 1], rho + h / 2 * k2, gamma, jump)
-                    k4 = _master_rhs(g[s + 2], rho + h * k3, gamma, jump)
-                    rho = rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if abs(np.trace(rho).real - 1.0) > TRACE_DRIFT_LIMIT:
-                break
-            states.append(DensityState(rho, t1))  # rho is never written in place
-        else:
-            return states
-        dt /= 2
-    raise PropagationError(
-        f"trace drift exceeded {TRACE_DRIFT_LIMIT} even at dt={dt * 2}; "
-        f"suggested dt <= {dt}")
+    rho, states = rho0, [DensityState(rho0.copy(), times[0])]
+    for lo in range(0, len(h), chunk):
+        sl = slice(2 * lo, 2 * min(len(h), lo + chunk) + 1)
+        g = (-0.5j * om[sl])[:, None, None] * x_tot  # G at every stage time
+        g.reshape(len(g), -1)[:, ::dim + 1] += 1j * de[sl, None] * n_diag + g_diag
+        for j, (s, hj) in enumerate(zip(range(0, len(g) - 1, 2), h[lo:lo + chunk]), lo + 1):
+            k1 = _master_rhs(g[s], rho, gamma, jump)
+            k2 = _master_rhs(g[s + 1], rho + hj / 2 * k1, gamma, jump)
+            k3 = _master_rhs(g[s + 1], rho + hj / 2 * k2, gamma, jump)
+            k4 = _master_rhs(g[s + 2], rho + hj * k3, gamma, jump)
+            rho = rho + hj / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if j == knot_ends[len(states) - 1]:
+                t = times[len(states)]
+                if not abs(np.trace(rho).real - 1.0) <= TRACE_DRIFT_LIMIT:
+                    raise PropagationError(f"trace drift beyond {TRACE_DRIFT_LIMIT} at the knot "
+                                           f"t={t} us; suggested dt <= {dt / 2}")
+                states.append(DensityState(rho, t))  # rho is never written in place
+    return states
 
 
 # -- observables ----------------------------------------------------------

@@ -171,7 +171,7 @@ class TestDense:
 
     def test_budget(self):
         with pytest.raises(PauliError):
-            PauliSum.single_site(12, 1, "X").to_dense(max_qubits=10)
+            PauliSum.single_site(12, 1, "X").to_dense()
 
     def test_roundtrip_decompose(self):
         rng = np.random.default_rng(5)

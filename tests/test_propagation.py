@@ -47,6 +47,18 @@ class TestControlPulse:
         with pytest.raises(PulseError):
             ControlPulse(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("times, omegas, deltas", [
+        ([0.0, 0.5, 1.0], [0.0, np.nan, 0.0], [0.0, 1.0, 0.0]),
+        ([0.0, np.nan, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+        ([0.0, 0.5, np.inf], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], [0.0, -np.inf, 0.0]),
+    ], ids=["nan-rabi", "nan-time", "inf-time", "inf-detuning"])
+    def test_rejects_non_finite_knots(self, times, omegas, deltas):
+        # a NaN control used to pass validate() and then break eigh or
+        # return NaN density matrices; a NaN time slipped past the order check
+        with pytest.raises(PulseError, match="finite"):
+            ControlPulse(np.array(times), np.array(omegas), np.array(deltas))
+
     def test_validate_endpoints(self):
         p = ControlPulse(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2))
         with pytest.raises(PulseError, match="endpoints"):
@@ -345,8 +357,8 @@ class TestParityBlocks:
 
 def halving_pulse():
     """A 3 us, 31-knot pulse of the bench's Lindblad workload (seed 1, on
-    3 atoms 6.857 um apart), knots rounded to 1 kHz.  With fitted noise and
-    dt=1e-2 the first pass drifts in trace, so the step is halved once."""
+    3 atoms 6.857 um apart), knots rounded to 1 kHz.  With fitted noise,
+    RK4 at dt=1e-2 drifts in trace and raises; at dt=5e-3 it runs through."""
     omega = [0.0, 1.435, 1.872, 0.343, 0.9, 1.166, 2.118, 2.12, 2.11, 2.067,
              0.161, 0.659, 1.354, 2.027, 1.76, 0.562, 0.745, 0.075, 0.757,
              1.831, 0.116, 1.024, 1.484, 2.126, 0.097, 0.693, 0.602, 1.413,
@@ -382,7 +394,7 @@ class TestBatchedLindblad:
                                  NoiseModel.fitted(), "mixed", None),
         "4 atoms fitted pure": (lambda: uneven_pulse(4, 0.6), 4, 6.5,
                                 NoiseModel.fitted(), "pure", None),
-        "3 atoms halving": (halving_pulse, 3, 6.857, NoiseModel.fitted(), None, 1e-2),
+        "3 atoms halving": (halving_pulse, 3, 6.857, NoiseModel.fitted(), None, 5e-3),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -408,17 +420,36 @@ class TestBatchedLindblad:
             assert len(set(steps.tolist())) > 1
 
     def test_halving_case_halves(self):
-        make_pulse, n_atoms, spacing, noise, _, dt = self.CASES["3 atoms halving"]
+        make_pulse, n_atoms, spacing, noise = self.CASES["3 atoms halving"][:4]
         geom = AtomGeometry.chain(n_atoms, spacing)
         with pytest.raises(PropagationError, match="suggested dt <= 0.005"):
-            propagate_lindblad(make_pulse(), geom, noise, dt=dt, max_halvings=0)
-        assert len(propagate_lindblad(make_pulse(), geom, noise, dt=dt, max_halvings=1)) == 31
+            propagate_lindblad(make_pulse(), geom, noise, dt=1e-2)
+        assert len(propagate_lindblad(make_pulse(), geom, noise, dt=5e-3)) == 31
+
+    def test_knot_roundoff_adds_no_step(self, monkeypatch):
+        # 30 intervals of 0.1 us at dt=1e-3 are 3000 RK4 steps of 4 stages;
+        # a bare ceil(gap / dt) turns 16 of the intervals into 101 steps
+        calls, rhs = [], propagation._master_rhs
+        monkeypatch.setattr(propagation, "_master_rhs",
+                            lambda *a: calls.append(1) or rhs(*a))
+        propagate_lindblad(halving_pulse(), lone_atom(), NoiseModel.fitted())
+        assert len(calls) == 4 * 3000
+
+    def test_blow_up_raises(self):
+        # RK4 at dt=0.05 is unstable on 3 atoms at 6 um: over 30 us the state
+        # overflows to NaN, whose trace drift the check must not miss
+        pulse = ControlPulse(np.array([0.0, 30.0, 30.1]), mhz(np.full(3, 2.0)),
+                             mhz(np.full(3, 19.9)))
+        geom = AtomGeometry.chain(3, 6.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PropagationError, match=r"t=30\.0 us; suggested dt <= 0\.025"):
+                propagate_lindblad(pulse, geom, NoiseModel.fitted(), dt=0.05, force=True)
 
     def test_default_lindblad_dt_error_contract(self):
-        # DEFAULT_LINDBLAD_DT quotes the mild probe pulse's 1.17e-5 state
+        # DEFAULT_LINDBLAD_DT quotes the mild probe pulse's 1.2e-5 state
         # error on 3 atoms at 6 um with fitted noise, a fourth-order RK4 defect
         p, geom, noise = mild_probe_pulse(), AtomGeometry.chain(3, 6.0), NoiseModel.fitted()
-        measured = 1.17e-5
+        measured = 1.215e-5
         ref = propagate_lindblad(p, geom, noise, dt=1e-4)[-1].rho
         err = np.linalg.norm(propagate_lindblad(p, geom, noise)[-1].rho - ref)
         assert measured / 2 < err < 2 * measured
@@ -479,8 +510,9 @@ class TestLindblad:
 
     def test_bad_dt_rejected(self):
         p = ControlPulse(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
-        with pytest.raises(PropagationError):
-            propagate_lindblad(p, lone_atom(), quiet_noise(), dt=-1.0)
+        for dt in (-1.0, np.nan):
+            with pytest.raises(PropagationError, match="dt must be positive"):
+                propagate_lindblad(p, lone_atom(), quiet_noise(), dt=dt)
 
     def test_initial_state_list_accepted(self):
         p = ControlPulse(np.array([0.0, 0.5, 1.0]),
