@@ -212,14 +212,13 @@ def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarra
 
 
 def _step_grid(pulse: ControlPulse, step: float, substeps: int | None,
-               nodes: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+               nodes: tuple[float, ...]) -> tuple[tuple[np.ndarray, np.ndarray], list, list]:
     """(omega, delta) at each step's nodes, step lengths, steps done by each knot.
 
     A knot interval takes ``substeps`` equal steps, or the fewest no longer
-    than ``step``, the ratio rounded before its ceil so that knot-time
-    roundoff adds no step.  Node c of step s of n sits at fraction (s + c)/n
-    of its interval, interpolated from that interval's knots: sampling at
-    absolute times biased the propagator by 2e-12 over a 45 us pulse.
+    than ``step``, the ratio rounded before its ceil against knot roundoff.
+    Node c of step s of n sits at fraction (s + c)/n of its interval, read
+    off that interval's knots (absolute times biased CF4 by 2e-12 in 45 us).
     """
     gaps = np.diff(pulse.times)
     steps = (np.maximum(1, np.ceil(np.round(gaps / step, 9))).astype(int)
@@ -228,8 +227,10 @@ def _step_grid(pulse: ControlPulse, step: float, substeps: int | None,
     k = np.repeat(np.arange(gaps.size), steps)  # knot interval of each step
     s = np.arange(k.size) - np.repeat(knot_ends - steps, steps)  # step within it
     frac = ((s[:, None] + np.asarray(nodes)) / steps[k, None]).ravel()
-    k_node, knots = np.repeat(k, len(nodes)), np.stack([pulse.omegas, pulse.deltas])
-    return knots[:, k_node] + frac * np.diff(knots)[:, k_node], (gaps / steps)[k], knot_ends.tolist()
+    kn = np.repeat(k, len(nodes))  # knot interval of each node
+    om = pulse.omegas[kn] + frac * np.diff(pulse.omegas)[kn]
+    de = pulse.deltas[kn] + frac * np.diff(pulse.deltas)[kn]
+    return (om, de), (gaps / steps)[k].tolist(), knot_ends.tolist()
 
 
 def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
@@ -260,7 +261,7 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     (om, de), h, knot_ends = _step_grid(pulse, DEFAULT_STEP, substeps, (1 / 6, 5 / 6))
     if noise is not None:
         om, de = noise.realized_controls(om, de)
-    dts = np.repeat(h / 2, 2)
+    dts = np.repeat(h, 2) / 2
     sizes, (x_b, n_b, v_b, u), idx, coef = _parity_blocks(geom)
     batch = max(1, _BATCH_BYTES // u.nbytes)  # stacked real W per exponential
     u = u.astype(complex).view(np.float64)  # (D, 2D) real views of the blocks
@@ -353,10 +354,9 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     (om, de), h, knot_ends = _step_grid(pulse, dt, None, (0.0, 0.5))
     om, de = noise.realized_controls(np.append(om, pulse.omegas[-1]),
                                      np.append(de, pulse.deltas[-1]))
-    h, times = h.tolist(), pulse.times.tolist()
     # steps per G stack of at most _BATCH_BYTES / 8; full-budget stacks cost 3% peak RSS
     chunk = max(1, (_BATCH_BYTES // (128 * dim * dim) - 1) // 2)
-    rho, states = rho0, [DensityState(rho0.copy(), times[0])]
+    rho, states = rho0, [DensityState(rho0.copy(), float(pulse.times[0]))]
     for lo in range(0, len(h), chunk):
         sl = slice(2 * lo, 2 * min(len(h), lo + chunk) + 1)
         g = (-0.5j * om[sl])[:, None, None] * x_tot  # G at every stage time
@@ -368,7 +368,7 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
             k4 = _master_rhs(g[s + 2], rho + hj * k3, gamma, jump)
             rho = rho + hj / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             if j == knot_ends[len(states) - 1]:
-                t = times[len(states)]
+                t = float(pulse.times[len(states)])
                 if not abs(np.trace(rho).real - 1.0) <= TRACE_DRIFT_LIMIT:
                     raise PropagationError(f"trace drift beyond {TRACE_DRIFT_LIMIT} at the knot "
                                            f"t={t} us; suggested dt <= {dt / 2}")
