@@ -683,21 +683,13 @@ def uniform_qubit_generators(n_qubits: int, break_pattern: Sequence[int] = ()) -
     pattern = sorted(set(break_pattern))
     if pattern and (pattern[0] < 1 or pattern[-1] > n_qubits):
         raise ClosureError(f"break pattern {pattern} out of range 1..{n_qubits}")
-    hx = PauliSum.zero(n_qubits)
-    hz = PauliSum.zero(n_qubits)
-    for j in range(1, n_qubits + 1):
-        hx = hx + PauliSum.single_site(n_qubits, j, "X")
-        hz = hz + PauliSum.single_site(n_qubits, j, "Z")
-    hzz = PauliSum.zero(n_qubits)
-    for j in range(1, n_qubits):
-        label = "I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1)
-        hzz = hzz + PauliSum.from_label(label)
-    gens = [hx, hz, hzz]
+    # (x_mask, z_mask) tables: bit j-1 is site j
+    tables = [[(1 << j, 0) for j in range(n_qubits)],
+              [(0, 1 << j) for j in range(n_qubits)],
+              [(0, 3 << j) for j in range(n_qubits - 1)]]
     if pattern:
-        hbreak = PauliSum.zero(n_qubits)
-        for j in pattern:
-            hbreak = hbreak + PauliSum.single_site(n_qubits, j, "X")
-        gens.append(hbreak)
+        tables.append([(1 << (j - 1), 0) for j in pattern])
+    gens = [PauliSum(n_qubits, dict.fromkeys(table, 1.0)) for table in tables]
     tag = ",".join(map(str, pattern)) if pattern else "none"
     return GeneratorSet("pauli", gens, label=f"chain N={n_qubits} break={tag}")
 
@@ -744,10 +736,10 @@ def verify_lemma_b2_targets(n_qubits: int) -> bool:
     if n_qubits < 3:
         raise ClosureError("target check needs N >= 3")
     result = close(uniform_qubit_generators(n_qubits))
-    ops = [PauliSum.single_site(n_qubits, j, kind)
-           for j in range(1, -(-n_qubits // 2) + 1) for kind in "XZ"]
-    ops += [PauliSum.from_label("I" * (j - 1) + "ZZ" + "I" * (n_qubits - j - 1))
-            for j in range(1, n_qubits // 2 + 1)]
+    # X_j and Z_j on the left half with the center, Z_j Z_{j+1} on the left half
+    masks = [m for j in range(-(-n_qubits // 2)) for m in ((1 << j, 0), (0, 1 << j))]
+    masks += [(0, 3 << j) for j in range(n_qubits // 2)]
+    ops = [PauliSum(n_qubits, {m: 1.0}) for m in masks]
     return all(result.contains(op + op.reflection_image(), _TARGET_TOL)[0] for op in ops)
 
 

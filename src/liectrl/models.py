@@ -97,8 +97,9 @@ class NoiseModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ModelError("gamma must be non-negative")
+        vals = [self.gamma, self.delta_detuning_shift, self.delta_rabi_shift, self.rabi_scale_error]
+        if not (self.gamma >= 0 and np.isfinite(vals).all()):
+            raise ModelError(f"need gamma >= 0 and finite rates and shifts, got {vals}")
 
     @classmethod
     def fitted(cls) -> "NoiseModel":
@@ -156,12 +157,19 @@ def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float) -> Pauli
 
 def _pair_density(n: int, j: int, l: int) -> PauliSum:
     # n_j n_l = (I - Z_j - Z_l + Z_j Z_l)/4
-    zz = PauliSum(n, {(0, 0): 0.25})
-    zz = zz + _site(n, j, "Z", -0.25) + _site(n, l, "Z", -0.25)
-    label = ["I"] * n
-    label[j - 1] = "Z"
-    label[l - 1] = "Z"
-    return zz + PauliSum.from_label("".join(label), 0.25)
+    return _placed(n, [(j, l)], [("II", 0.25), ("ZI", -0.25), ("IZ", -0.25), ("ZZ", 0.25)])
+
+
+def _placed(n: int, placements, table) -> PauliSum:
+    """Sum over the site tuples in ``placements`` of every ``(kinds, coeff)``
+    row of ``table``, with ``kinds[i]`` (one of IXYZ) on site ``sites[i]``."""
+    terms: dict[tuple, float] = {}
+    for sites in placements:
+        for kinds, coeff in table:
+            x = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "XY")
+            z = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "YZ")
+            terms[x, z] = terms.get((x, z), 0.0) + coeff
+    return PauliSum(n, terms)
 
 
 def basis_bits(n_qubits: int) -> np.ndarray:
@@ -195,12 +203,7 @@ def zxz_hamiltonian(n_qubits: int, j_eff: float = 1.0) -> PauliSum:
     """Cluster three-body chain J * sum_j Z_{j-1} X_j Z_{j+1} (bulk sites)."""
     if n_qubits < 3:
         raise ModelError("the three-body chain needs at least 3 qubits")
-    h = PauliSum.zero(n_qubits)
-    for j in range(2, n_qubits):
-        label = ["I"] * n_qubits
-        label[j - 2], label[j - 1], label[j] = "Z", "X", "Z"
-        h = h + PauliSum.from_label("".join(label), j_eff)
-    return h
+    return _placed(n_qubits, [(j - 1, j, j + 1) for j in range(2, n_qubits)], [("ZXZ", j_eff)])
 
 
 def pxp_hamiltonian(n_qubits: int, omega: float, delta: float) -> PauliSum:
@@ -211,16 +214,11 @@ def pxp_hamiltonian(n_qubits: int, omega: float, delta: float) -> PauliSum:
     if n_qubits < 3:
         raise ModelError("the blockade model needs at least 3 qubits")
     n = n_qubits
-    h = PauliSum.zero(n)
-    for i in range(2, n):
-        # P X P = (X + ZX + XZ + ZXZ)/4 on sites (i-1, i, i+1)
-        for left, right in (("I", "I"), ("Z", "I"), ("I", "Z"), ("Z", "Z")):
-            label = ["I"] * n
-            label[i - 2], label[i - 1], label[i] = left, "X", right
-            h = h + PauliSum.from_label("".join(label), omega / 8.0)
-    for i in range(1, n + 1):
-        h = h + density_operator(n, i) * (-delta)
-    return h
+    # P X P = (X + ZX + XZ + ZXZ)/4 on sites (i-1, i, i+1)
+    pxp = _placed(n, [(i - 1, i, i + 1) for i in range(2, n)],
+                  [(kinds, omega / 8.0) for kinds in ("IXI", "ZXI", "IXZ", "ZXZ")])
+    density = [("I", -0.5 * delta), ("Z", 0.5 * delta)]  # -delta * n_i
+    return pxp + _placed(n, [(i,) for i in range(1, n + 1)], density)
 
 
 def boundary_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:

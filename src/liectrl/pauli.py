@@ -13,6 +13,11 @@ always represents a Hermitian operator.
 
 Qubit indices are 1-based in the public interface (bit 0 of the masks is
 qubit 1).  Masks are kept as Python ints but must fit 64 bits.
+
+Dense matrices use the kron order: qubit 1 is the most significant bit of
+the basis index k, as in ``models.basis_bits``.  With x', z' the masks
+bit-reversed by :func:`reflect_masks`, column k of P(x, z) holds
+i**popcount(x & z) * (-1)**popcount(k & z') at row k ^ x'.
 """
 
 from __future__ import annotations
@@ -28,13 +33,7 @@ MAX_DENSE_QUBITS = 10  # most qubits whose 2^N x 2^N matrices are built
 # Coefficients below this magnitude are dropped after every arithmetic op.
 PRUNE_TOL = 1e-12
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
+_PHASES = np.array([1, 1j, -1, -1j])  # i**e for e mod 4
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
@@ -48,8 +47,8 @@ def _check_n_qubits(n_qubits: int) -> None:
         raise PauliError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
+def _label(n_qubits: int, x: int, z: int) -> str:
+    return "".join(_BITS_TO_CHAR[(x >> j) & 1, (z >> j) & 1] for j in range(n_qubits))
 
 
 @dataclass(frozen=True)
@@ -83,30 +82,30 @@ class PauliTerm:
             x |= bx << j
             z |= bz << j
         # phase i**popcount(x&z) turns the XZ products into literal Y's
-        return cls(len(label), x, z, _popcount(x & z))
+        return cls(len(label), x, z, (x & z).bit_count())
 
     @property
     def phase(self) -> complex:
         return 1j ** self.phase_exp
 
+    def _relative_phase(self) -> int:
+        # power of i relative to the canonical Hermitian string
+        return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4
+
     def is_hermitian(self) -> bool:
         # (X^x Z^z)^dag = (-1)^{x.z} X^x Z^z
-        return (self.phase_exp + _popcount(self.x_mask & self.z_mask)) % 2 == 0
+        return self._relative_phase() % 2 == 0
 
     def label(self) -> str:
-        chars = []
-        for j in range(self.n_qubits):
-            bits = ((self.x_mask >> j) & 1, (self.z_mask >> j) & 1)
-            chars.append(_BITS_TO_CHAR[bits])
-        return "".join(chars)
+        return _label(self.n_qubits, self.x_mask, self.z_mask)
 
     def to_dense(self) -> np.ndarray:
-        return self.phase * _masks_to_dense(self.n_qubits, self.x_mask, self.z_mask)
+        canonical = PauliSum(self.n_qubits, {(self.x_mask, self.z_mask): 1.0})
+        return _PHASES[self._relative_phase()] * canonical.to_dense()
 
     def __repr__(self):
         # fold the canonical Y phases into the label for readability
-        rel = (self.phase_exp - _popcount(self.x_mask & self.z_mask)) % 4
-        pre = {0: "", 1: "i*", 2: "-", 3: "-i*"}[rel]
+        pre = ("", "i*", "-", "-i*")[self._relative_phase()]
         return f"{pre}{self.label()}"
 
 
@@ -115,28 +114,12 @@ def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     if a.n_qubits != b.n_qubits:
         raise PauliError("size mismatch in Pauli product")
     # X^x1 Z^z1 X^x2 Z^z2 = (-1)^{z1.x2} X^(x1^x2) Z^(z1^z2)
-    phase = a.phase_exp + b.phase_exp + 2 * _popcount(a.z_mask & b.x_mask)
+    phase = a.phase_exp + b.phase_exp + 2 * (a.z_mask & b.x_mask).bit_count()
     return PauliTerm(a.n_qubits, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, phase % 4)
 
 
 def terms_commute(a: PauliTerm, b: PauliTerm) -> bool:
-    return (_popcount(a.z_mask & b.x_mask) + _popcount(a.x_mask & b.z_mask)) % 2 == 0
-
-
-def _canonical_phase(x: int, z: int) -> int:
-    return _popcount(x & z) % 4
-
-
-def _masks_to_dense(n_qubits: int, x: int, z: int) -> np.ndarray:
-    """Dense matrix of X^x Z^z (no phase)."""
-    out = np.array([[1.0 + 0j]])
-    for j in range(n_qubits):
-        bx, bz = (x >> j) & 1, (z >> j) & 1
-        m = _SINGLE["X"] @ _SINGLE["Z"] if bx and bz else (
-            _SINGLE["X"] if bx else (_SINGLE["Z"] if bz else _SINGLE["I"]))
-        # qubit 1 is the leftmost tensor factor
-        out = np.kron(out, m)
-    return out
+    return ((a.z_mask & b.x_mask).bit_count() + (a.x_mask & b.z_mask).bit_count()) % 2 == 0
 
 
 class PauliSum:
@@ -151,12 +134,9 @@ class PauliSum:
     def __init__(self, n_qubits: int, terms: Mapping[tuple, float] | None = None):
         _check_n_qubits(n_qubits)
         self.n_qubits = n_qubits
-        self.terms: dict[tuple, float] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if abs(coeff) >= PRUNE_TOL:
-                    self.terms[key] = self.terms.get(key, 0.0) + float(coeff)
-            self._prune()
+        self.terms: dict[tuple, float] = {
+            key: float(coeff) for key, coeff in (terms or {}).items()
+            if abs(coeff) >= PRUNE_TOL}
 
     # -- constructors ------------------------------------------------
 
@@ -237,10 +217,13 @@ class PauliSum:
         if self.n_qubits > MAX_DENSE_QUBITS:
             raise PauliError(
                 f"dense budget exceeded: N={self.n_qubits} > {MAX_DENSE_QUBITS}")
-        dim = 2 ** self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for (x, z), c in self.terms.items():
-            out += c * (1j ** _canonical_phase(x, z)) * _masks_to_dense(self.n_qubits, x, z)
+        k = np.arange(2 ** self.n_qubits)
+        out = np.zeros((len(k), len(k)), dtype=complex)
+        masks = np.array(list(self.terms), dtype=np.uint64).reshape(-1, 2)
+        reflected = reflect_masks(masks, self.n_qubits).astype(np.int64).tolist()
+        for ((x, z), c), (xr, zr) in zip(self.terms.items(), reflected):
+            signs = np.where(np.bitwise_count(k & zr) & 1, -1.0, 1.0)
+            out[k ^ xr, k] += c * _PHASES[(x & z).bit_count() % 4] * signs
         return out
 
     def reflection_image(self) -> "PauliSum":
@@ -255,28 +238,29 @@ class PauliSum:
 
     def to_text(self) -> str:
         """Serialize as lines ``coeff PAULI_STRING``, sorted for stable bytes."""
-        lines = []
-        for (x, z) in sorted(self.terms):
-            term = PauliTerm(self.n_qubits, x, z, _canonical_phase(x, z))
-            lines.append(f"{self.terms[(x, z)]:.17g} {term.label()}")
-        return "\n".join(lines)
+        return "\n".join(f"{self.terms[k]:.17g} {_label(self.n_qubits, *k)}"
+                         for k in sorted(self.terms))
 
     @classmethod
     def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
         terms: dict[tuple, float] = {}
         n = n_qubits
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            coeff_s, label = line.split()
+            try:
+                coeff_s, label = line.split()
+                coeff, t = float(coeff_s), PauliTerm.from_label(label)
+            except ValueError as exc:  # PauliError included
+                raise PauliError(
+                    f"line {lineno} {line!r} is not 'coeff PAULI_STRING': {exc}") from None
             if n is None:
                 n = len(label)
             elif len(label) != n:
                 raise PauliError(f"inconsistent string length in line {line!r}")
-            t = PauliTerm.from_label(label)
             key = (t.x_mask, t.z_mask)
-            terms[key] = terms.get(key, 0.0) + float(coeff_s)
+            terms[key] = terms.get(key, 0.0) + coeff
         if n is None:
             raise PauliError("empty Pauli text")
         return cls(n, terms)
@@ -284,11 +268,8 @@ class PauliSum:
     def __repr__(self):
         if not self.terms:
             return f"PauliSum(N={self.n_qubits}, 0)"
-        parts = []
-        for (x, z) in sorted(self.terms):
-            term = PauliTerm(self.n_qubits, x, z, _canonical_phase(x, z))
-            parts.append(f"{self.terms[(x, z)]:+.6g}*{term.label()}")
-        return " ".join(parts)
+        return " ".join(f"{self.terms[k]:+.6g}*{_label(self.n_qubits, *k)}"
+                        for k in sorted(self.terms))
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

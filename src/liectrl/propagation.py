@@ -21,7 +21,6 @@ header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -137,11 +136,9 @@ class ControlPulse:
     # -- CSV interchange (MHz) ----------------------------------------
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("t_us,omega_MHz,delta_MHz\n")
-        for t, om, de in zip(self.times, self.omegas, self.deltas):
-            out.write(f"{float(t)!r},{float(to_mhz(om))!r},{float(to_mhz(de))!r}\n")
-        return out.getvalue()
+        rows = (f"{float(t)!r},{float(to_mhz(om))!r},{float(to_mhz(de))!r}\n"
+                for t, om, de in zip(self.times, self.omegas, self.deltas))
+        return "t_us,omega_MHz,delta_MHz\n" + "".join(rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "ControlPulse":
@@ -150,10 +147,13 @@ class ControlPulse:
             raise PulseError("pulse CSV must start with header t_us,omega_MHz,delta_MHz")
         t, om, de = [], [], []
         for ln in lines[1:]:
-            a, b, c = ln.split(",")
-            t.append(float(a))
-            om.append(mhz(float(b)))
-            de.append(mhz(float(c)))
+            try:
+                a, b, c = map(float, ln.split(","))
+            except ValueError:
+                raise PulseError(f"pulse CSV row {ln!r} is not three numbers") from None
+            t.append(a)
+            om.append(mhz(b))
+            de.append(mhz(c))
         return cls(np.array(t), np.array(om), np.array(de))
 
     @classmethod

@@ -49,8 +49,7 @@ class SectorBasis:
     _occ: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def build(cls, kind: SectorKind, n_modes: int, n_particles: int,
-              budget: int = DENSE_SECTOR_BUDGET) -> "SectorBasis":
+    def build(cls, kind: SectorKind, n_modes: int, n_particles: int) -> "SectorBasis":
         if n_modes < 1 or n_particles < 0:
             raise SectorError("need n_modes >= 1 and n_particles >= 0")
         if kind in ("fermion", "spinful_fermion"):
@@ -62,8 +61,8 @@ class SectorBasis:
             dim = comb(n_particles + n_modes - 1, n_particles)
         else:
             raise SectorError(f"unknown sector kind {kind!r}")
-        if dim > budget:
-            raise SectorError(f"sector dimension {dim} exceeds budget {budget}")
+        if dim > DENSE_SECTOR_BUDGET:
+            raise SectorError(f"sector dimension {dim} exceeds budget {DENSE_SECTOR_BUDGET}")
         # the modes each particle sits in, one row per state, counted per mode
         picked = np.array(list(pick(range(n_modes), n_particles)), dtype=int)
         flat = np.arange(dim)[:, None] * n_modes + picked.reshape(dim, n_particles)

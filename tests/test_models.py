@@ -76,6 +76,13 @@ class TestNoiseModel:
         with pytest.raises(ModelError):
             NoiseModel(gamma=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", np.nan), ("gamma", np.inf), ("delta_detuning_shift", -np.inf),
+        ("delta_rabi_shift", np.inf), ("rabi_scale_error", np.nan)])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ModelError, match="finite"):
+            NoiseModel(**{field: value})
+
 
 class TestRydberg:
     def test_single_atom_rabi(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liectrl.pauli import (
+    MAX_DENSE_QUBITS,
     PauliError,
     PauliSum,
     PauliTerm,
@@ -173,6 +174,38 @@ class TestDense:
         with pytest.raises(PauliError):
             PauliSum.single_site(12, 1, "X").to_dense()
 
+    def test_term_budget(self):
+        n = MAX_DENSE_QUBITS + 1
+        with pytest.raises(PauliError, match="dense budget"):
+            PauliTerm(n, 1, 1 << (n - 1)).to_dense()
+
+    def test_sums_with_y_terms_match_kron_exactly(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for _ in range(15):
+                y = PauliSum.single_site(n, int(rng.integers(1, n + 1)), "Y", 5.0)
+                p = random_sum(rng, n, 6) + y  # |coefficients| <= 3 cannot cancel it
+                assert any(x & z for x, z in p.terms)
+                want = sum(dense_from_label(PauliTerm(n, x, z).label(), c)
+                           for (x, z), c in p.terms.items())
+                np.testing.assert_array_equal(p.to_dense(), want)
+
+    def test_term_products_exact_at_every_phase(self):
+        rng = np.random.default_rng(12)
+        phases = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            la = "".join(rng.choice(list("IXYZ"), size=n))
+            lb = "".join(rng.choice(list("IXYZ"), size=n))
+            ta, tb = PauliTerm.from_label(la), PauliTerm.from_label(lb)
+            for extra in range(4):
+                shifted = PauliTerm(n, ta.x_mask, ta.z_mask, ta.phase_exp + extra)
+                prod = multiply(shifted, tb)
+                phases.add(prod.phase_exp)
+                np.testing.assert_array_equal(
+                    prod.to_dense(), 1j ** extra * (dense_from_label(la) @ dense_from_label(lb)))
+        assert phases == {0, 1, 2, 3}
+
     def test_roundtrip_decompose(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -239,6 +272,11 @@ class TestSumBasics:
     def test_from_text_rejects_ragged(self):
         with pytest.raises(PauliError):
             PauliSum.from_text("1.0 XI\n1.0 XIZ")
+
+    @pytest.mark.parametrize("line", ["XI", "1.0 XI ZZ", "one XI", "1.0", "1.0 XQ"])
+    def test_from_text_rejects_malformed_line(self, line):
+        with pytest.raises(PauliError, match=f"line 2 {line!r}"):
+            PauliSum.from_text(f"1.0 ZZ\n{line}\n-2 XX")
 
 
 class TestArrayKernels:

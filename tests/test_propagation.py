@@ -112,6 +112,12 @@ class TestControlPulse:
         with pytest.raises(PulseError):
             ControlPulse.from_csv("time,om,de\n0,0,0\n1,0,0\n")
 
+    @pytest.mark.parametrize("row", ["0.1,0", "0.1,0,0,0", "0.1,x,0", "0.1,,0"])
+    def test_csv_rejects_bad_row(self, row):
+        text = f"t_us,omega_MHz,delta_MHz\n0,0,0\n{row}\n0.2,0,0\n"
+        with pytest.raises(PulseError, match=repr(row)):
+            ControlPulse.from_csv(text)
+
     def test_csv_write_is_deterministic(self):
         t = np.array([0.0, 0.05, 0.1])
         p = ControlPulse(t, np.array([0.0, mhz(0.7), 0.0]), np.zeros(3))

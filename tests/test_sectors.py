@@ -89,7 +89,7 @@ class TestBasis:
 
     def test_budget(self):
         with pytest.raises(SectorError):
-            SectorBasis.build("boson", 12, 12, budget=512)
+            SectorBasis.build("boson", 12, 12)
 
 
 class TestLadderOperators:
