@@ -47,6 +47,8 @@ class AtomGeometry:
     def __post_init__(self):
         pos = tuple((float(x), float(y)) for x, y in self.positions)
         object.__setattr__(self, "positions", pos)
+        if not np.isfinite([self.c6, *(x for p in pos for x in p)]).all():
+            raise ModelError(f"atom positions and c6 must be finite, got {pos} and {self.c6}")
         for a in range(len(pos)):
             for b in range(a + 1, len(pos)):
                 if np.hypot(pos[a][0] - pos[b][0], pos[a][1] - pos[b][1]) <= 0:
@@ -124,14 +126,10 @@ class NoiseModel:
 
 # -- Pauli-sum building blocks -------------------------------------------
 
-def _site(n: int, j: int, kind: str, coeff: float = 1.0) -> PauliSum:
-    return PauliSum.single_site(n, j, kind, coeff)
-
-
 def density_operator(n_qubits: int, site: int) -> PauliSum:
     """Rydberg density n = |r><r| = (I - Z)/2 at one site."""
     ident = PauliSum(n_qubits, {(0, 0): 0.5})
-    return ident + _site(n_qubits, site, "Z", -0.5)
+    return ident + PauliSum.single_site(n_qubits, site, "Z", -0.5)
 
 
 def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float) -> PauliSum:
@@ -143,32 +141,22 @@ def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float) -> Pauli
     if not np.isfinite(omega) or not np.isfinite(delta):
         raise ModelError("omega and delta must be finite")
     n = geom.n_atoms
-    h = PauliSum.zero(n)
-    for l in range(1, n + 1):
-        h = h + _site(n, l, "X", omega / 2.0)
-        h = h + density_operator(n, l) * (-delta)
-    for j in range(1, n + 1):
-        for l in range(j + 1, n + 1):
-            v = geom.interaction(j, l)
-            njl = _pair_density(n, j, l)
-            h = h + njl * v
-    return h
+    site = [("X", omega / 2.0), ("I", -0.5 * delta), ("Z", 0.5 * delta)]
+    pair = [("II", 0.25), ("ZI", -0.25), ("IZ", -0.25), ("ZZ", 0.25)]  # n_j n_l
+    rows = [((l,), kinds, c) for l in range(1, n + 1) for kinds, c in site]
+    rows += [((j, l), kinds, c * geom.interaction(j, l))
+             for j in range(1, n + 1) for l in range(j + 1, n + 1) for kinds, c in pair]
+    return _placed(n, rows)
 
 
-def _pair_density(n: int, j: int, l: int) -> PauliSum:
-    # n_j n_l = (I - Z_j - Z_l + Z_j Z_l)/4
-    return _placed(n, [(j, l)], [("II", 0.25), ("ZI", -0.25), ("IZ", -0.25), ("ZZ", 0.25)])
-
-
-def _placed(n: int, placements, table) -> PauliSum:
-    """Sum over the site tuples in ``placements`` of every ``(kinds, coeff)``
-    row of ``table``, with ``kinds[i]`` (one of IXYZ) on site ``sites[i]``."""
+def _placed(n: int, rows) -> PauliSum:
+    """Sum of ``(sites, kinds, coeff)`` rows, ``kinds[i]`` (one of IXYZ) on
+    site ``sites[i]``; coefficients of one string add up in row order."""
     terms: dict[tuple, float] = {}
-    for sites in placements:
-        for kinds, coeff in table:
-            x = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "XY")
-            z = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "YZ")
-            terms[x, z] = terms.get((x, z), 0.0) + coeff
+    for sites, kinds, coeff in rows:
+        x = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "XY")
+        z = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "YZ")
+        terms[x, z] = terms.get((x, z), 0.0) + coeff
     return PauliSum(n, terms)
 
 
@@ -203,7 +191,7 @@ def zxz_hamiltonian(n_qubits: int, j_eff: float = 1.0) -> PauliSum:
     """Cluster three-body chain J * sum_j Z_{j-1} X_j Z_{j+1} (bulk sites)."""
     if n_qubits < 3:
         raise ModelError("the three-body chain needs at least 3 qubits")
-    return _placed(n_qubits, [(j - 1, j, j + 1) for j in range(2, n_qubits)], [("ZXZ", j_eff)])
+    return _placed(n_qubits, [((j - 1, j, j + 1), "ZXZ", j_eff) for j in range(2, n_qubits)])
 
 
 def pxp_hamiltonian(n_qubits: int, omega: float, delta: float) -> PauliSum:
@@ -215,10 +203,11 @@ def pxp_hamiltonian(n_qubits: int, omega: float, delta: float) -> PauliSum:
         raise ModelError("the blockade model needs at least 3 qubits")
     n = n_qubits
     # P X P = (X + ZX + XZ + ZXZ)/4 on sites (i-1, i, i+1)
-    pxp = _placed(n, [(i - 1, i, i + 1) for i in range(2, n)],
-                  [(kinds, omega / 8.0) for kinds in ("IXI", "ZXI", "IXZ", "ZXZ")])
-    density = [("I", -0.5 * delta), ("Z", 0.5 * delta)]  # -delta * n_i
-    return pxp + _placed(n, [(i,) for i in range(1, n + 1)], density)
+    pxp = [((i - 1, i, i + 1), kinds, omega / 8.0)
+           for i in range(2, n) for kinds in ("IXI", "ZXI", "IXZ", "ZXZ")]
+    density = [((i,), kinds, c) for i in range(1, n + 1)  # -delta * n_i
+               for kinds, c in (("I", -0.5 * delta), ("Z", 0.5 * delta))]
+    return _placed(n, pxp + density)
 
 
 def boundary_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:

@@ -137,6 +137,8 @@ class PauliSum:
         self.terms: dict[tuple, float] = {
             key: float(coeff) for key, coeff in (terms or {}).items()
             if abs(coeff) >= PRUNE_TOL}
+        if any((x | z) >> n_qubits for x, z in self.terms):
+            raise PauliError("mask has bits outside the qubit register")
 
     # -- constructors ------------------------------------------------
 

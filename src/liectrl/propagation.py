@@ -10,10 +10,10 @@ so the propagator is held as its even and odd parity blocks, of sizes
 even one; an interaction that is not reflection symmetric runs as one
 block of 2^N.  Each batch of exponentials takes one batched ``eigh`` per
 block, and each exponential is applied in its eigenbasis as one stacked
-pair of real matrix products.  Open-system propagation integrates the
-master equation (per-atom decay |g><r|, constant control offsets) by
-fixed-step RK4 over stacks of non-Hermitian generators on the same step
-grid, and raises ``PropagationError`` when the trace drifts at a knot.
+pair of real matrix products.  Open-system propagation (per-atom decay
+|g><r|, constant control offsets) takes the same CF4 steps, each between
+two half steps of exact amplitude damping (Strang splitting), so every
+step is a quantum channel.
 
 All frequencies are angular (rad/us); CSV pulse files are in MHz with
 header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
@@ -33,14 +33,13 @@ from .pauli import reflect_masks
 # "mild" probe pulse ends 2.1e-3 and the 2 us "sweep" probe 1.07e-2 from the
 # converged state
 DEFAULT_STEP = 0.034
-_BATCH_BYTES = 1 << 20  # stacked block eigenvectors or G per batch; more only adds memory
+_BATCH_BYTES = 1 << 17  # stacked block eigenvectors per batch; Lindblad temporaries take ~8x
 # max|v - v o r| <= _MIRROR_ULPS * eps * max|v| counts as reflection symmetric;
 # AtomGeometry.chain roundoff reaches 9 eps on chains of 2 to 10 atoms
 _MIRROR_ULPS = 32
-# us; fourth order: from |g..g> on 3 atoms at 6 um with fitted noise, the 1 us
-# "mild" probe pulse ends 1.2e-5 from the converged state (1.2e-3 on bench pulses)
-DEFAULT_LINDBLAD_DT = 1e-3
-TRACE_DRIFT_LIMIT = 1e-6
+# us per Strang step; from |g..g> on 3 atoms at 6 um with fitted noise, the 1 us
+# "mild" probe pulse ends 7.8e-6 from the converged state
+DEFAULT_LINDBLAD_DT = DEFAULT_STEP / 4
 
 
 class PulseError(ValueError):
@@ -145,16 +144,14 @@ class ControlPulse:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].replace(" ", "") != "t_us,omega_MHz,delta_MHz":
             raise PulseError("pulse CSV must start with header t_us,omega_MHz,delta_MHz")
-        t, om, de = [], [], []
+        rows = []
         for ln in lines[1:]:
             try:
-                a, b, c = map(float, ln.split(","))
+                t, om, de = map(float, ln.split(","))
             except ValueError:
                 raise PulseError(f"pulse CSV row {ln!r} is not three numbers") from None
-            t.append(a)
-            om.append(mhz(b))
-            de.append(mhz(c))
-        return cls(np.array(t), np.array(om), np.array(de))
+            rows.append((t, mhz(om), mhz(de)))
+        return cls(*np.array(rows).reshape(-1, 3).T.copy())
 
     @classmethod
     def constant(cls, duration: float, omega: float, delta: float,
@@ -211,9 +208,9 @@ def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarra
     return sizes, np.reshape(blocks, (4, nb, dim, dim)), idx, coef
 
 
-def _step_grid(pulse: ControlPulse, step: float, substeps: int | None,
-               nodes: tuple[float, ...]) -> tuple[tuple[np.ndarray, np.ndarray], list, list]:
-    """(omega, delta) at each step's nodes, step lengths, steps done by each knot.
+def _step_grid(pulse: ControlPulse, step: float,
+               substeps: int | None) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, list]:
+    """(omega, delta) at each CF4 step's nodes, step lengths, steps done by each knot.
 
     A knot interval takes ``substeps`` equal steps, or the fewest no longer
     than ``step``, the ratio rounded before its ceil against knot roundoff.
@@ -226,11 +223,40 @@ def _step_grid(pulse: ControlPulse, step: float, substeps: int | None,
     knot_ends = np.cumsum(steps)
     k = np.repeat(np.arange(gaps.size), steps)  # knot interval of each step
     s = np.arange(k.size) - np.repeat(knot_ends - steps, steps)  # step within it
-    frac = ((s[:, None] + np.asarray(nodes)) / steps[k, None]).ravel()
-    kn = np.repeat(k, len(nodes))  # knot interval of each node
+    # the Gauss-node CF4 step for H affine in t: exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6))
+    frac = ((s[:, None] + np.array([1 / 6, 5 / 6])) / steps[k, None]).ravel()
+    kn = np.repeat(k, 2)  # knot interval of each node
     om = pulse.omegas[kn] + frac * np.diff(pulse.omegas)[kn]
     de = pulse.deltas[kn] + frac * np.diff(pulse.deltas)[kn]
-    return (om, de), (gaps / steps)[k].tolist(), knot_ends.tolist()
+    return (om, de), (gaps / steps)[k], knot_ends.tolist()
+
+
+def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
+                      substeps: int | None, noise: NoiseModel):
+    """CF4 exponentials of a pulse in parity blocks, batches of whole steps.
+
+    Returns the ``_step_grid`` step lengths and knot ends, the identity
+    blocks and gather (idx, coef) of ``_parity_blocks``, and batches (lo, W,
+    phases) from one ``eigh`` per block: exponential lo + 2s + c is
+    W diag(phases) W^T, phases e^{-i lambda h/2} as columns, node c of step s.
+    """
+    (om, de), h, knot_ends = _step_grid(pulse, step, substeps)
+    om, de = noise.realized_controls(om, de)
+    dts = np.repeat(h, 2) / 2
+    sizes, (x_b, n_b, v_b, eye), idx, coef = _parity_blocks(geom)
+    batch = 2 * max(1, _BATCH_BYTES // (2 * eye.nbytes))  # stacked real W of whole steps
+
+    def batches():
+        for lo in range(0, dts.size, batch):
+            sl = slice(lo, lo + batch)
+            w = np.zeros((dts[sl].size,) + x_b.shape)
+            lam = np.zeros(w.shape[:3])
+            for b, d in enumerate(sizes):
+                hs = (om[sl, None, None] / 2.0) * x_b[b] - de[sl, None, None] * n_b[b] + v_b[b]
+                lam[:, b, :d], w[:, b, :d, :d] = np.linalg.eigh(hs[:, :d, :d])
+            yield lo, w, np.exp(-1j * lam * dts[sl, None, None])[..., None]
+
+    return h, knot_ends, eye, idx, coef, batches()
 
 
 def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
@@ -242,7 +268,7 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     Each knot interval takes ``substeps`` equal CF4 steps of two
     exponentials each, or by default the fewest steps no longer than
     ``DEFAULT_STEP``.  ``noise`` applies only the coherent control offsets
-    here; decay needs the open-system integrator.
+    here; decay needs ``propagate_lindblad``.
 
     The propagator is held in the reflection-parity blocks of
     ``_parity_blocks``; each knot snapshot is gathered back into the
@@ -257,24 +283,12 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
         pulse.validate(profile)
     if substeps is not None and substeps < 1:
         raise PropagationError("substeps must be >= 1")
-    # the Gauss-node CF4 step for H affine in t: exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6))
-    (om, de), h, knot_ends = _step_grid(pulse, DEFAULT_STEP, substeps, (1 / 6, 5 / 6))
-    if noise is not None:
-        om, de = noise.realized_controls(om, de)
-    dts = np.repeat(h, 2) / 2
-    sizes, (x_b, n_b, v_b, u), idx, coef = _parity_blocks(geom)
-    batch = max(1, _BATCH_BYTES // u.nbytes)  # stacked real W per exponential
+    _, knot_ends, u, idx, coef, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP,
+                                                            substeps, noise or NoiseModel())
     u = u.astype(complex).view(np.float64)  # (D, 2D) real views of the blocks
     out = [(float(pulse.times[0]), np.eye(idx.shape[1], dtype=complex))]
-    for lo in range(0, dts.size, batch):
-        sl = slice(lo, lo + batch)
-        w = np.zeros((dts[sl].size,) + x_b.shape)
-        lam = np.zeros(w.shape[:3])
-        for b, d in enumerate(sizes):
-            hs = (om[sl, None, None] / 2.0) * x_b[b] - de[sl, None, None] * n_b[b] + v_b[b]
-            lam[:, b, :d], w[:, b, :d, :d] = np.linalg.eigh(hs[:, :d, :d])
-        phases = np.exp(-1j * lam * dts[sl, None, None])[..., None]
-        for j, (wj, wtj, phase) in enumerate(zip(w, w.transpose(0, 1, 3, 2), phases), lo + 1):
+    for lo, w, phases in batches:
+        for j, (wj, wtj, phase) in enumerate(zip(w, w.mT, phases), lo + 1):
             # u <- W (e^{-i lambda dt} * (W^T u)) per block, as real GEMMs
             y = wtj @ u
             yc = y.view(complex)
@@ -298,28 +312,15 @@ def propagate_unitary(pulse: ControlPulse, geom: AtomGeometry,
     return unitary_trajectory(pulse, geom, substeps, force, profile, noise)[-1][1]
 
 
-def _jump_gather(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of J(rho) = sum_l sigma_l^- rho sigma_l^+ for ``reduceat``.
-
-    Entry (i, j) sums rho[i | m, j | m] over the atom bit masks m clear in
-    both i and j.  Returns the entries that receive a term, the sources in
-    entry order, and where each entry's run of sources starts.
-    """
-    dim = 2 ** n_atoms
-    i, j, m = np.meshgrid(np.arange(dim), np.arange(dim), 1 << np.arange(n_atoms),
-                          indexing="ij")
-    keep = ((i | j) & m) == 0
-    targets, starts = np.unique((i * dim + j)[keep], return_index=True)
-    return targets, ((i | m) * dim + (j | m))[keep], starts
-
-
-def _master_rhs(g: np.ndarray, rho: np.ndarray, gamma: float, jump) -> np.ndarray:
-    """drho/dt = G rho + (G rho)^dag + gamma J(rho), for Hermitian rho."""
-    a = g @ rho
-    a += a.conj().T
-    targets, src, starts = jump
-    a.reshape(-1)[targets] += gamma * np.add.reduceat(rho.take(src), starts)
-    return a
+def _amplitude_damping(rho: np.ndarray, n_atoms: int, p: float) -> None:
+    """rho <- the decay channel with Kraus operators diag(1, sqrt(1 - p)) and
+    sqrt(p)|g><r| on every atom, in place (qubit 1 the most significant bit)."""
+    q = np.sqrt(1 - p)
+    scale = np.array([[1, q], [q, 1 - p]])[:, None, None, :, None]  # rows/columns g, r of an atom
+    for l in range(n_atoms):
+        r = rho.reshape(2 ** l, 2, 2 ** (n_atoms - l - 1), 2 ** l, 2, 2 ** (n_atoms - l - 1))
+        r[:, 0, :, :, 0] += p * r[:, 1, :, :, 1]
+        r *= scale
 
 
 def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
@@ -329,50 +330,39 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
                        profile: ConstraintProfile | None = None) -> list[DensityState]:
     """Density-matrix trajectory recorded at every knot time.
 
-    Integrates drho/dt = -i[H(t), rho] + gamma * sum_l D[sigma_l^-] rho by
-    fixed-step RK4, each stage G rho + (G rho)^dag + gamma sum_l sigma_l^- rho
-    sigma_l^+ with G = -i(H - (i gamma/2) n_total) from the noise-shifted
-    controls, stacked over consecutive steps' stage times.  ``initial_state``
-    is a vector or a Hermitian matrix.  A trace off 1 by more than 1e-6 (or
-    NaN) at a knot raises, naming the knot time and suggesting dt/2.
+    Solves drho/dt = -i[H(t), rho] + gamma * sum_l D[sigma_l^-] rho, with H
+    from the noise-shifted controls, by the Strang splitting
+    rho <- D(h/2) U (D(h/2) rho) U^dag per step: U is the CF4 step of
+    ``unitary_trajectory`` and D(t) the exact amplitude damping with
+    p = 1 - e^{-gamma t} on every atom.  Each knot interval takes the fewest
+    equal steps no longer than ``dt``.  Every factor is a completely
+    positive, trace-preserving map, so each state is positive semidefinite
+    with unit trace to roundoff at any ``dt``.  ``initial_state`` is a
+    vector or a Hermitian matrix.
     """
     if not force:
         pulse.validate(profile)
     if not dt > 0:
         raise PropagationError("dt must be positive")
-    x_tot, n_tot, v = rydberg_terms(geom)
-    dim = len(x_tot)
+    h, knot_ends, _, idx, coef, batches = _cf4_exponentials(pulse, geom, dt, None, noise)
+    n, dim = geom.n_atoms, idx.shape[1]
     rho0 = np.asarray(np.eye(dim)[0] if initial_state is None else initial_state, complex)
     if rho0.shape == (dim,):
         rho0 = np.outer(rho0, rho0.conj())
     elif rho0.shape != (dim, dim) or np.abs(rho0 - rho0.conj().T).max() > 1e-12:
         raise PropagationError(f"initial_state must be a ({dim},) vector or a Hermitian ({dim}, "
                                f"{dim}) matrix for {geom.n_atoms} atoms, got shape {rho0.shape}")
-    gamma, jump, n_diag = noise.gamma, _jump_gather(geom.n_atoms), np.diag(n_tot)
-    g_diag = -1j * np.diag(v) - 0.5 * gamma * n_diag  # the control-free part of G
-    # stage times: every step's start and midpoint, then the pulse's end
-    (om, de), h, knot_ends = _step_grid(pulse, dt, None, (0.0, 0.5))
-    om, de = noise.realized_controls(np.append(om, pulse.omegas[-1]),
-                                     np.append(de, pulse.deltas[-1]))
-    # steps per G stack of at most _BATCH_BYTES / 8; full-budget stacks cost 3% peak RSS
-    chunk = max(1, (_BATCH_BYTES // (128 * dim * dim) - 1) // 2)
-    rho, states = rho0, [DensityState(rho0.copy(), float(pulse.times[0]))]
-    for lo in range(0, len(h), chunk):
-        sl = slice(2 * lo, 2 * min(len(h), lo + chunk) + 1)
-        g = (-0.5j * om[sl])[:, None, None] * x_tot  # G at every stage time
-        g.reshape(len(g), -1)[:, ::dim + 1] += 1j * de[sl, None] * n_diag + g_diag
-        for j, (s, hj) in enumerate(zip(range(0, len(g) - 1, 2), h[lo:lo + chunk]), lo + 1):
-            k1 = _master_rhs(g[s], rho, gamma, jump)
-            k2 = _master_rhs(g[s + 1], rho + hj / 2 * k1, gamma, jump)
-            k3 = _master_rhs(g[s + 1], rho + hj / 2 * k2, gamma, jump)
-            k4 = _master_rhs(g[s + 2], rho + hj * k3, gamma, jump)
-            rho = rho + hj / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if j == knot_ends[len(states) - 1]:
-                t = float(pulse.times[len(states)])
-                if not abs(np.trace(rho).real - 1.0) <= TRACE_DRIFT_LIMIT:
-                    raise PropagationError(f"trace drift beyond {TRACE_DRIFT_LIMIT} at the knot "
-                                           f"t={t} us; suggested dt <= {dt / 2}")
-                states.append(DensityState(rho, t))  # rho is never written in place
+    p = -np.expm1(-0.5 * noise.gamma * h)  # decay probability per half step
+    rho, states = rho0.copy(), [DensityState(rho0.copy(), float(pulse.times[0]))]
+    for lo, w, phases in batches:
+        e = (w * phases.mT) @ w.mT  # each exponential's blocks
+        steps = (e[1::2] @ e[0::2]).reshape(len(e) // 2, -1)  # each step's blocks
+        for j, u in enumerate(sum(c * steps[:, i] for c, i in zip(coef, idx)), lo // 2):
+            _amplitude_damping(rho, n, p[j])
+            rho = u @ rho @ u.conj().T
+            _amplitude_damping(rho, n, p[j])
+            if j + 1 == knot_ends[len(states) - 1]:
+                states.append(DensityState(rho.copy(), float(pulse.times[len(states)])))
     return states
 
 

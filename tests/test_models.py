@@ -50,6 +50,19 @@ class TestGeometry:
         with pytest.raises(ModelError):
             AtomGeometry(((0.0, 0.0), (0.0, 0.0)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: AtomGeometry.chain(3, np.nan),
+        lambda: AtomGeometry.chain(3, 6.0, c6=np.nan),
+        lambda: AtomGeometry(((0.0, 0.0), (np.inf, 0.0))),
+        lambda: AtomGeometry(((0.0, 0.0), (6.0, -np.inf))),
+        lambda: AtomGeometry(((0.0, 0.0), (6.0, 0.0)), c6=np.inf),
+    ], ids=["nan-spacing", "nan-c6", "inf-x", "inf-y", "inf-c6"])
+    def test_non_finite_input_rejected(self, make):
+        # a NaN spacing used to give all-NaN positions that failed late in
+        # eigh; an infinite position was accepted
+        with pytest.raises(ModelError, match="finite"):
+            make()
+
     def test_json_roundtrip(self):
         g = AtomGeometry.chain(4, 8.9)
         g2 = AtomGeometry.from_json(g.to_json())

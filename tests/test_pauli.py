@@ -269,6 +269,12 @@ class TestSumBasics:
     def test_text_example_format(self):
         assert PauliSum.from_label("XIZ").to_text() == "1 XIZ"
 
+    @pytest.mark.parametrize("key", [(4, 0), (0, 7), (-1, 0)])
+    def test_masks_outside_register_rejected(self, key):
+        # to_dense used to drop the stray bits: {(4, 0): 1} on 2 qubits became the identity
+        with pytest.raises(PauliError, match="outside the qubit register"):
+            PauliSum(2, {key: 1.0})
+
     def test_from_text_rejects_ragged(self):
         with pytest.raises(PauliError):
             PauliSum.from_text("1.0 XI\n1.0 XIZ")
