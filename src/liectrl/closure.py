@@ -76,10 +76,9 @@ _HERM_TOL = 1e-12
 _ZERO_FLOOR = 1e-14
 _TARGET_TOL = 1e-8  # membership residual of the Lemma B.2 targets
 # Dense backend only: residuals below this floor are treated as roundoff
-# regardless of the relative rule.  Operands are unit-norm, candidates are
-# processed oldest first (so genuine directions enter at large residuals
-# before deep, noisier brackets arrive), and stored rows are denoised
-# (components below _SNAP zeroed).  Measured on the bench's sector chains
+# regardless of the relative rule.  Operands are unit-norm and candidates
+# are processed oldest first (so genuine directions enter at large residuals
+# before deep, noisier brackets arrive).  Measured on the bench's sector chains
 # (fermion and boson N=5, 7 at n=2, 3; spinful N=3), accepted residuals go
 # down to 1.4e-4 (fermion N=7 n=3) and rejected ones up to 1.4e-7 (boson
 # N=7 n=2); every result reports its own ratio as ``rank_margin``, and
@@ -87,7 +86,6 @@ _TARGET_TOL = 1e-8  # membership residual of the Lemma B.2 targets
 # the smaller cases.  Coefficient ratios near 1e6 push genuine brackets
 # under the floor.
 _ABS_FLOOR = 1e-6
-_SNAP = 1e-12
 _SQRT2 = np.sqrt(2.0)
 _CHUNK = 384
 # a dense result whose rank margin falls below this is logged as a warning
@@ -381,8 +379,11 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
 class _Basis:
     """Row-orthonormal basis with amortized growth and chunked projection.
 
-    Records the smallest residual it accepted and the largest it rejected;
-    their ratio is the rank-decision margin.
+    One gate, max(tol ||c||, _ABS_FLOOR), decides a candidate c: its residual
+    must exceed it after one pass against the stored rows, and again after
+    a second pass and two against the rows added earlier in the block; the
+    accepted row is that residual normalized.  Records the smallest residual
+    accepted and the largest rejected; their ratio is the rank margin.
     """
 
     def __init__(self, n_cols: int):
@@ -405,61 +406,35 @@ class _Basis:
             grown[: self.n_rows] = self._rows[: self.n_rows]
             self._rows = grown
 
-    def absorb(self, cands: np.ndarray, tol: float, cap: int | None) -> list[int]:
+    def absorb(self, cands: np.ndarray, tol: float, cap: int) -> list[int]:
         """Project candidate rows, append the independent ones, return indices."""
-        if cands.shape[0] == 0:
-            return []
         orig = np.linalg.norm(cands, axis=1)
         live = orig > _ZERO_FLOOR
-        cands, orig = cands[live], orig[live]
-        added: list[int] = []
+        cands, gate = cands[live], np.maximum(tol * orig[live], _ABS_FLOOR)
         B = self.matrix
-        if self.n_rows:
-            # one classical Gram-Schmidt pass decides accept/reject (its
-            # roundoff sits far below the acceptance floor); survivors get a
-            # second pass before entering the basis ("twice is enough")
-            cands = cands - (cands @ B.T) @ B
-            gate = np.maximum(tol * orig, _ABS_FLOOR)
-            resid = np.linalg.norm(cands, axis=1)
-            survivors = resid > gate
-            if not survivors.all():
-                self.max_rejected = max(self.max_rejected, resid[~survivors].max())
-            cands, orig = cands[survivors], orig[survivors]
-            if cands.shape[0] == 0:
-                return []
-            cands = cands - (cands @ B.T) @ B
-        for i in range(cands.shape[0]):
-            row = cands[i]
-            if added:
-                New = self._rows[added[0]: added[-1] + 1]
-                row = row - (row @ New.T) @ New
-                row = row - (row @ New.T) @ New
+        # one classical Gram-Schmidt pass decides accept/reject (its roundoff
+        # sits far below the gate); survivors get a second pass
+        cands = cands - (cands @ B.T) @ B
+        resid = np.linalg.norm(cands, axis=1)
+        survivors = resid > gate
+        self.max_rejected = max(self.max_rejected, resid[~survivors].max(initial=0.0))
+        cands, gate = cands[survivors], gate[survivors]
+        cands = cands - (cands @ B.T) @ B
+        added: list[int] = []
+        for row, g in zip(cands, gate):
+            New = self._rows[self.n_rows - len(added): self.n_rows]
+            row = row - (row @ New.T) @ New
+            row = row - (row @ New.T) @ New
             r = np.linalg.norm(row)
-            if r <= max(tol * orig[i], _ABS_FLOOR):
+            if r <= g:
                 self.max_rejected = max(self.max_rejected, r)
                 continue
-            row = row / r
-            if r < 1e-2 * orig[i]:
-                # heavy cancellation amplifies projection roundoff; clean the
-                # normalized row against everything before trusting it
-                M = self.matrix
-                row = row - (row @ M.T) @ M
-                rr = np.linalg.norm(row)
-                if rr <= 0.5:
-                    self.max_rejected = max(self.max_rejected, r * rr)
-                    continue
-                row = row / rr
-                r *= rr
             self.min_accepted = min(self.min_accepted, r)
-            # snap noise components so they cannot be recycled into later
-            # candidates and masquerade as new directions
-            row[np.abs(row) < _SNAP] = 0.0
-            row = row / np.linalg.norm(row)
             self._ensure_rows(1)
-            self._rows[self.n_rows] = row
+            self._rows[self.n_rows] = row / r
             added.append(self.n_rows)
             self.n_rows += 1
-            if cap is not None and self.n_rows >= cap:
+            if self.n_rows >= cap:
                 break
         return added
 
@@ -646,7 +621,9 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL) -
     cap-dimensional algebra).  With cap equal to the representation's
     theoretical maximum, hitting it certifies universality.  ``tol`` is
     the dense backend's relative rank tolerance; the pauli backend is
-    exact and has none.
+    exact and has none.  Every dense candidate has norm <= 1 (a normalized
+    bracket of unit-norm operands), so any ``tol`` below _ABS_FLOOR (1e-6),
+    the default included, leaves the rank decision to that floor.
     """
     if tol <= 0:
         raise ClosureError("tol must be positive")
@@ -706,7 +683,7 @@ def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
     if backend == "dense":
         gen = GeneratorSet("dense", [g.to_dense() for g in gen.generators],
                            label=gen.label)
-    result = close(gen, cap=4 ** n_qubits - 1)
+    result = close(gen)
     return replace(
         result, n_qubits=n_qubits,
         pattern_reflection_symmetric=pattern_is_reflection_symmetric(n_qubits, break_pattern))

@@ -49,6 +49,8 @@ class AtomGeometry:
         object.__setattr__(self, "positions", pos)
         if not np.isfinite([self.c6, *(x for p in pos for x in p)]).all():
             raise ModelError(f"atom positions and c6 must be finite, got {pos} and {self.c6}")
+        if not self.c6 > 0:
+            raise ModelError(f"c6 must be positive (repulsive van der Waals), got {self.c6}")
         for a in range(len(pos)):
             for b in range(a + 1, len(pos)):
                 if np.hypot(pos[a][0] - pos[b][0], pos[a][1] - pos[b][1]) <= 0:

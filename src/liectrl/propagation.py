@@ -405,9 +405,9 @@ def observables(state: np.ndarray | DensityState,
         else:
             raise PropagationError("unrecognized state input")
     dim = len(probs)
-    n_sites = int(round(np.log2(dim)))
-    if 2 ** n_sites != dim:
+    if dim < 1 or dim & (dim - 1):
         raise PropagationError("state dimension is not a power of two")
+    n_sites = dim.bit_length() - 1
     zdiag = np.ascontiguousarray(1.0 - 2.0 * basis_bits(n_sites).T)  # row s: Z_{s+1}
     expect_z = zdiag @ probs
     zz = (zdiag * probs) @ zdiag.T

@@ -63,6 +63,13 @@ class TestGeometry:
         with pytest.raises(ModelError, match="finite"):
             make()
 
+    @pytest.mark.parametrize("c6", [-1.0, 0.0])
+    def test_non_positive_c6_rejected(self, c6):
+        # the chain is a repulsive van der Waals model; c6 = -1 used to fail
+        # late in blockade_radius with a TypeError from a complex power
+        with pytest.raises(ModelError, match="c6 must be positive"):
+            AtomGeometry.chain(3, 6.0, c6=c6)
+
     def test_json_roundtrip(self):
         g = AtomGeometry.chain(4, 8.9)
         g2 = AtomGeometry.from_json(g.to_json())

@@ -574,6 +574,12 @@ class TestLindblad:
 
 
 class TestObservables:
+    @pytest.mark.parametrize("state", [np.zeros(0), np.zeros(3), np.zeros((6, 6))])
+    def test_dimension_not_a_power_of_two_rejected(self, state):
+        # an empty state used to take log2(0) and raise OverflowError
+        with pytest.raises(PropagationError, match="not a power of two"):
+            observables(state)
+
     def test_ground_state(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1.0

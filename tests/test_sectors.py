@@ -247,6 +247,19 @@ class TestDenseRankDecisions:
         assert (res.dimension, res.depth_reached) == want
         # smallest accepted residual over largest rejected one
         assert res.rank_margin > 100
+        # the stored basis is orthonormal in the Hilbert-Schmidt product
+        rows = np.array(res.basis).reshape(res.dimension, -1)
+        gram = rows.conj() @ rows.T
+        assert np.max(np.abs(gram - np.eye(res.dimension))) <= 1e-13
+
+    @pytest.mark.parametrize("tol", [1e-12, 5e-7])
+    def test_tol_below_floor_changes_nothing(self, tol):
+        # candidates have norm <= 1, so a relative tol below the 1e-6 floor
+        # leaves every rank decision to the floor
+        gen = build_hubbard_chain_controls("fermion", 5, 2)
+        base, res = close(gen), close(gen, tol=tol)
+        assert (res.dimension, res.depth_reached, res.rank_margin) == \
+            (base.dimension, base.depth_reached, base.rank_margin)
 
 
 class TestSpinfulControls:
