@@ -9,11 +9,12 @@ so the propagator is held as its even and odd parity blocks, of sizes
 (2^N +- 2^ceil(N/2))/2, the odd one zero-padded and stacked with the
 even one; an interaction that is not reflection symmetric runs as one
 block of 2^N.  Each batch of exponentials takes one batched ``eigh`` per
-block, and each exponential is applied in its eigenbasis as one stacked
-pair of real matrix products.  Open-system propagation (per-atom decay
-|g><r|, constant control offsets) takes the same CF4 steps, each between
-two half steps of exact amplitude damping (Strang splitting), so every
-step is a quantum channel.
+block; the propagator U_j = W_j Y_j stays in the eigenbasis W_j of its last
+exponential, Y_j = diag(e^{-i lambda h/2}) W_j^T W_{j-1} Y_{j-1} being one
+real matrix product, and W_j Y_j is formed only at a returned knot.
+Open-system propagation (per-atom decay |g><r|, constant control offsets)
+takes the same CF4 steps, each between two half steps of exact amplitude
+damping (Strang splitting), so every step is a quantum channel.
 
 All frequencies are angular (rad/us); CSV pulse files are in MHz with
 header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
@@ -110,25 +111,17 @@ class ControlPulse:
         if self.omegas[0] != 0.0 or self.omegas[-1] != 0.0:
             problems.append("Rabi amplitude must be zero at both endpoints")
         if profile is not None:
-            om_max = mhz(profile.omega_max)
-            de_max = mhz(profile.delta_range)
-            if np.any(self.omegas < 0) or np.any(self.omegas > om_max):
-                problems.append(
-                    f"Rabi amplitude outside [0, {profile.omega_max} MHz]")
-            if np.any(np.abs(self.deltas) > de_max):
-                problems.append(
-                    f"detuning outside +-{profile.delta_range} MHz")
+            if np.any(self.omegas < 0) or np.any(self.omegas > mhz(profile.omega_max)):
+                problems.append(f"Rabi amplitude outside [0, {profile.omega_max} MHz]")
+            if np.any(np.abs(self.deltas) > mhz(profile.delta_range)):
+                problems.append(f"detuning outside +-{profile.delta_range} MHz")
             dt = np.diff(self.times)
             if np.any(dt < profile.dt_min * (1 - 1e-12)):
                 problems.append(f"knot spacing below {profile.dt_min} us")
-            slew_om = np.abs(np.diff(self.omegas)) / dt
-            slew_de = np.abs(np.diff(self.deltas)) / dt
-            if np.any(slew_om > mhz(profile.slew_omega)):
-                problems.append(
-                    f"Rabi slew above {profile.slew_omega} MHz/us")
-            if np.any(slew_de > mhz(profile.slew_delta)):
-                problems.append(
-                    f"detuning slew above {profile.slew_delta} MHz/us")
+            if np.any(np.abs(np.diff(self.omegas)) / dt > mhz(profile.slew_omega)):
+                problems.append(f"Rabi slew above {profile.slew_omega} MHz/us")
+            if np.any(np.abs(np.diff(self.deltas)) / dt > mhz(profile.slew_delta)):
+                problems.append(f"detuning slew above {profile.slew_delta} MHz/us")
         if problems:
             raise PulseError("; ".join(problems))
 
@@ -259,6 +252,29 @@ def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
     return h, knot_ends, eye, idx, coef, batches()
 
 
+def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None, force: bool,
+                   profile: ConstraintProfile | None, noise: NoiseModel | None):
+    """(time, thunk) at every knot after the first; a thunk returns the full W Y."""
+    if not force:
+        pulse.validate(profile)
+    if substeps is not None and substeps < 1:
+        raise PropagationError("substeps must be >= 1")
+    _, knot_ends, w_prev, idx, coef, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP,
+                                                                 substeps, noise or NoiseModel())
+    y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0 = 1, on (D, 2D) real views
+    knot_times = dict(zip(2 * np.array(knot_ends), pulse.times[1:]))  # by its last exponential
+    for lo, w, phases in batches:
+        m = w.mT @ np.concatenate([w_prev[None], w[:-1]])  # W_j^T W_{j-1}
+        for j, (mj, phase) in enumerate(zip(m, phases), lo + 1):
+            y = mj @ y  # Y_j = diag(phase) W_j^T W_{j-1} Y_{j-1}
+            yc = y.view(complex)
+            yc *= phase
+            if j in knot_times:  # sum_b P_b W_b Y_b P_b^T
+                yield float(knot_times[j]), lambda wj=w[j - lo - 1], yj=y: (
+                    coef * (wj @ yj).view(complex).take(idx)).sum(0)
+        w_prev = w[-1]
+
+
 def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
                        substeps: int | None = None, force: bool = False,
                        profile: ConstraintProfile | None = None,
@@ -271,33 +287,14 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     here; decay needs ``propagate_lindblad``.
 
     The propagator is held in the reflection-parity blocks of
-    ``_parity_blocks``; each knot snapshot is gathered back into the
-    computational basis as it is reached.  The interaction counts as
-    reflection symmetric when max|v - v o r| <= 32 eps max|v|
-    (``_MIRROR_ULPS``); the blocks are then built from the
-    reflection-averaged V, which moves the propagator by at most
-    T max|v - v o r| / 2 in the spectral norm over a pulse of length T.
-    Beyond that tolerance one block of size 2^N runs with the exact V.
+    ``_parity_blocks``.  The interaction counts as reflection symmetric
+    when max|v - v o r| <= 32 eps max|v| (``_MIRROR_ULPS``); the blocks
+    are then built from the reflection-averaged V, moving the propagator
+    by at most T max|v - v o r| / 2 (spectral norm, pulse length T);
+    beyond it one block of size 2^N runs with the exact V.
     """
-    if not force:
-        pulse.validate(profile)
-    if substeps is not None and substeps < 1:
-        raise PropagationError("substeps must be >= 1")
-    _, knot_ends, u, idx, coef, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP,
-                                                            substeps, noise or NoiseModel())
-    u = u.astype(complex).view(np.float64)  # (D, 2D) real views of the blocks
-    out = [(float(pulse.times[0]), np.eye(idx.shape[1], dtype=complex))]
-    for lo, w, phases in batches:
-        for j, (wj, wtj, phase) in enumerate(zip(w, w.mT, phases), lo + 1):
-            # u <- W (e^{-i lambda dt} * (W^T u)) per block, as real GEMMs
-            y = wtj @ u
-            yc = y.view(complex)
-            yc *= phase
-            u = wj @ y
-            if j == 2 * knot_ends[len(out) - 1]:  # sum_b P_b U_b P_b^T, gathered as reached
-                full = sum(c * u.view(complex).take(i) for c, i in zip(coef, idx))
-                out.append((float(pulse.times[len(out)]), full))
-    return out
+    return [(float(pulse.times[0]), np.eye(2 ** geom.n_atoms, dtype=complex)),
+            *((t, u()) for t, u in _unitary_knots(pulse, geom, substeps, force, profile, noise))]
 
 
 def propagate_unitary(pulse: ControlPulse, geom: AtomGeometry,
@@ -309,7 +306,9 @@ def propagate_unitary(pulse: ControlPulse, geom: AtomGeometry,
     ``substeps`` is the number of CF4 steps (two exponentials each) per
     knot interval; by default it follows ``DEFAULT_STEP``.
     """
-    return unitary_trajectory(pulse, geom, substeps, force, profile, noise)[-1][1]
+    for _, u in _unitary_knots(pulse, geom, substeps, force, profile, noise):
+        pass
+    return u()
 
 
 def _amplitude_damping(rho: np.ndarray, n_atoms: int, p: float) -> None:
@@ -334,11 +333,12 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     from the noise-shifted controls, by the Strang splitting
     rho <- D(h/2) U (D(h/2) rho) U^dag per step: U is the CF4 step of
     ``unitary_trajectory`` and D(t) the exact amplitude damping with
-    p = 1 - e^{-gamma t} on every atom.  Each knot interval takes the fewest
-    equal steps no longer than ``dt``.  Every factor is a completely
+    p = 1 - e^{-gamma t} on every atom; inside a knot interval the two half
+    steps between steps run as one D(h).  Each knot interval takes the
+    fewest equal steps no longer than ``dt``.  Every factor is a completely
     positive, trace-preserving map, so each state is positive semidefinite
     with unit trace to roundoff at any ``dt``.  ``initial_state`` is a
-    vector or a Hermitian matrix.
+    unit vector or a density matrix.
     """
     if not force:
         pulse.validate(profile)
@@ -352,17 +352,22 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     elif rho0.shape != (dim, dim) or np.abs(rho0 - rho0.conj().T).max() > 1e-12:
         raise PropagationError(f"initial_state must be a ({dim},) vector or a Hermitian ({dim}, "
                                f"{dim}) matrix for {geom.n_atoms} atoms, got shape {rho0.shape}")
+    if abs(np.trace(rho0) - 1) > 1e-12 or np.linalg.eigvalsh(rho0)[0] < -1e-12:
+        raise PropagationError("initial_state must have unit trace and no negative eigenvalue")
     p = -np.expm1(-0.5 * noise.gamma * h)  # decay probability per half step
     rho, states = rho0.copy(), [DensityState(rho0.copy(), float(pulse.times[0]))]
+    _amplitude_damping(rho, n, p[0])
     for lo, w, phases in batches:
         e = (w * phases.mT) @ w.mT  # each exponential's blocks
         steps = (e[1::2] @ e[0::2]).reshape(len(e) // 2, -1)  # each step's blocks
         for j, u in enumerate(sum(c * steps[:, i] for c, i in zip(coef, idx)), lo // 2):
-            _amplitude_damping(rho, n, p[j])
             rho = u @ rho @ u.conj().T
-            _amplitude_damping(rho, n, p[j])
-            if j + 1 == knot_ends[len(states) - 1]:
+            knot = j + 1 == knot_ends[len(states) - 1]
+            _amplitude_damping(rho, n, p[j] if knot else 1 - (1 - p[j]) ** 2)  # D(h/2)^2 = D(h)
+            if knot:
                 states.append(DensityState(rho.copy(), float(pulse.times[len(states)])))
+            if knot and j + 1 < p.size:  # the next interval's first half step
+                _amplitude_damping(rho, n, p[j + 1])
     return states
 
 
@@ -388,28 +393,23 @@ def observables(state: np.ndarray | DensityState,
     """Exact single-site and pairwise Z statistics of a state.
 
     Accepts a state vector, a density matrix, a DensityState, or a
-    unitary together with ``initial_state`` (which is then propagated).
+    unitary together with a vector ``initial_state`` (then propagated).
     """
     if isinstance(state, DensityState):
-        mat = state.rho
-        probs = np.real(np.diag(mat))
+        state, initial_state = state.rho, None
+    arr = np.asarray(state, dtype=complex)
+    if arr.ndim == 2 and initial_state is not None:
+        arr = arr @ np.asarray(initial_state, dtype=complex)
+    if arr.ndim == 1:
+        probs = np.abs(arr) ** 2
+    elif arr.ndim == 2 and initial_state is None:
+        probs = np.real(np.diag(arr))
     else:
-        arr = np.asarray(state, dtype=complex)
-        if arr.ndim == 2 and initial_state is not None:
-            psi = arr @ np.asarray(initial_state, dtype=complex)
-            probs = np.abs(psi) ** 2
-        elif arr.ndim == 1:
-            probs = np.abs(arr) ** 2
-        elif arr.ndim == 2:
-            probs = np.real(np.diag(arr))
-        else:
-            raise PropagationError("unrecognized state input")
+        raise PropagationError("unrecognized state input")
     dim = len(probs)
     if dim < 1 or dim & (dim - 1):
         raise PropagationError("state dimension is not a power of two")
     n_sites = dim.bit_length() - 1
     zdiag = np.ascontiguousarray(1.0 - 2.0 * basis_bits(n_sites).T)  # row s: Z_{s+1}
     expect_z = zdiag @ probs
-    zz = (zdiag * probs) @ zdiag.T
-    expect_n = (1.0 - expect_z) / 2.0
-    return ObservableRecord(n_sites, expect_n, expect_z, zz)
+    return ObservableRecord(n_sites, (1.0 - expect_z) / 2.0, expect_z, (zdiag * probs) @ zdiag.T)

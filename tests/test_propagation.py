@@ -166,6 +166,34 @@ class TestUnitary:
         for coarse, fine in zip(err, err[1:]):
             assert coarse / fine == pytest.approx(16.0, abs=1.0)
 
+    @pytest.mark.parametrize("n_atoms, n_knots", [(3, 31), (6, 31), (8, 11)])
+    def test_unitary_to_roundoff_bench_shaped(self, n_atoms, n_knots):
+        # the docstring's "unitary to roundoff" on pulses shaped like the
+        # bench's: 0.1 us knots, amplitudes up to 0.9 of the hardware profile
+        # (measured: 1.6e-14 to 2.9e-14)
+        rng, prof = np.random.default_rng(n_atoms), ConstraintProfile()
+        om = mhz(rng.uniform(0.0, 0.9 * prof.omega_max, n_knots))
+        om[[0, -1]] = 0.0
+        de = mhz(rng.uniform(-0.9 * prof.delta_range, 0.9 * prof.delta_range, n_knots))
+        p = ControlPulse(np.arange(n_knots) * 0.1, om, de)
+        u = propagate_unitary(p, AtomGeometry.chain(n_atoms, rng.uniform(6.0, 10.0)), profile=prof)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 ** n_atoms))) <= 1e-12
+
+    @pytest.mark.parametrize("geom", [AtomGeometry.chain(3, 6.5),
+                                      AtomGeometry(((0.0, 0.0), (6.5, 0.0), (13.5, 0.0),
+                                                    (19.0, 0.0)))],
+                             ids=["3-chain", "asymmetric-4"])
+    def test_final_propagator_is_trajectory_end(self, geom):
+        # both entry points run one loop: the same bits at the last knot
+        p = uneven_pulse(geom.n_atoms, 1.0)
+        np.testing.assert_array_equal(propagate_unitary(p, geom),
+                                      unitary_trajectory(p, geom)[-1][1])
+
+    def test_zero_substeps_rejected(self):
+        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        with pytest.raises(PropagationError, match="substeps must be >= 1"):
+            propagate_unitary(p, lone_atom(), substeps=0, force=True)
+
     def test_refuses_unvalidated_without_force(self):
         p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
         with pytest.raises(PulseError):
@@ -450,13 +478,15 @@ class TestBatchedLindblad:
             assert_channel_output(states)
 
     def test_knot_roundoff_adds_no_step(self, monkeypatch):
-        # 30 intervals of 0.1 us at dt=1e-3 are 3000 steps of two damping
-        # maps each; a bare ceil(gap / dt) turns 16 of the intervals into 101 steps
+        # 30 intervals of 0.1 us at dt=1e-3 are 3000 steps; the damping maps
+        # between two steps of an interval merge into one, so each interval
+        # of n steps takes n + 1 maps; a bare ceil(gap / dt) turns 16 of the
+        # intervals into 101 steps (3046 maps)
         calls, damp = [], propagation._amplitude_damping
         monkeypatch.setattr(propagation, "_amplitude_damping",
                             lambda *a: calls.append(1) or damp(*a))
         propagate_lindblad(halving_pulse(), lone_atom(), NoiseModel.fitted(), dt=1e-3)
-        assert len(calls) == 2 * 3000
+        assert len(calls) == 3000 + 30
 
     def test_coarse_long_pulse_stays_positive(self):
         # RK4 at dt=0.05 overflowed to NaN on this 30 us pulse on 3 atoms at
@@ -572,6 +602,16 @@ class TestLindblad:
             propagate_lindblad(p, lone_atom(), quiet_noise(),
                                initial_state=np.array([[0.5, 0.2], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("state", [np.array([2.0, 0.0]), np.diag([1.5, -0.5])],
+                             ids=["trace-4-vector", "negative-eigenvalue"])
+    def test_non_density_initial_state_rejected(self, state):
+        # the channels keep trace and positivity, so they cannot repair a
+        # state without them: unchecked, these ended at trace 4.0 and at a
+        # minimum eigenvalue of -0.476
+        p = ControlPulse(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+        with pytest.raises(PropagationError, match="unit trace and no negative eigenvalue"):
+            propagate_lindblad(p, lone_atom(), NoiseModel.fitted(), initial_state=state)
+
 
 class TestObservables:
     @pytest.mark.parametrize("state", [np.zeros(0), np.zeros(3), np.zeros((6, 6))])
@@ -602,6 +642,13 @@ class TestObservables:
         psi0[0] = 1.0
         rec = observables(u, psi0)
         np.testing.assert_allclose(rec.expect_n, [1.0, 0.0], atol=1e-14)
+
+    def test_unitary_plus_density_matrix_rejected(self):
+        # diag(U rho0) is not the propagated state's populations; this used
+        # to return a (1, 2) expect_z of zeros for a Hadamard on |0><0|
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        with pytest.raises(PropagationError, match="unrecognized state input"):
+            observables(h, np.diag([1.0, 0.0]))
 
     def test_edge_mode_invariants_exact_evolution(self):
         n = 8
