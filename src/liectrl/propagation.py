@@ -363,11 +363,11 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
         for j, u in enumerate(sum(c * steps[:, i] for c, i in zip(coef, idx)), lo // 2):
             rho = u @ rho @ u.conj().T
             knot = j + 1 == knot_ends[len(states) - 1]
-            _amplitude_damping(rho, n, p[j] if knot else 1 - (1 - p[j]) ** 2)  # D(h/2)^2 = D(h)
+            _amplitude_damping(rho, n, p[j] if knot else p[j] * (2 - p[j]))  # D(h/2)^2 = D(h)
             if knot:
                 states.append(DensityState(rho.copy(), float(pulse.times[len(states)])))
-            if knot and j + 1 < p.size:  # the next interval's first half step
-                _amplitude_damping(rho, n, p[j + 1])
+                if j + 1 < p.size:  # the next interval's first half step
+                    _amplitude_damping(rho, n, p[j + 1])
     return states
 
 
