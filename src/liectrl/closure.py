@@ -27,8 +27,11 @@ operators under the normalized bracket (1/(2i))[A, B]:
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
   sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
   the Hilbert-Schmidt inner product, and orthonormalized with a relative
-  tolerance and an absolute floor.  ``rank_margin`` reports how far the
-  accepted residuals stayed from the rejected ones.
+  tolerance and an absolute floor.  The first D(D+1)/2 coordinates hold
+  the real symmetric matrices p, the rest the imaginary antisymmetric k;
+  [p, p] and [k, k] lie in k and [p, k] in p, so real generators keep a
+  basis per grade, each of its own width.  ``rank_margin`` reports how
+  far the accepted residuals stayed from the rejected ones.
 
 Both run a breadth-first expansion that commutes every new basis element
 with every *generator* only.  By the Jacobi identity the span of such
@@ -80,11 +83,11 @@ _TARGET_TOL = 1e-8  # membership residual of the Lemma B.2 targets
 # are processed oldest first (so genuine directions enter at large residuals
 # before deep, noisier brackets arrive).  Measured on the bench's sector chains
 # (fermion and boson N=5, 7 at n=2, 3; spinful N=3), accepted residuals go
-# down to 1.4e-4 (fermion N=7 n=3) and rejected ones up to 1.4e-7 (boson
-# N=7 n=2); every result reports its own ratio as ``rank_margin``, and
-# tests/test_sectors.py::TestDenseRankDecisions requires it above 100 on
-# the smaller cases.  Coefficient ratios near 1e6 push genuine brackets
-# under the floor.
+# down to 1.2e-5 and rejected ones up to 2.1e-7, both on boson N=5 n=3
+# (rank margin 57); the others stop at 1.4e-4 and 1.7e-12 (fermion N=7 n=3).
+# Every result reports its ratio as ``rank_margin``, which
+# tests/test_sectors.py::TestDenseRankDecisions requires above 100 on the
+# smaller cases.  Coefficient ratios near 1e6 push genuine brackets under the floor.
 _ABS_FLOOR = 1e-6
 _SQRT2 = np.sqrt(2.0)
 _CHUNK = 384
@@ -377,7 +380,7 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
 
 
 class _Basis:
-    """Row-orthonormal basis with amortized growth and chunked projection.
+    """Row-orthonormal basis of one coordinate slice, with amortized growth.
 
     One gate, max(tol ||c||, _ABS_FLOOR), decides a candidate c: its residual
     must exceed it after one pass against the stored rows, and again after
@@ -394,10 +397,6 @@ class _Basis:
     @property
     def matrix(self) -> np.ndarray:
         return self._rows[: self.n_rows]
-
-    @property
-    def margin(self) -> float:
-        return float(self.min_accepted / self.max_rejected) if self.max_rejected else np.inf
 
     def _ensure_rows(self, extra: int) -> None:
         if self.n_rows + extra > self._rows.shape[0]:
@@ -440,42 +439,60 @@ class _Basis:
 
 
 class _DenseEngine:
-    """Closure state for the dense-matrix backend."""
+    """Closure state for the dense backend: one basis per grade.
+
+    Real generators lie in p and bracketing with them swaps p and k (see
+    the module docstring), so a frontier is one grade; complex generators
+    take one grade of all d**2.  Row i of a grade has id i * n_grades + grade.
+    """
 
     def __init__(self, gens: Sequence[np.ndarray], tol: float):
-        self.d = gens[0].shape[0]
+        self.d = d = gens[0].shape[0]
         self.tol, self.n_gens = tol, len(gens)
-        self.rows = _Basis(self.d * self.d)
-        self.gen_mats = []
-        for g in gens:
-            nrm = np.linalg.norm(g)
-            # zero generators stay as zeros and produce no candidates
-            self.gen_mats.append(g / nrm if nrm >= _ZERO_FLOOR else g * 0.0)
-        if all(np.linalg.norm(g) < _ZERO_FLOOR for g in self.gen_mats):
+        norms = [np.linalg.norm(g) for g in gens]
+        if max(norms) < _ZERO_FLOOR:
             raise ClosureError("all generators are zero")
+        # zero generators stay as zeros and produce no candidates
+        self.gen_mats = [g / n if n >= _ZERO_FLOOR else g * 0.0 for g, n in zip(gens, norms)]
         self._gen_rows = np.concatenate(self.gen_mats)  # (g*d, d)
-        self._coords = _hermitian_coords(self.d)
+        self._coords = _hermitian_coords(d)
+        p = d * (d + 1) // 2  # the p coordinates come first
+        real = all(not g.imag.any() for g in gens)
+        self.slices = [slice(0, p), slice(p, d * d)] if real else [slice(0, d * d)]
+        self.bases = [_Basis(s.stop - s.start) for s in self.slices]
+
+    def full(self, grade: int, rows: np.ndarray) -> np.ndarray:
+        """Rows of a grade in all d**2 Hermitian coordinates."""
+        out = np.zeros((len(rows), self.d * self.d))
+        out[:, self.slices[grade]] = rows
+        return out
+
+    def _absorb(self, grade: int, cands: np.ndarray, cap: int) -> list[int]:
+        basis, n = self.bases[grade], len(self.bases)
+        cap -= sum(b.n_rows for b in self.bases) - basis.n_rows  # the cap counts every grade
+        return [i * n + grade for i in basis.absorb(cands[:, self.slices[grade]], self.tol, cap)]
 
     def seed(self, cap: int) -> list[int]:
-        seeds = np.stack([_stack_matrix(g) for g in self.gen_mats])
-        return self.rows.absorb(seeds, self.tol, cap)
+        return self._absorb(0, np.stack([_stack_matrix(g) for g in self.gen_mats]), cap)
 
     def expand(self, block: list[int], cap: int) -> list[int]:
         """Bracket a block of rows with every generator in one GEMM and absorb.
 
         W = G V for every (v, g) pair comes from one product; since G and V
         are Hermitian, V G = W^dagger, so C = (W - W^dagger)/(2i) is read off W
-        directly in Hermitian coordinates.  Candidates are ordered (v, g).
+        directly in Hermitian coordinates.  Candidates are ordered (v, g)
+        and go to the next grade.
         """
-        d, n_v = self.d, len(block)
-        V = _unstack_rows(self.rows.matrix[block], d)
+        d, n_v, n = self.d, len(block), len(self.bases)
+        grade = block[0] % n
+        V = _unstack_rows(self.full(grade, self.bases[grade].matrix[np.asarray(block) // n]), d)
         W = self._gen_rows @ V.transpose(1, 0, 2).reshape(d, n_v * d)
         W = W.reshape(self.n_gens, d, n_v, d).transpose(2, 0, 1, 3).reshape(-1, d * d)
         diag, up, lo = self._coords
         w_up, w_lo = W[:, up], W[:, lo]
         cands = np.concatenate([W[:, diag].imag, (w_up.imag + w_lo.imag) / _SQRT2,
                                 (w_lo.real - w_up.real) / _SQRT2], axis=1)
-        return self.rows.absorb(cands, self.tol, cap)
+        return self._absorb((grade + 1) % n, cands, cap)
 
 
 # -- breadth-first closure ----------------------------------------------------
@@ -490,18 +507,18 @@ def _bfs(engine, theoretical: int, cap: int | None):
     hard_cap = theoretical if cap is None else min(cap, theoretical)
     block_size = max(1, _CHUNK // engine.n_gens)
     frontier = engine.seed(hard_cap)
-    depth = 0
-    converged = engine.rows.n_rows >= hard_cap or not frontier
+    depth, dim = 0, len(frontier)  # seed and expand return every row they add
+    converged = dim >= hard_cap or not frontier
     while not converged and depth < DEFAULT_DEPTH_LIMIT:
         depth += 1
         new: list[int] = []
         for lo in range(0, len(frontier), block_size):
             new.extend(engine.expand(frontier[lo: lo + block_size], hard_cap))
-            if engine.rows.n_rows >= hard_cap:
+            if dim + len(new) >= hard_cap:
                 break
-        converged = engine.rows.n_rows >= hard_cap or not new
+        dim += len(new)
+        converged = dim >= hard_cap or not new
         frontier = new
-    dim = engine.rows.n_rows
     verdict = ("universal" if dim >= theoretical else "non_universal"
                if converged and (cap is None or dim < hard_cap) else "undetermined")
     return converged, depth, verdict
@@ -639,10 +656,13 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL) -
         theoretical = d * d if has_trace else d * d - 1
         engine = _DenseEngine(gen.generators, tol)
         converged, depth, verdict = _bfs(engine, theoretical, cap)
+        bases = engine.bases
+        acc, rej = min(b.min_accepted for b in bases), max(b.max_rejected for b in bases)
+        matrix = np.concatenate([engine.full(g, b.matrix) for g, b in enumerate(bases)])
         result = ClosureResult(
-            dimension=engine.rows.n_rows, converged=converged, depth_reached=depth,
+            dimension=len(matrix), converged=converged, depth_reached=depth,
             universality=verdict, representation="dense", theoretical_cap=theoretical,
-            rank_margin=engine.rows.margin, _matrix=engine.rows.matrix.copy())
+            rank_margin=float(acc / rej) if rej else np.inf, _matrix=matrix)
         if result.rank_margin < _MARGIN_WARN:
             log.warning("dense closure %s: rank margin %.3g is below %g; dimension %d "
                         "may be wrong", gen.label or "(unlabelled)", result.rank_margin,

@@ -395,14 +395,15 @@ def observables(state: np.ndarray | DensityState,
     Accepts a state vector, a density matrix, a DensityState, or a
     unitary together with a vector ``initial_state`` (then propagated).
     """
-    if isinstance(state, DensityState):
-        state, initial_state = state.rho, None
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 2 and initial_state is not None:
+    density = isinstance(state, DensityState)
+    arr = np.asarray(state.rho if density else state, dtype=complex)
+    if initial_state is not None:
+        if density or arr.ndim != 2 or np.ndim(initial_state) != 1:
+            raise PropagationError("unrecognized state input: initial_state needs a unitary state")
         arr = arr @ np.asarray(initial_state, dtype=complex)
     if arr.ndim == 1:
         probs = np.abs(arr) ** 2
-    elif arr.ndim == 2 and initial_state is None:
+    elif arr.ndim == 2:
         probs = np.real(np.diag(arr))
     else:
         raise PropagationError("unrecognized state input")

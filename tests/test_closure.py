@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liectrl import closure
 from liectrl.closure import (
     MAX_EXACT_QUBITS,
     PRIMES,
@@ -16,7 +17,8 @@ from liectrl.closure import (
     uniform_qubit_generators,
     verify_lemma_b2_targets,
 )
-from liectrl.pauli import PauliSum, commutator
+from liectrl.pauli import PauliSum, commutator, sum_to_arrays
+from liectrl.sectors import build_hubbard_chain_controls
 
 from oracles import dense_closure_dimension, reflection_sector_dimension
 
@@ -251,6 +253,19 @@ def random_hermitian(rng, d):
     return m + m.conj().T
 
 
+@pytest.fixture
+def absorb_widths(monkeypatch):
+    """The candidate widths handed to the dense _Basis.absorb while the test runs."""
+    widths, absorb = set(), closure._Basis.absorb
+
+    def recording(self, cands, tol, cap):
+        widths.add(cands.shape[1])
+        return absorb(self, cands, tol, cap)
+
+    monkeypatch.setattr(closure._Basis, "absorb", recording)
+    return widths
+
+
 class TestDenseCoordinates:
     """Hermitian coordinates of the dense backend against complex traces."""
 
@@ -291,6 +306,11 @@ class TestDenseCoordinates:
             assert not member
             assert resid == pytest.approx(np.linalg.norm(r), rel=1e-10)
 
+    def test_complex_generators_absorb_full_width(self, absorb_widths, closed):
+        # absorb_widths is requested first, so it records the closure in closed
+        assert closed[0].dimension == 9
+        assert absorb_widths == {16}
+
     def test_contains_rejects_non_hermitian(self, closed):
         res, _ = closed
         with pytest.raises(ClosureError, match="Hermitian"):
@@ -309,6 +329,30 @@ class TestDenseCoordinates:
     def test_margin_inf_without_rejections_and_none_on_pauli(self):
         assert close(GeneratorSet("dense", [X, Z])).rank_margin == np.inf
         assert close(uniform_qubit_generators(3)).rank_margin is None
+
+
+class TestDenseGrading:
+    """Real generators close on the real-symmetric/imaginary-antisymmetric grading."""
+
+    @pytest.mark.parametrize("n,pattern", [(3, ()), (3, (1,)), (4, ()), (4, (1, 4))])
+    def test_grades_match_exact_backend(self, n, pattern):
+        dense = check_universality_qubit(n, pattern, backend="dense")
+        exact = check_universality_qubit(n, pattern)
+        assert dense.dimension == exact.dimension
+        basis = dense.basis
+        assert all(not b.imag.any() or not b.real.any() for b in basis)
+        # a Pauli string is a real matrix iff it holds an even number of Y
+        n_real = 0
+        for b in exact.basis:
+            xs, zs, cs = sum_to_arrays(b)
+            even = np.bitwise_count(xs & zs) % 2 == 0
+            n_real += np.sum(cs[even] ** 2) >= (1 - 1e-9) * np.sum(cs ** 2)
+        assert sum(not b.imag.any() for b in basis) == n_real
+
+    def test_real_generators_absorb_per_grade(self, absorb_widths):
+        # d = 10: 55 real-symmetric and 45 imaginary-antisymmetric coordinates
+        assert close(build_hubbard_chain_controls("fermion", 5, 2)).dimension == 100
+        assert absorb_widths == {55, 45}
 
 
 class TestReflectionChecks:

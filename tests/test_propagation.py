@@ -650,6 +650,13 @@ class TestObservables:
         with pytest.raises(PropagationError, match="unrecognized state input"):
             observables(h, np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("state", [np.array([1.0, 0.0]),
+                                       DensityState(np.diag([1.0, 0.0]), 0.0)])
+    def test_initial_state_without_unitary_rejected(self, state):
+        # a vector state used to return its own populations, ignoring initial_state
+        with pytest.raises(PropagationError, match="initial_state needs a unitary"):
+            observables(state, np.array([0.0, 1.0]))
+
     def test_edge_mode_invariants_exact_evolution(self):
         n = 8
         h = zxz_hamiltonian(n).to_dense()
