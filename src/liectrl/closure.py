@@ -55,7 +55,6 @@ from math import gcd, isqrt
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .pauli import (
     PauliSum,
@@ -742,32 +741,39 @@ def verify_lemma_b2_targets(n_qubits: int) -> bool:
 
 # -- Trotter product formulas -------------------------------------------
 
-def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Spectral-norm error of the n-step product formula for exp(A+B)."""
+def _expm_skew(a: np.ndarray) -> np.ndarray:
+    lam, v = np.linalg.eigh(1j * a)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
+def _trotter_operands(A, B, n: int) -> tuple[np.ndarray, np.ndarray]:
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ClosureError("dimension mismatch")
     if n < 1:
         raise ClosureError("n must be >= 1")
-    exact = scipy.linalg.expm(A + B)
-    step = scipy.linalg.expm(A / n) @ scipy.linalg.expm(B / n)
-    approx = np.linalg.matrix_power(step, n)
-    return float(np.linalg.norm(exact - approx, 2))
+    _check_hermitian(1j * A, "1j * A")
+    _check_hermitian(1j * B, "1j * B")
+    return A, B
+
+
+def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
+    """Spectral-norm error of the n-step product formula for exp(A+B).
+
+    A, B must be anti-Hermitian (ClosureError); exp(a) = V e^{-i lam} V^dagger by eigh(1j a)."""
+    A, B = _trotter_operands(A, B, n)
+    step = _expm_skew(A / n) @ _expm_skew(B / n)
+    return float(np.linalg.norm(_expm_skew(A + B) - np.linalg.matrix_power(step, n), 2))
 
 
 def trotter_commutator_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Spectral-norm error of the n-step group-commutator formula for exp([A,B])."""
-    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise ClosureError("dimension mismatch")
-    if n < 1:
-        raise ClosureError("n must be >= 1")
-    exact = scipy.linalg.expm(A @ B - B @ A)
-    s = np.sqrt(n)
-    step = (scipy.linalg.expm(A / s) @ scipy.linalg.expm(B / s)
-            @ scipy.linalg.expm(-A / s) @ scipy.linalg.expm(-B / s))
-    approx = np.linalg.matrix_power(step, n)
-    return float(np.linalg.norm(exact - approx, 2))
+    """Spectral-norm error of the n-step group-commutator formula for exp([A,B]).
+
+    A, B anti-Hermitian, exponentials by eigh, as in :func:`trotter_linear_error`."""
+    A, B = _trotter_operands(A, B, n)
+    ea, eb = _expm_skew(A / np.sqrt(n)), _expm_skew(B / np.sqrt(n))
+    step = ea @ eb @ ea.conj().T @ eb.conj().T  # exp(-A/sqrt n) = exp(A/sqrt n)^dagger
+    return float(np.linalg.norm(_expm_skew(A @ B - B @ A) - np.linalg.matrix_power(step, n), 2))
 
 
 def loglog_slope(ns: Sequence[int], errors: Sequence[float]) -> float:

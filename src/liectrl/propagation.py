@@ -61,6 +61,11 @@ class ConstraintProfile:
     slew_delta: float = 397.0
     dt_min: float = 0.05
 
+    def __post_init__(self):
+        limits = (self.omega_max, self.delta_range, self.slew_omega, self.slew_delta)
+        if not (np.isfinite([*limits, self.dt_min]).all() and min(limits) > 0 and self.dt_min >= 0):
+            raise PulseError(f"constraint limits must be finite and > 0, dt_min >= 0: {self}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
@@ -257,8 +262,8 @@ def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None
     """(time, thunk) at every knot after the first; a thunk returns the full W Y."""
     if not force:
         pulse.validate(profile)
-    if substeps is not None and substeps < 1:
-        raise PropagationError("substeps must be >= 1")
+    if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+        raise PropagationError(f"substeps must be >= 1 and an integer, got {substeps!r}")
     _, knot_ends, w_prev, idx, coef, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP,
                                                                  substeps, noise or NoiseModel())
     y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0 = 1, on (D, 2D) real views
@@ -397,6 +402,8 @@ def observables(state: np.ndarray | DensityState,
     """
     density = isinstance(state, DensityState)
     arr = np.asarray(state.rho if density else state, dtype=complex)
+    if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
+        raise PropagationError(f"a matrix state must be square, got shape {arr.shape}")
     if initial_state is not None:
         if density or arr.ndim != 2 or np.ndim(initial_state) != 1:
             raise PropagationError("unrecognized state input: initial_state needs a unitary state")

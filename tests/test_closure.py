@@ -467,3 +467,30 @@ class TestTrotter:
             assert loglog_slope(ns, lin) == pytest.approx(-1.0, abs=0.1)
             com = [trotter_commutator_error(a, b, n) for n in ns]
             assert loglog_slope(ns, com) == pytest.approx(-0.5, abs=0.1)
+
+
+class TestTrotterInputs:
+    @pytest.mark.parametrize("helper", [trotter_linear_error, trotter_commutator_error])
+    @pytest.mark.parametrize("a, b", [(X, 1j * Z), (1j * X, Z), (1j * X + Z, 1j * Z)],
+                             ids=["A Hermitian", "B Hermitian", "A mixed"])
+    def test_non_anti_hermitian_rejected(self, helper, a, b):
+        with pytest.raises(ClosureError, match="Hermitian"):
+            helper(a, b, 4)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ClosureError):
+            trotter_linear_error(np.zeros((2, 4)), np.zeros((2, 4)), 2)
+
+    def test_errors_match_scipy_expm(self):
+        import scipy.linalg
+        expm = scipy.linalg.expm
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        a, b = m - m.conj().mT
+        n, s = 9, 3.0
+        lin = np.linalg.matrix_power(expm(a / n) @ expm(b / n), n)
+        com = np.linalg.matrix_power(expm(a / s) @ expm(b / s) @ expm(-a / s) @ expm(-b / s), n)
+        assert trotter_linear_error(a, b, n) == pytest.approx(
+            np.linalg.norm(expm(a + b) - lin, 2), rel=1e-9)
+        assert trotter_commutator_error(a, b, n) == pytest.approx(
+            np.linalg.norm(expm(a @ b - b @ a) - com, 2), rel=1e-9)

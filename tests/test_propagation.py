@@ -43,6 +43,24 @@ class TestConstraintProfile:
         p = ConstraintProfile(omega_max=3.0)
         assert ConstraintProfile.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("text", [
+        '{"omega_max": NaN}', '{"delta_range": Infinity}', '{"slew_omega": -Infinity}',
+        '{"slew_delta": 0}', '{"dt_min": NaN}'])
+    def test_non_finite_or_zero_limit_rejected(self, text):
+        # a NaN limit used to make every comparison in validate False,
+        # so a 50 MHz Rabi, 900 MHz detuning pulse passed
+        with pytest.raises(PulseError, match="finite"):
+            ConstraintProfile.from_json(text)
+
+    @pytest.mark.parametrize("kwargs", [{"omega_max": -1.0}, {"delta_range": -19.9},
+                                        {"slew_omega": -39.7}, {"dt_min": -5}])
+    def test_negative_limit_rejected(self, kwargs):
+        with pytest.raises(PulseError):
+            ConstraintProfile(**kwargs)
+
+    def test_zero_dt_min_accepted(self):
+        assert ConstraintProfile(dt_min=0).dt_min == 0
+
 
 class TestControlPulse:
     def test_rejects_bad_shapes(self):
@@ -193,6 +211,19 @@ class TestUnitary:
         p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
         with pytest.raises(PropagationError, match="substeps must be >= 1"):
             propagate_unitary(p, lone_atom(), substeps=0, force=True)
+
+    @pytest.mark.parametrize("substeps", [2.5, 3.0, "3"])
+    def test_non_integer_substeps_rejected(self, substeps):
+        # 2.5 used to escape as numpy's TypeError from np.repeat
+        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        with pytest.raises(PropagationError, match="integer"):
+            propagate_unitary(p, lone_atom(), substeps=substeps, force=True)
+
+    def test_numpy_integer_substeps_accepted(self):
+        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        np.testing.assert_array_equal(propagate_unitary(p, lone_atom(), substeps=np.int64(3),
+                                                        force=True),
+                                      propagate_unitary(p, lone_atom(), substeps=3, force=True))
 
     def test_refuses_unvalidated_without_force(self):
         p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
@@ -619,6 +650,15 @@ class TestObservables:
         # an empty state used to take log2(0) and raise OverflowError
         with pytest.raises(PropagationError, match="not a power of two"):
             observables(state)
+
+    @pytest.mark.parametrize("state, initial_state", [(np.ones((2, 4)), None),
+                                                      (np.ones((4, 2)), None),
+                                                      (np.ones((2, 4)), np.eye(4)[0])])
+    def test_non_square_matrix_rejected(self, state, initial_state):
+        # a 2 x 4 array used to be read as a density matrix, or as a unitary
+        # applied to a 4-vector, with expect_z [0.]
+        with pytest.raises(PropagationError, match="square"):
+            observables(state, initial_state)
 
     def test_ground_state(self):
         psi = np.zeros(8, dtype=complex)
