@@ -10,8 +10,8 @@ operators under the normalized bracket (1/(2i))[A, B]:
   ``representation="dense"``).  The bracket of two canonical strings is
   +/- a string, so the closure stays integral and is computed over GF(p),
   kept as sparse reduced row-echelon rows mod p.  The primes lie below
-  2**24, so p**2 times the at most 2**15 products merged into one entry
-  stays below 2**63 and every integer sum is exact in int64.
+  2**24: a bracket term, the product of two residues, is below 2**48 and
+  is reduced mod p before the terms are summed, so int64 sums are exact.
   A GF(p) dimension never exceeds the rational one, so a universal
   verdict (4**N - 1 rows mod p) certifies universality over the
   rationals.  A non-universal dimension is a lower bound, short only if
@@ -71,7 +71,7 @@ DEFAULT_DEPTH_LIMIT = 64  # bracket depths before a closure stops unconverged
 # GF(p) runs of the pauli backend, in order; both below 2**24.
 PRIMES = (16777213, 16777199)
 MAX_EXACT_QUBITS = 31
-_MAX_GENERATOR_TERMS = 2 ** 15
+_MAX_GENERATOR_TERMS = 2 ** 15  # input bound: a bracket pairs every row entry with each term
 _INTEGER_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _HERM_TOL = 1e-12
@@ -641,10 +641,10 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL) -
     bracket of unit-norm operands), so any ``tol`` below _ABS_FLOOR (1e-6),
     the default included, leaves the rank decision to that floor.
     """
-    if tol <= 0:
-        raise ClosureError("tol must be positive")
-    if cap is not None and cap < 1:
-        raise ClosureError("cap must be >= 1")
+    if not 0 < tol < 1:  # candidates have norm <= 1, so tol >= 1 would reject them all
+        raise ClosureError(f"tol must lie in (0, 1), got {tol!r}")
+    if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
+        raise ClosureError(f"cap must be >= 1 and an integer, got {cap!r}")
     t0 = time.perf_counter()
     if gen.representation == "pauli":
         result = _close_pauli(gen, cap)
@@ -698,6 +698,8 @@ def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int])
 def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
                              backend: Representation = "pauli") -> ClosureResult:
     """Universality of the uniform chain controls plus a partial X field."""
+    if backend not in ("pauli", "dense"):
+        raise ClosureError(f"backend must be 'pauli' or 'dense', got {backend!r}")
     gen = uniform_qubit_generators(n_qubits, break_pattern)
     if backend == "dense":
         gen = GeneratorSet("dense", [g.to_dense() for g in gen.generators],

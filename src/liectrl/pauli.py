@@ -167,11 +167,6 @@ class PauliSum:
         for k in dead:
             del self.terms[k]
 
-    def copy(self) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        out.terms = dict(self.terms)
-        return out
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -186,11 +181,10 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise PauliError("size mismatch in PauliSum addition")
-        out = self.copy()
+        terms = dict(self.terms)
         for k, c in other.terms.items():
-            out.terms[k] = out.terms.get(k, 0.0) + c
-        out._prune()
-        return out
+            terms[k] = terms.get(k, 0.0) + c
+        return PauliSum(self.n_qubits, terms)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (other * -1.0)
@@ -221,20 +215,18 @@ class PauliSum:
                 f"dense budget exceeded: N={self.n_qubits} > {MAX_DENSE_QUBITS}")
         k = np.arange(2 ** self.n_qubits)
         out = np.zeros((len(k), len(k)), dtype=complex)
-        masks = np.array(list(self.terms), dtype=np.uint64).reshape(-1, 2)
-        reflected = reflect_masks(masks, self.n_qubits).astype(np.int64).tolist()
-        for ((x, z), c), (xr, zr) in zip(self.terms.items(), reflected):
+        xs, zs, cs = sum_to_arrays(self)
+        reflected = reflect_masks(np.stack([xs, zs]), self.n_qubits).tolist()
+        for c, phase, xr, zr in zip(cs, _PHASES[np.bitwise_count(xs & zs) % 4], *reflected):
             signs = np.where(np.bitwise_count(k & zr) & 1, -1.0, 1.0)
-            out[k ^ xr, k] += c * _PHASES[(x & z).bit_count() % 4] * signs
+            out[k ^ xr, k] += c * phase * signs
         return out
 
     def reflection_image(self) -> "PauliSum":
         """Map qubit j -> N-j+1 (mask bit reversal), coefficients unchanged."""
-        masks = np.array(list(self.terms), dtype=np.uint64).reshape(-1, 2)
-        out = PauliSum(self.n_qubits)
-        out.terms = dict(zip(map(tuple, reflect_masks(masks, self.n_qubits).tolist()),
-                             self.terms.values()))
-        return out
+        xs, zs, cs = sum_to_arrays(self)
+        xr, zr = reflect_masks(np.stack([xs, zs]), self.n_qubits).tolist()
+        return PauliSum(self.n_qubits, dict(zip(zip(xr, zr), cs)))
 
     # -- text form ---------------------------------------------------
 
@@ -288,31 +280,28 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 # -- batched term arrays (used by the closure engine) ------------------
 
 def sum_to_arrays(p: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x_masks, z_masks, coeffs) as uint64/float64 arrays."""
-    if not p.terms:
-        return (np.zeros(0, np.uint64), np.zeros(0, np.uint64), np.zeros(0))
-    keys = list(p.terms)
-    xs = np.array([k[0] for k in keys], dtype=np.uint64)
-    zs = np.array([k[1] for k in keys], dtype=np.uint64)
-    cs = np.array([p.terms[k] for k in keys])
-    return xs, zs, cs
+    """(x_masks, z_masks, coeffs) of p's terms, in term order, as uint64/uint64/float64 arrays."""
+    xs, zs = np.array(list(p.terms), dtype=np.uint64).reshape(-1, 2).T
+    return xs, zs, np.array(list(p.terms.values()), dtype=float)
 
 
 def arrays_to_sum(n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray) -> PauliSum:
-    out = PauliSum(n_qubits)
-    out.terms = {(int(x), int(z)): float(c)
-                 for x, z, c in zip(xs, zs, cs) if abs(c) >= PRUNE_TOL}
-    return out
+    """PauliSum of term arrays; the coefficients of a repeated string add up."""
+    terms: dict[tuple, float] = {}
+    for key, c in zip(zip(xs.tolist(), zs.tolist()), cs.tolist()):
+        terms[key] = terms.get(key, 0.0) + c
+    return PauliSum(n_qubits, terms)
 
 
 def commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2, labels=None):
-    """Vectorized (1/(2i))[A,B] on term arrays; returns merged term arrays.
+    """Vectorized (1/(2i))[A,B] on term arrays: one term per anticommuting pair.
 
-    Coefficients may be float or integer arrays; integer results are exact
-    while every merged sum of products fits int64.  ``labels = (l1, l2)``
-    forms many brackets in one call: the term pair (i, j) belongs to
-    bracket ``l1[i] + l2[j]``, terms merge only within a bracket, and the
-    bracket of each output term comes back as a fourth array.
+    The term of the pair (i, j) is +/- cs1[i] * cs2[j] on the string
+    (xs1[i] ^ xs2[j], zs1[i] ^ zs2[j]).  Nothing is merged or pruned, so a
+    string may repeat; :func:`arrays_to_sum` adds the repeats up.  Integer
+    coefficients give exact integer products.  ``labels = (l1, l2)`` forms
+    many brackets in one call: the pair (i, j) belongs to bracket
+    ``l1[i] + l2[j]``, returned as a fourth array.
     """
     X1, Z1 = xs1[:, None], zs1[:, None]
     X2, Z2 = xs2[None, :], zs2[None, :]
@@ -326,19 +315,8 @@ def commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2, labels=None):
          + 2 * np.bitwise_count(z1 & x2)
          - 1
          - np.bitwise_count(x3 & z3)) % 4
-    coeff = np.where(e == 0, c1, -c1) * c2
-    lab = (np.zeros(len(i1), np.int64) if labels is None
-           else labels[0][i1] + labels[1][i2])
-    # merge duplicate strings within each bracket
-    order = np.lexsort((z3, x3, lab))
-    x3, z3, coeff, lab = x3[order], z3[order], coeff[order], lab[order]
-    new_group = np.ones(len(x3), dtype=bool)
-    new_group[1:] = (lab[1:] != lab[:-1]) | (x3[1:] != x3[:-1]) | (z3[1:] != z3[:-1])
-    starts = np.flatnonzero(new_group)
-    merged = np.add.reduceat(coeff, starts) if len(starts) else coeff
-    keep = np.abs(merged) >= PRUNE_TOL
-    out = x3[starts][keep], z3[starts][keep], merged[keep]
-    return out if labels is None else out + (lab[starts][keep],)
+    out = x3, z3, np.where(e == 0, c1, -c1) * c2
+    return out if labels is None else out + (labels[0][i1] + labels[1][i2],)
 
 
 def reflect_masks(masks: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -405,8 +405,9 @@ def observables(state: np.ndarray | DensityState,
     if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
         raise PropagationError(f"a matrix state must be square, got shape {arr.shape}")
     if initial_state is not None:
-        if density or arr.ndim != 2 or np.ndim(initial_state) != 1:
-            raise PropagationError("unrecognized state input: initial_state needs a unitary state")
+        if density or arr.ndim != 2 or np.shape(initial_state) != arr.shape[:1]:
+            raise PropagationError("unrecognized state input: initial_state needs a unitary state "
+                                   f"and a vector of its length, got {np.shape(initial_state)}")
         arr = arr @ np.asarray(initial_state, dtype=complex)
     if arr.ndim == 1:
         probs = np.abs(arr) ** 2

@@ -71,6 +71,30 @@ class TestCloseBasics:
         with pytest.raises(ClosureError):
             close(GeneratorSet("pauli", [PauliSum.from_label("X")]), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 1.0, 2.0, 0.0, -np.inf])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # candidates have norm <= 1: tol=nan, inf or >= 1 used to reject every
+        # one of them and return dimension 0, "non_universal", converged
+        gen = build_hubbard_chain_controls("fermion", 3, 1)
+        with pytest.raises(ClosureError, match="tol must lie in"):
+            close(gen, tol=tol)
+
+    @pytest.mark.parametrize("cap", [2.5, 0, -1, "3", np.nan])
+    def test_cap_must_be_a_positive_integer(self, cap):
+        # cap=2.5 used to stop the closure at 3 and answer "undetermined"
+        with pytest.raises(ClosureError, match="cap must be"):
+            close(build_hubbard_chain_controls("fermion", 3, 1), cap=cap)
+
+    def test_integer_cap_of_numpy_type_accepted(self):
+        res = close(uniform_qubit_generators(3), cap=np.int64(5))
+        assert (res.dimension, res.universality) == (5, "undetermined")
+
+    @pytest.mark.parametrize("backend", ["Dense", "PAULI", "", None])
+    def test_unknown_backend_rejected(self, backend):
+        # "Dense" used to run the pauli backend without a word
+        with pytest.raises(ClosureError, match="backend must be"):
+            check_universality_qubit(3, (), backend=backend)
+
     def test_basis_orthonormal_and_closed(self):
         gen = uniform_qubit_generators(3, {1})
         res = close(gen)

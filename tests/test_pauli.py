@@ -297,6 +297,37 @@ class TestArrayKernels:
             got = arrays_to_sum(n, xs, zs, cs)
             assert got.terms == pytest.approx(want.terms)
 
+    def test_commutator_arrays_one_term_per_anticommuting_pair(self):
+        from oracles import scalar_commutator
+        rng = np.random.default_rng(11)
+        # [XI, ZZ] and [IX, YY] both give YZ; [XI, YY] and [IX, ZZ] both give ZY
+        repeats = (PauliSum.from_label("XI") + PauliSum.from_label("IX"),
+                   PauliSum.from_label("ZZ") + PauliSum.from_label("YY"))
+        cases = [repeats] + [(random_sum(rng, n, 4), random_sum(rng, n, 4))
+                             for n in rng.integers(1, 7, 30)]
+        for a, b in cases:
+            n, (xs1, zs1, cs1), (xs2, zs2, cs2) = a.n_qubits, sum_to_arrays(a), sum_to_arrays(b)
+            l1, l2 = rng.integers(0, 50, len(cs1)), rng.integers(0, 50, len(cs2))
+            want = []  # (x, z, coeff, label) of each anticommuting pair, from the scalar oracle
+            for i, key1 in enumerate(zip(xs1.tolist(), zs1.tolist())):
+                for j, key2 in enumerate(zip(xs2.tolist(), zs2.tolist())):
+                    term = scalar_commutator(PauliSum(n, {key1: cs1[i]}), PauliSum(n, {key2: cs2[j]}))
+                    want += [(*key, c, l1[i] + l2[j]) for key, c in term.terms.items()]
+            got = commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2)
+            assert sorted(zip(*(g.tolist() for g in got))) == sorted(w[:3] for w in want)
+            got = commutator_arrays(xs1, zs1, cs1, xs2, zs2, cs2, labels=(l1, l2))
+            assert sorted(zip(*(g.tolist() for g in got))) == sorted(want)
+
+    def test_arrays_to_sum_adds_repeated_strings(self):
+        xs, zs = np.array([1, 1, 2, 2], np.uint64), np.array([0, 0, 1, 1], np.uint64)
+        got = arrays_to_sum(2, xs, zs, np.array([0.5, 0.25, 1.0, -1.0]))
+        assert got.terms == {(1, 0): 0.75}  # the cancelled string is pruned
+
+    def test_sum_to_arrays_of_zero_sum(self):
+        xs, zs, cs = sum_to_arrays(PauliSum.zero(3))
+        assert (len(xs), len(zs), len(cs)) == (0, 0, 0)
+        assert (xs.dtype, zs.dtype, cs.dtype) == (np.uint64, np.uint64, np.float64)
+
     def test_reflect_masks_matches_scalar(self):
         rng = np.random.default_rng(8)
         n = 5

@@ -697,6 +697,14 @@ class TestObservables:
         with pytest.raises(PropagationError, match="initial_state needs a unitary"):
             observables(state, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("unitary, initial_state", [(np.eye(2), np.ones(4) / 2),
+                                                        (np.eye(4), np.array([1.0, 0.0])),
+                                                        (np.eye(4), np.eye(4)[0][None, :])])
+    def test_initial_state_of_wrong_shape_rejected(self, unitary, initial_state):
+        # a vector of another length used to escape as numpy's ValueError from matmul
+        with pytest.raises(PropagationError, match="vector of its length"):
+            observables(unitary, initial_state)
+
     def test_edge_mode_invariants_exact_evolution(self):
         n = 8
         h = zxz_hamiltonian(n).to_dense()
