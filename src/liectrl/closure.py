@@ -374,8 +374,9 @@ def _unstack_rows(rows: np.ndarray, d: int) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, what: str) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.max(np.abs(m - m.conj().T)) >= _HERM_TOL:
-        raise ClosureError(f"{what} is not a Hermitian matrix")
+    if (m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all()  # before inf - inf
+            or np.max(np.abs(m - m.conj().T)) >= _HERM_TOL):
+        raise ClosureError(f"{what} is not a finite Hermitian matrix")
 
 
 class _Basis:

@@ -134,11 +134,13 @@ class PauliSum:
     def __init__(self, n_qubits: int, terms: Mapping[tuple, float] | None = None):
         _check_n_qubits(n_qubits)
         self.n_qubits = n_qubits
-        self.terms: dict[tuple, float] = {
+        self.terms: dict[tuple, float] = {  # NaN is kept, to be rejected
             key: float(coeff) for key, coeff in (terms or {}).items()
-            if abs(coeff) >= PRUNE_TOL}
+            if not abs(coeff) < PRUNE_TOL}
         if any((x | z) >> n_qubits for x, z in self.terms):
             raise PauliError("mask has bits outside the qubit register")
+        if not np.isfinite(list(self.terms.values())).all():
+            raise PauliError("coefficients must be finite")
 
     # -- constructors ------------------------------------------------
 
@@ -190,11 +192,7 @@ class PauliSum:
         return self + (other * -1.0)
 
     def __mul__(self, scalar: float) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        if abs(scalar) >= PRUNE_TOL:
-            out.terms = {k: c * scalar for k, c in self.terms.items()
-                         if abs(c * scalar) >= PRUNE_TOL}
-        return out
+        return PauliSum(self.n_qubits, {k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 

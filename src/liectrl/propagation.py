@@ -5,13 +5,13 @@ pulse into equal steps of the fourth-order commutator-free Magnus scheme
 (CF4, exactly unitary).  H(t) is affine inside an interval, so each CF4
 step is two exponentials of length h/2 with H sampled at 1/6 and 5/6 of
 the step.  A chain's H(t) commutes with the site reflection j -> N+1-j,
-so the propagator is held as its even and odd parity blocks, of sizes
-(2^N +- 2^ceil(N/2))/2, the odd one zero-padded and stacked with the
-even one; an interaction that is not reflection symmetric runs as one
-block of 2^N.  Each batch of exponentials takes one batched ``eigh`` per
-block; the propagator U_j = W_j Y_j stays in the eigenbasis W_j of its last
-exponential, Y_j = diag(e^{-i lambda h/2}) W_j^T W_{j-1} Y_{j-1} being one
-real matrix product, and W_j Y_j is formed only at a returned knot.
+so a propagator U is held as its parity blocks U_b = P_b^T U P_b, with
+P_b real isometries zero-padded to the even size (2^N + 2^ceil(N/2))/2
+(one of 2^N if the interaction is not reflection symmetric).  Each batch
+of exponentials takes one ``eigh`` per block; U_j = W_j Y_j stays in the
+eigenbasis W_j of its last exponential, Y_j = diag(e^{-i lambda h/2})
+W_j^T W_{j-1} Y_{j-1} being one real matrix product, and
+U_j = sum_b P_b (W_j Y_j)_b P_b^T is formed only at a returned knot.
 Open-system propagation (per-atom decay |g><r|, constant control offsets)
 takes the same CF4 steps, each between two half steps of exact amplitude
 damping (Strang splitting), so every step is a quantum channel.
@@ -174,17 +174,17 @@ class DensityState:
         return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
 
 
-def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The Rydberg terms and the identity in reflection-parity blocks.
+def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The Rydberg terms in reflection-parity blocks.
 
     If the interaction v is reflection symmetric (see ``_MIRROR_ULPS``),
     the blocks are the parity sectors of the bit reversal r: the even one
     spans |k> for k = r(k) and (|k> + |r(k)>)/sqrt(2) for k < r(k), the odd
     one (|k> - |r(k)>)/sqrt(2), each in the order of k.  Otherwise, or when
-    the odd block is empty, one block holds the identity map.  Returns the
-    block sizes, the blocks of (sum X, sum n, V, 1) zero-padded to the first
-    size and stacked, and the gather back: full entry (m, n) is
-    sum_b coef[b, m, n] * blocks.flat[idx[b, m, n]].
+    the odd block is empty, one block of 2^N holds everything.  Returns the
+    block sizes, the isometries P (nb, 2^N, d) whose columns are those
+    states, zero past a block's size d_b, and the blocks P^T A P of
+    (sum X, sum n, V), shape (3, nb, d, d), with d the first size.
     """
     terms = rydberg_terms(geom)
     v = np.diag(terms[2])
@@ -194,16 +194,12 @@ def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarra
         r = k
     even, odd, half = k <= r, k < r, np.sqrt(0.5)
     sizes = [int(n) for n in (even.sum(), odd.sum()) if n]
-    nb, dim = len(sizes), sizes[0]
     # block position of each state's orbit {k, r(k)}; palindromes get weight 0 in the odd block
-    pos = np.stack([np.cumsum(even) - 1, np.maximum(np.cumsum(odd) - 1, 0)])[:nb, np.minimum(k, r)]
-    coef = np.stack([np.where(r == k, 1.0, half), np.sign(r - k) * half])[:nb]
-    coef = coef[:, :, None] * coef[:, None, :]
-    idx = (dim * np.arange(nb)[:, None, None] + pos[:, :, None]) * dim + pos[:, None, :]
-    # P_b^T A P_b as a scatter onto the stacked blocks, the pads staying zero
-    blocks = [np.bincount(idx.ravel(), (coef * a).ravel(), nb * dim * dim)
-              for a in (*terms, np.eye(v.size))]
-    return sizes, np.reshape(blocks, (4, nb, dim, dim)), idx, coef
+    pos = np.stack([np.cumsum(even) - 1, np.maximum(np.cumsum(odd) - 1, 0)])[:, np.minimum(k, r)]
+    P = np.zeros((2, v.size, sizes[0]))
+    P[np.arange(2)[:, None], k, pos] = np.stack([np.where(r == k, 1, half), np.sign(r - k) * half])
+    P = P[:len(sizes)]  # an empty odd block has weight 0 everywhere
+    return sizes, P, P.mT @ np.stack(terms)[:, None] @ P
 
 
 def _step_grid(pulse: ControlPulse, step: float,
@@ -233,16 +229,16 @@ def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
                       substeps: int | None, noise: NoiseModel):
     """CF4 exponentials of a pulse in parity blocks, batches of whole steps.
 
-    Returns the ``_step_grid`` step lengths and knot ends, the identity
-    blocks and gather (idx, coef) of ``_parity_blocks``, and batches (lo, W,
-    phases) from one ``eigh`` per block: exponential lo + 2s + c is
-    W diag(phases) W^T, phases e^{-i lambda h/2} as columns, node c of step s.
+    Returns the ``_step_grid`` step lengths and knot ends, the isometries P
+    of ``_parity_blocks``, and batches (lo, W, phases) from one ``eigh`` per
+    block: exponential lo + 2s + c is W diag(phases) W^T, phases
+    e^{-i lambda h/2} as columns, node c of step s.
     """
     (om, de), h, knot_ends = _step_grid(pulse, step, substeps)
     om, de = noise.realized_controls(om, de)
     dts = np.repeat(h, 2) / 2
-    sizes, (x_b, n_b, v_b, eye), idx, coef = _parity_blocks(geom)
-    batch = 2 * max(1, _BATCH_BYTES // (2 * eye.nbytes))  # stacked real W of whole steps
+    sizes, P, (x_b, n_b, v_b) = _parity_blocks(geom)
+    batch = 2 * max(1, _BATCH_BYTES // (2 * x_b.nbytes))  # stacked real W of whole steps
 
     def batches():
         for lo in range(0, dts.size, batch):
@@ -254,7 +250,7 @@ def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
                 lam[:, b, :d], w[:, b, :d, :d] = np.linalg.eigh(hs[:, :d, :d])
             yield lo, w, np.exp(-1j * lam * dts[sl, None, None])[..., None]
 
-    return h, knot_ends, eye, idx, coef, batches()
+    return h, knot_ends, P, batches()
 
 
 def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None, force: bool,
@@ -264,9 +260,10 @@ def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None
         pulse.validate(profile)
     if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
         raise PropagationError(f"substeps must be >= 1 and an integer, got {substeps!r}")
-    _, knot_ends, w_prev, idx, coef, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP,
-                                                                 substeps, noise or NoiseModel())
-    y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0 = 1, on (D, 2D) real views
+    _, knot_ends, P, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP, substeps,
+                                                 noise or NoiseModel())
+    w_prev = P.mT @ P  # 1 on each block, 0 on its pad
+    y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0, on (D, 2D) real views
     knot_times = dict(zip(2 * np.array(knot_ends), pulse.times[1:]))  # by its last exponential
     for lo, w, phases in batches:
         m = w.mT @ np.concatenate([w_prev[None], w[:-1]])  # W_j^T W_{j-1}
@@ -274,9 +271,9 @@ def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None
             y = mj @ y  # Y_j = diag(phase) W_j^T W_{j-1} Y_{j-1}
             yc = y.view(complex)
             yc *= phase
-            if j in knot_times:  # sum_b P_b W_b Y_b P_b^T
+            if j in knot_times:
                 yield float(knot_times[j]), lambda wj=w[j - lo - 1], yj=y: (
-                    coef * (wj @ yj).view(complex).take(idx)).sum(0)
+                    P @ (wj @ yj).view(complex) @ P.mT).sum(0)
         w_prev = w[-1]
 
 
@@ -349,8 +346,8 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
         pulse.validate(profile)
     if not dt > 0:
         raise PropagationError("dt must be positive")
-    h, knot_ends, _, idx, coef, batches = _cf4_exponentials(pulse, geom, dt, None, noise)
-    n, dim = geom.n_atoms, idx.shape[1]
+    h, knot_ends, P, batches = _cf4_exponentials(pulse, geom, dt, None, noise)
+    n, dim = geom.n_atoms, P.shape[1]
     rho0 = np.asarray(np.eye(dim)[0] if initial_state is None else initial_state, complex)
     if rho0.shape == (dim,):
         rho0 = np.outer(rho0, rho0.conj())
@@ -364,8 +361,8 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     _amplitude_damping(rho, n, p[0])
     for lo, w, phases in batches:
         e = (w * phases.mT) @ w.mT  # each exponential's blocks
-        steps = (e[1::2] @ e[0::2]).reshape(len(e) // 2, -1)  # each step's blocks
-        for j, u in enumerate(sum(c * steps[:, i] for c, i in zip(coef, idx)), lo // 2):
+        steps = e[1::2] @ e[0::2]  # each step's blocks
+        for j, u in enumerate((P @ steps @ P.mT).sum(1), lo // 2):
             rho = u @ rho @ u.conj().T
             knot = j + 1 == knot_ends[len(states) - 1]
             _amplitude_damping(rho, n, p[j] if knot else p[j] * (2 - p[j]))  # D(h/2)^2 = D(h)

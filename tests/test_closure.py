@@ -42,6 +42,14 @@ def random_pauli_set(rng, n_qubits, n_gens, n_terms=2):
 
 
 class TestCloseBasics:
+    @pytest.mark.parametrize("bad", [Z * np.nan, np.diag([np.inf, -np.inf])], ids=["nan", "inf"])
+    def test_non_finite_dense_input_rejected(self, bad):
+        # NaN used to close as dimension 1, "non_universal", converged; the answer is su(2)
+        with pytest.raises(ClosureError, match="finite"):
+            close(GeneratorSet("dense", [X, bad]))
+        with pytest.raises(ClosureError, match="finite"):
+            close(GeneratorSet("dense", [X, Z])).contains(bad)
+
     def test_su2_from_x_and_z(self):
         gen = GeneratorSet("pauli", [PauliSum.from_label("X"), PauliSum.from_label("Z")])
         res = close(gen)
@@ -504,6 +512,12 @@ class TestTrotterInputs:
     def test_non_square_rejected(self):
         with pytest.raises(ClosureError):
             trotter_linear_error(np.zeros((2, 4)), np.zeros((2, 4)), 2)
+
+    @pytest.mark.parametrize("helper", [trotter_linear_error, trotter_commutator_error])
+    def test_nan_operand_rejected(self, helper):
+        # it escaped as numpy's LinAlgError from eigh
+        with pytest.raises(ClosureError, match="finite"):
+            helper(1j * X, 1j * Z * np.nan, 4)
 
     def test_errors_match_scipy_expm(self):
         import scipy.linalg

@@ -275,6 +275,26 @@ class TestSumBasics:
         with pytest.raises(PauliError, match="outside the qubit register"):
             PauliSum(2, {key: 1.0})
 
+    @pytest.mark.parametrize("make", [
+        lambda: PauliSum.from_label("X", np.nan),
+        lambda: PauliSum.from_label("X", -np.inf),
+        lambda: PauliSum.from_text("1 Z\nnan X"),
+        lambda: arrays_to_sum(1, np.array([1], np.uint64), np.array([0], np.uint64),
+                              np.array([np.nan])),
+        lambda: PauliSum.from_label("X") * np.nan,
+        lambda: PauliSum.from_label("X", 1e308) + PauliSum.from_label("X", 1e308),
+    ], ids=["label nan", "label -inf", "text nan", "arrays nan", "times nan", "overflow"])
+    def test_non_finite_coefficient_rejected(self, make):
+        # a NaN coefficient used to be pruned, so X * nan was the zero sum
+        with pytest.raises(PauliError, match="finite"):
+            make()
+
+    def test_scalar_product_prunes_per_coefficient(self):
+        # a scalar below PRUNE_TOL used to give the zero sum
+        p = PauliSum.from_label("XI", 1e6) + PauliSum.from_label("IZ", 1.0)
+        assert (p * 1e-13).terms == {(1, 0): pytest.approx(1e-7)}
+        assert (1e-13 * p).terms == (p * 1e-13).terms
+
     def test_from_text_rejects_ragged(self):
         with pytest.raises(PauliError):
             PauliSum.from_text("1.0 XI\n1.0 XIZ")

@@ -410,6 +410,20 @@ class TestParityBlocks:
         for (_, u), (_, w) in zip(got, stepwise_unitary_trajectory(pulse, geom)):
             assert np.max(np.abs(u - w)) <= 1e-12
 
+    @pytest.mark.parametrize("geom", [
+        moved_chain(3, 1e-3),
+        AtomGeometry(((0.0, 0.0), (6.5, 0.0), (13.5, 0.0), (19.0, 0.0))),
+        AtomGeometry.chain(1, 6.5),  # symmetric, but its odd block is empty
+    ], ids=["moved 3-chain", "uneven 4-chain", "1 atom"])
+    def test_one_block_lindblad_matches_stepwise_oracle(self, geom, eigh_sizes):
+        pulse, noise = uneven_pulse(geom.n_atoms, 1.0), NoiseModel.fitted()
+        got = propagate_lindblad(pulse, geom, noise)
+        assert eigh_sizes == {2 ** geom.n_atoms}
+        want = stepwise_strang_trajectory(pulse, geom, noise)
+        assert [s.time for s in got] == [t for t, _ in want] == pulse.times.tolist()
+        for s, (_, rho) in zip(got, want):
+            assert np.max(np.abs(s.rho - rho)) <= 1e-12
+
     def test_averaged_interaction_deviation_bound(self, monkeypatch, eigh_sizes):
         # with the tolerance opened up, a visibly asymmetric chain runs on
         # the blocks of the reflection-averaged V; the docstring bounds the
