@@ -134,12 +134,6 @@ class GeneratorSet:
             raise ClosureError("n_qubits only defined for the pauli representation")
         return self.generators[0].n_qubits
 
-    @property
-    def dim(self) -> int:
-        if self.representation == "pauli":
-            return 2 ** self.n_qubits
-        return self.generators[0].shape[0]
-
 
 # -- exact rows over GF(p) (pauli backend) --------------------------------
 
@@ -650,7 +644,7 @@ def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL) -
     if gen.representation == "pauli":
         result = _close_pauli(gen, cap)
     else:
-        d = gen.dim
+        d = gen.generators[0].shape[0]
         has_trace = any(abs(np.trace(g)) > _TRACE_TOL * np.linalg.norm(g)
                         for g in gen.generators)
         theoretical = d * d if has_trace else d * d - 1
@@ -755,8 +749,8 @@ def _trotter_operands(A, B, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ClosureError("dimension mismatch")
     if n < 1:
         raise ClosureError("n must be >= 1")
-    _check_hermitian(1j * A, "1j * A")
-    _check_hermitian(1j * B, "1j * B")
+    for m, what in ((A, "1j * A"), (B, "1j * B")):  # finite first: 1j * inf warns
+        _check_hermitian(1j * m if np.isfinite(m).all() else m, what)
     return A, B
 
 

@@ -11,7 +11,7 @@ Lengths are in micrometres, times in microseconds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,11 +79,12 @@ class AtomGeometry:
         return float((self.c6 / omega_max) ** (1.0 / 6.0))
 
     def to_json(self) -> str:
-        return json.dumps([[x, y] for x, y in self.positions])
+        """``{"positions": [[x, y], ...], "c6": c6}``, read back by :meth:`from_json`."""
+        return json.dumps(asdict(self))
 
     @classmethod
-    def from_json(cls, text: str, c6: float = DEFAULT_C6) -> "AtomGeometry":
-        return cls(tuple((p[0], p[1]) for p in json.loads(text)), c6)
+    def from_json(cls, text: str) -> "AtomGeometry":
+        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)

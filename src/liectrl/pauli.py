@@ -84,10 +84,6 @@ class PauliTerm:
         # phase i**popcount(x&z) turns the XZ products into literal Y's
         return cls(len(label), x, z, (x & z).bit_count())
 
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.phase_exp
-
     def _relative_phase(self) -> int:
         # power of i relative to the canonical Hermitian string
         return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4
@@ -234,9 +230,10 @@ class PauliSum:
                          for k in sorted(self.terms))
 
     @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
+    def from_text(cls, text: str) -> "PauliSum":
+        """Inverse of :meth:`to_text`; the first label sets N, blank and ``#`` lines are skipped."""
         terms: dict[tuple, float] = {}
-        n = n_qubits
+        n = None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -247,9 +244,8 @@ class PauliSum:
             except ValueError as exc:  # PauliError included
                 raise PauliError(
                     f"line {lineno} {line!r} is not 'coeff PAULI_STRING': {exc}") from None
-            if n is None:
-                n = len(label)
-            elif len(label) != n:
+            n = n or len(label)
+            if len(label) != n:
                 raise PauliError(f"inconsistent string length in line {line!r}")
             key = (t.x_mask, t.z_mask)
             terms[key] = terms.get(key, 0.0) + coeff

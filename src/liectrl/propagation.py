@@ -152,11 +152,9 @@ class ControlPulse:
         return cls(*np.array(rows).reshape(-1, 3).T.copy())
 
     @classmethod
-    def constant(cls, duration: float, omega: float, delta: float,
-                 n_knots: int = 2) -> "ControlPulse":
-        """Flat pulse, mainly for tests; violates the zero-endpoint rule."""
-        t = np.linspace(0.0, duration, n_knots)
-        return cls(t, np.full(n_knots, float(omega)), np.full(n_knots, float(delta)))
+    def constant(cls, duration: float, omega: float, delta: float) -> "ControlPulse":
+        """Flat two-knot pulse, mainly for tests; violates the zero-endpoint rule."""
+        return cls([0.0, duration], [omega, omega], [delta, delta])
 
 
 @dataclass

@@ -217,10 +217,10 @@ def lattice_mode(row: int, col: int, cols: int) -> int:
     return (row - 1) * cols + col
 
 
-def build_nnn_lattice(rows: int, cols: int, n_particles: int = 1) -> GeneratorSet:
+def build_nnn_lattice(rows: int, cols: int) -> GeneratorSet:
     """Four species-resolved chemical potentials and four bond-class
     hoppings on a rows x cols superlattice, in the single-particle
-    sector by default.
+    sector: the NNN identities relate quadratic hoppings, so it decides them.
 
     Generator order: H1_mu..H4_mu, H1_hop..H4_hop, where hoppings 1/2
     are horizontal bonds starting on odd/even columns and hoppings 3/4
@@ -230,7 +230,7 @@ def build_nnn_lattice(rows: int, cols: int, n_particles: int = 1) -> GeneratorSe
         raise SectorError(
             "superlattice needs odd rows, cols >= 3 so every species and "
             f"bond class occurs; got {rows}x{cols}")
-    basis = SectorBasis.build("fermion", rows * cols, n_particles)
+    basis = SectorBasis.build("fermion", rows * cols, 1)
     sites = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]  # mode order
     species = np.array([_species(r, c) for r, c in sites])
     mus = [_diag(basis._occ[:, species == s].sum(1)) for s in (1, 2, 3, 4)]
@@ -253,8 +253,6 @@ def _nnn_target(basis: SectorBasis, rows: int, cols: int,
     pairs = [(lattice_mode(r + 1, c + dc, cols) - 1, lattice_mode(r, c, cols) - 1)
              for r in range(1, rows) for c in range(1, cols + 1)
              if _species(r, c) == src_species and 1 <= c + dc <= cols]
-    if not pairs:
-        raise SectorError("lattice too small to contain the requested bond class")
     return _hopping(basis, pairs)
 
 

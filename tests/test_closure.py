@@ -519,6 +519,16 @@ class TestTrotterInputs:
         with pytest.raises(ClosureError, match="finite"):
             helper(1j * X, 1j * Z * np.nan, 4)
 
+    @pytest.mark.parametrize("helper", [trotter_linear_error, trotter_commutator_error])
+    @pytest.mark.parametrize("infinite", ["A", "B"])
+    def test_infinite_imaginary_operand_rejected(self, helper, infinite):
+        # 1j * complex(0, inf) used to escape as numpy's "invalid value" RuntimeWarning
+        bad = 1j * Z
+        bad[0, 0] = complex(0, np.inf)
+        a, b = (bad, 1j * X) if infinite == "A" else (1j * X, bad)
+        with pytest.raises(ClosureError, match=f"1j \\* {infinite} is not a finite"):
+            helper(a, b, 2)
+
     def test_errors_match_scipy_expm(self):
         import scipy.linalg
         expm = scipy.linalg.expm
@@ -532,3 +542,33 @@ class TestTrotterInputs:
             np.linalg.norm(expm(a + b) - lin, 2), rel=1e-9)
         assert trotter_commutator_error(a, b, n) == pytest.approx(
             np.linalg.norm(expm(a @ b - b @ a) - com, 2), rel=1e-9)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GeneratorSet("dense", [X, np.eye(3)]), "inconsistent generator dimensions"),
+        (lambda: GeneratorSet("sparse", [X]), "unknown representation 'sparse'"),
+        (lambda: GeneratorSet("dense", [X]).n_qubits,
+         "n_qubits only defined for the pauli representation"),
+        (lambda: close(GeneratorSet("pauli", [PauliSum(8, dict.fromkeys(
+            [(x, z) for x in range(256) for z in range(256)], 1.0))])),
+         f"pauli generator has more than {closure._MAX_GENERATOR_TERMS} terms"),
+        (lambda: close(GeneratorSet("dense", [0 * X, 0 * Z])), "all generators are zero"),
+        (lambda: close(uniform_qubit_generators(2)).contains(PauliSum.from_label("XXX")),
+         "qubit count mismatch"),
+        (lambda: close(GeneratorSet("dense", [X, Z])).contains(np.eye(4)),
+         "matrix dimension mismatch"),
+        (lambda: uniform_qubit_generators(1), "chain needs at least 2 qubits"),
+        (lambda: uniform_qubit_generators(3, [4, 1]), "break pattern [1, 4] out of range 1..3"),
+        (lambda: uniform_qubit_generators(3, [0]), "break pattern [0] out of range 1..3"),
+        (lambda: reflection_sector_check(close(uniform_qubit_generators(3)), 4),
+         "qubit count mismatch"),
+        (lambda: verify_lemma_b2_targets(2), "target check needs N >= 3"),
+        (lambda: trotter_linear_error(1j * X, 1j * Z, 0), "n must be >= 1"),
+    ], ids=["dense shapes", "representation", "dense n_qubits", "too many terms", "all zero",
+            "pauli contains", "dense contains", "short chain", "break past N", "break 0",
+            "reflection N", "lemma N", "trotter n"])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(ClosureError) as info:
+            make()
+        assert str(info.value) == message

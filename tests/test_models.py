@@ -75,6 +75,13 @@ class TestGeometry:
         g2 = AtomGeometry.from_json(g.to_json())
         assert g2.positions == g.positions
 
+    def test_json_roundtrip_keeps_c6(self):
+        # the document used to hold only the positions, so c6 came back as DEFAULT_C6
+        g = AtomGeometry.chain(3, 6.0, c6=1e5)
+        g2 = AtomGeometry.from_json(g.to_json())
+        assert g2.c6 == 1e5
+        assert g2 == g
+
 
 class TestNoiseModel:
     def test_fitted_values(self):
@@ -279,3 +286,21 @@ class TestControlFamily:
         hb = sum((PauliSum.single_site(n, j, "Z") for j in range(1, n + 1, 2)),
                  PauliSum.zero(n))
         assert (ha + hb).terms == pytest.approx(hz.terms)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AtomGeometry.chain(0, 6.0), "need n_atoms >= 1 and positive spacing"),
+        (lambda: AtomGeometry.chain(3, 0.0), "need n_atoms >= 1 and positive spacing"),
+        (lambda: AtomGeometry.chain(3, -6.0), "need n_atoms >= 1 and positive spacing"),
+        (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(0.0), "omega_max must be positive"),
+        (lambda: rydberg_hamiltonian(AtomGeometry.chain(2, 6.0), np.nan, 0.0),
+         "omega and delta must be finite"),
+        (lambda: pxp_hamiltonian(2, 1.0, 0.0), "the blockade model needs at least 3 qubits"),
+        (lambda: boundary_operators(1), "need at least 2 qubits"),
+    ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "nan omega",
+            "pxp N", "boundary N"])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(ModelError) as info:
+            make()
+        assert str(info.value) == message

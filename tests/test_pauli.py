@@ -295,6 +295,11 @@ class TestSumBasics:
         assert (p * 1e-13).terms == {(1, 0): pytest.approx(1e-7)}
         assert (1e-13 * p).terms == (p * 1e-13).terms
 
+    def test_from_text_skips_comments_and_blank_lines(self):
+        q = PauliSum.from_text("# header\n\n1.5 XZ\n   \n  # 9 YY\n-2 IZ\n")
+        assert q.terms == {(1, 2): 1.5, (0, 2): -2.0}
+        assert q.n_qubits == 2
+
     def test_from_text_rejects_ragged(self):
         with pytest.raises(PauliError):
             PauliSum.from_text("1.0 XI\n1.0 XIZ")
@@ -362,3 +367,28 @@ class TestArrayKernels:
     def test_terms_commute(self):
         assert terms_commute(PauliTerm.from_label("XX"), PauliTerm.from_label("YY"))
         assert not terms_commute(PauliTerm.from_label("XI"), PauliTerm.from_label("ZI"))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PauliSum(0), "n_qubits must be in [1, 64], got 0"),
+        (lambda: PauliSum(65), "n_qubits must be in [1, 64], got 65"),
+        (lambda: PauliTerm(2, 0b100, 0), "mask has bits outside the qubit register"),
+        (lambda: PauliTerm(2, 0, 0b100), "mask has bits outside the qubit register"),
+        (lambda: PauliSum.single_site(2, 3, "X"), "site 3 out of range 1..2"),
+        (lambda: PauliSum.single_site(2, 0, "Z"), "site 0 out of range 1..2"),
+        (lambda: PauliSum.from_label("XIZ").coeff("XI"), "label length does not match qubit count"),
+        (lambda: PauliSum.from_label("X") + PauliSum.from_label("XX"),
+         "size mismatch in PauliSum addition"),
+        (lambda: PauliSum.from_label("X").hs_inner(PauliSum.from_label("XX")),
+         "size mismatch in inner product"),
+        (lambda: commutator(PauliSum.from_label("X"), PauliSum.from_label("XX")),
+         "size mismatch in commutator"),
+        (lambda: PauliSum.from_text(""), "empty Pauli text"),
+        (lambda: PauliSum.from_text("# no terms\n\n   \n"), "empty Pauli text"),
+    ], ids=["N 0", "N 65", "x mask", "z mask", "site past N", "site 0", "coeff label",
+            "add", "hs_inner", "commutator", "empty text", "comments only"])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(PauliError) as info:
+            make()
+        assert str(info.value) == message

@@ -735,3 +735,17 @@ class TestObservables:
         # bulk sites decay away from the boundary value at late tau
         rec = observables(((vecs * np.exp(-1j * evals * 0.8)) @ vecs.conj().T) @ psi0)
         assert np.max(np.abs(rec.expect_z[1:-1] - 1.0)) > 0.1
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: ControlPulse([0.1, 0.5], [0.0, 0.0], [0.0, 0.0]).validate(), PulseError,
+         "pulse must start at t=0, got 0.1"),
+        (lambda: ControlPulse([0.0, 1.0], [0.0, 0.0], [mhz(20.0)] * 2).validate(
+            ConstraintProfile()), PulseError, "detuning outside +-19.9 MHz"),
+        (lambda: observables(np.zeros((2, 2, 2))), PropagationError, "unrecognized state input"),
+    ], ids=["late start", "detuning", "3-d state"])
+    def test_rejected_with_message(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message

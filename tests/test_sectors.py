@@ -348,3 +348,19 @@ class TestNNNLattice:
         passed, scale = verify_nnn_identity(label, 5, 5)
         assert passed
         assert scale == pytest.approx(1.0, abs=1e-9)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SectorBasis.build("fermion", 0, 0), "need n_modes >= 1 and n_particles >= 0"),
+        (lambda: SectorBasis.build("fermion", 2, 3), "more fermions than modes"),
+        (lambda: SectorBasis.build("anyon", 2, 1), "unknown sector kind 'anyon'"),
+        (lambda: transfer(SectorBasis.build("fermion", 3, 1), 2, 2),
+         "transfer needs distinct modes; use number_op"),
+        (lambda: build_hubbard_chain_controls("spinful_fermion", 3, 1),
+         "spinless chain supports fermion or boson kinds"),
+    ], ids=["no modes", "too many fermions", "unknown kind", "same mode", "spinful chain"])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(SectorError) as info:
+            make()
+        assert str(info.value) == message
