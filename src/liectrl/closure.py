@@ -13,7 +13,7 @@ operators under the normalized bracket (1/(2i))[A, B]:
   2**24: a bracket term, the product of two residues, is below 2**48 and
   is reduced mod p before the terms are summed, so int64 sums are exact.
   A GF(p) dimension never exceeds the rational one, so a universal
-  verdict (4**N - 1 rows mod p) certifies universality over the
+  verdict (``theoretical_cap`` rows mod p) certifies universality over the
   rationals.  A non-universal dimension is a lower bound, short only if
   p divides an elementary divisor of the integer matrix of bracket
   words, so it is rerun on a second prime: a universal rerun makes the
@@ -26,8 +26,8 @@ operators under the normalized bracket (1/(2i))[A, B]:
 * ``dense``  - floating point.  Elements are Hermitian matrices, stored
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
   sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
-  the Hilbert-Schmidt inner product, and orthonormalized with a relative
-  tolerance and an absolute floor.  The first D(D+1)/2 coordinates hold
+  the Hilbert-Schmidt inner product, and orthonormalized against an
+  absolute residual floor.  The first D(D+1)/2 coordinates hold
   the real symmetric matrices p, the rest the imaginary antisymmetric k;
   [p, p] and [k, k] lie in k and [p, k] in p, so real generators keep a
   basis per grade, each of its own width.  ``rank_margin`` reports how
@@ -40,8 +40,8 @@ cheaper iteration certifies closure under arbitrary pairwise brackets.
 
 The qubit-side entry points build the uniform chain controls
 H_X = sum_j X_j, H_Z = sum_j Z_j, H_ZZ = sum_j Z_j Z_{j+1} plus an
-optional partial X field, decide universality against the su(2^N) cap,
-and expose the reflection-sector diagnostics used by the chain theorem.
+optional partial X field, decide universality against su(2^N), and
+expose the reflection-sector diagnostics used by the chain theorem.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .pauli import (
 
 Representation = Literal["pauli", "dense"]
 
-DEFAULT_TOL = 1e-9
 DEFAULT_DEPTH_LIMIT = 64  # bracket depths before a closure stops unconverged
 # GF(p) runs of the pauli backend, in order; both below 2**24.
 PRIMES = (16777213, 16777199)
@@ -76,11 +75,10 @@ _INTEGER_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _HERM_TOL = 1e-12
 _ZERO_FLOOR = 1e-14
-_TARGET_TOL = 1e-8  # membership residual of the Lemma B.2 targets
-# Dense backend only: residuals below this floor are treated as roundoff
-# regardless of the relative rule.  Operands are unit-norm and candidates
-# are processed oldest first (so genuine directions enter at large residuals
-# before deep, noisier brackets arrive).  Measured on the bench's sector chains
+# Dense backend only: residuals below this floor are treated as roundoff.
+# Candidates have norm <= 1 (normalized brackets of unit-norm operands) and
+# are processed oldest first, so genuine directions enter at large residuals
+# before deep, noisier brackets arrive.  Measured on the bench's sector chains
 # (fermion and boson N=5, 7 at n=2, 3; spinful N=3), accepted residuals go
 # down to 1.2e-5 and rejected ones up to 2.1e-7, both on boson N=5 n=3
 # (rank margin 57); the others stop at 1.4e-4 and 1.7e-12 (fermion N=7 n=3).
@@ -187,12 +185,12 @@ class _Rows:
             vals = np.concatenate([vals, vals[hit][which] * (self.p - r_val) % self.p])
         return _merge(ids, keys, vals, self.p)
 
-    def absorb(self, ids, keys, vals, cap: int) -> list[int]:
-        """Append the candidates' new directions (up to ``cap`` rows in all); return their indices."""
+    def absorb(self, ids, keys, vals) -> list[int]:
+        """Append the candidates' new directions; return their indices."""
         ids, keys, vals = self.reduce(ids, keys, vals)
-        if not len(ids) or self.n_rows >= cap:
+        if not len(ids):
             return []
-        new = _echelon_block(ids, keys, vals, self.p, cap - self.n_rows)
+        new = _echelon_block(ids, keys, vals, self.p)
         n0 = self.n_rows
         # back-substitute the new pivots out of the old rows
         row, key, val = new.reduce(self.row, self.key, self.val)
@@ -212,13 +210,12 @@ def _axpy(row: dict, a: int, other: dict, p: int) -> None:
             del row[k]
 
 
-def _echelon_block(ids, keys, vals, p: int, limit: int) -> _Rows:
+def _echelon_block(ids, keys, vals, p: int) -> _Rows:
     """Reduced echelon rows spanning candidate vectors, in candidate order.
 
     Candidates are COO entries sorted by id.  Each is reduced against the
     rows found before it; a nonzero remainder, scaled to 1 at its largest
-    key, becomes a row and is eliminated from the earlier rows.  At most
-    ``limit`` rows are kept.
+    key, becomes a row and is eliminated from the earlier rows.
     """
     k_list, v_list = keys.tolist(), vals.tolist()
     edges = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), len(k_list)]
@@ -238,8 +235,6 @@ def _echelon_block(ids, keys, vals, p: int, limit: int) -> _Rows:
                 _axpy(other, p - other[piv], row, p)
         index[piv] = len(rows)
         rows.append(row)
-        if len(rows) >= limit:
-            break
     entries = [(i, k, v) for i, row in enumerate(rows) for k, v in row.items()]
     row, key, val = np.array(entries, dtype=np.int64).reshape(-1, 3).T
     return _Rows(p, np.array(list(index), dtype=np.int64), row, key, val)
@@ -276,16 +271,16 @@ class _ModPEngine:
         self.g_val = np.array([c % p for _, cs in terms for c in cs], dtype=np.int64)
         self.g_lab = np.repeat(np.arange(self.n_gens), [len(k) for k, _ in terms])
 
-    def seed(self, cap: int) -> list[int]:
-        return self.rows.absorb(self.g_lab, self.g_key, self.g_val, cap)
+    def seed(self) -> list[int]:
+        return self.rows.absorb(self.g_lab, self.g_key, self.g_val)
 
-    def expand(self, block: list[int], cap: int) -> list[int]:
+    def expand(self, block: list[int]) -> list[int]:
         """Bracket a block of rows with every generator in one call and absorb."""
         pos, keys, vals = self.rows.entries(np.asarray(block))
         x3, z3, c3, lab = commutator_arrays(
             *_split_keys(keys, self.n), vals, *_split_keys(self.g_key, self.n), self.g_val,
             labels=(pos * self.n_gens, self.g_lab))
-        return self.rows.absorb(lab, (x3 << self.n) | z3, c3 % self.p, cap)
+        return self.rows.absorb(lab, (x3 << self.n) | z3, c3 % self.p)
 
 
 def _rational(u: int, m: int, bound: int) -> tuple[int, int]:
@@ -376,11 +371,11 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
 class _Basis:
     """Row-orthonormal basis of one coordinate slice, with amortized growth.
 
-    One gate, max(tol ||c||, _ABS_FLOOR), decides a candidate c: its residual
-    must exceed it after one pass against the stored rows, and again after
-    a second pass and two against the rows added earlier in the block; the
-    accepted row is that residual normalized.  Records the smallest residual
-    accepted and the largest rejected; their ratio is the rank margin.
+    The floor _ABS_FLOOR decides a candidate: its residual must exceed it
+    after one pass against the stored rows, and again after a second pass
+    and two against the rows added earlier in the block; the accepted row
+    is that residual normalized.  Records the smallest residual accepted
+    and the largest rejected; their ratio is the rank margin.
     """
 
     def __init__(self, n_cols: int):
@@ -392,43 +387,33 @@ class _Basis:
     def matrix(self) -> np.ndarray:
         return self._rows[: self.n_rows]
 
-    def _ensure_rows(self, extra: int) -> None:
-        if self.n_rows + extra > self._rows.shape[0]:
-            depth = max(2 * self._rows.shape[0], self.n_rows + extra)
-            grown = np.zeros((depth, self._rows.shape[1]))
-            grown[: self.n_rows] = self._rows[: self.n_rows]
-            self._rows = grown
-
-    def absorb(self, cands: np.ndarray, tol: float, cap: int) -> list[int]:
+    def absorb(self, cands: np.ndarray) -> list[int]:
         """Project candidate rows, append the independent ones, return indices."""
-        orig = np.linalg.norm(cands, axis=1)
-        live = orig > _ZERO_FLOOR
-        cands, gate = cands[live], np.maximum(tol * orig[live], _ABS_FLOOR)
+        cands = cands[np.linalg.norm(cands, axis=1) > _ZERO_FLOOR]
         B = self.matrix
         # one classical Gram-Schmidt pass decides accept/reject (its roundoff
-        # sits far below the gate); survivors get a second pass
+        # sits far below the floor); survivors get a second pass
         cands = cands - (cands @ B.T) @ B
         resid = np.linalg.norm(cands, axis=1)
-        survivors = resid > gate
+        survivors = resid > _ABS_FLOOR
         self.max_rejected = max(self.max_rejected, resid[~survivors].max(initial=0.0))
-        cands, gate = cands[survivors], gate[survivors]
+        cands = cands[survivors]
         cands = cands - (cands @ B.T) @ B
         added: list[int] = []
-        for row, g in zip(cands, gate):
+        for row in cands:
             New = self._rows[self.n_rows - len(added): self.n_rows]
             row = row - (row @ New.T) @ New
             row = row - (row @ New.T) @ New
             r = np.linalg.norm(row)
-            if r <= g:
+            if r <= _ABS_FLOOR:
                 self.max_rejected = max(self.max_rejected, r)
                 continue
             self.min_accepted = min(self.min_accepted, r)
-            self._ensure_rows(1)
+            if self.n_rows == len(self._rows):  # full: double the storage
+                self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
             self._rows[self.n_rows] = row / r
             added.append(self.n_rows)
             self.n_rows += 1
-            if self.n_rows >= cap:
-                break
         return added
 
 
@@ -440,9 +425,9 @@ class _DenseEngine:
     take one grade of all d**2.  Row i of a grade has id i * n_grades + grade.
     """
 
-    def __init__(self, gens: Sequence[np.ndarray], tol: float):
+    def __init__(self, gens: Sequence[np.ndarray]):
         self.d = d = gens[0].shape[0]
-        self.tol, self.n_gens = tol, len(gens)
+        self.n_gens = len(gens)
         norms = [np.linalg.norm(g) for g in gens]
         if max(norms) < _ZERO_FLOOR:
             raise ClosureError("all generators are zero")
@@ -461,15 +446,14 @@ class _DenseEngine:
         out[:, self.slices[grade]] = rows
         return out
 
-    def _absorb(self, grade: int, cands: np.ndarray, cap: int) -> list[int]:
-        basis, n = self.bases[grade], len(self.bases)
-        cap -= sum(b.n_rows for b in self.bases) - basis.n_rows  # the cap counts every grade
-        return [i * n + grade for i in basis.absorb(cands[:, self.slices[grade]], self.tol, cap)]
+    def _absorb(self, grade: int, cands: np.ndarray) -> list[int]:
+        n = len(self.bases)
+        return [i * n + grade for i in self.bases[grade].absorb(cands[:, self.slices[grade]])]
 
-    def seed(self, cap: int) -> list[int]:
-        return self._absorb(0, np.stack([_stack_matrix(g) for g in self.gen_mats]), cap)
+    def seed(self) -> list[int]:
+        return self._absorb(0, np.stack([_stack_matrix(g) for g in self.gen_mats]))
 
-    def expand(self, block: list[int], cap: int) -> list[int]:
+    def expand(self, block: list[int]) -> list[int]:
         """Bracket a block of rows with every generator in one GEMM and absorb.
 
         W = G V for every (v, g) pair comes from one product; since G and V
@@ -486,35 +470,35 @@ class _DenseEngine:
         w_up, w_lo = W[:, up], W[:, lo]
         cands = np.concatenate([W[:, diag].imag, (w_up.imag + w_lo.imag) / _SQRT2,
                                 (w_lo.real - w_up.real) / _SQRT2], axis=1)
-        return self._absorb((grade + 1) % n, cands, cap)
+        return self._absorb((grade + 1) % n, cands)
 
 
 # -- breadth-first closure ----------------------------------------------------
 
-def _bfs(engine, theoretical: int, cap: int | None):
-    """Expand the frontier against the generators until nothing new appears.
+def _bfs(engine, theoretical: int):
+    """Expand the frontier against the generators until nothing new appears
+    or the dimension reaches ``theoretical``, that of the full algebra.
 
     Returns (converged, depth reached, verdict).  Frontier blocks are
     expanded oldest first: on the dense backend shallow brackets carry the
     least numerical noise, so genuine directions enter at large residuals.
     """
-    hard_cap = theoretical if cap is None else min(cap, theoretical)
     block_size = max(1, _CHUNK // engine.n_gens)
-    frontier = engine.seed(hard_cap)
+    frontier = engine.seed()
     depth, dim = 0, len(frontier)  # seed and expand return every row they add
-    converged = dim >= hard_cap or not frontier
+    converged = dim >= theoretical or not frontier
     while not converged and depth < DEFAULT_DEPTH_LIMIT:
         depth += 1
         new: list[int] = []
         for lo in range(0, len(frontier), block_size):
-            new.extend(engine.expand(frontier[lo: lo + block_size], hard_cap))
-            if dim + len(new) >= hard_cap:
+            new.extend(engine.expand(frontier[lo: lo + block_size]))
+            if dim + len(new) >= theoretical:
                 break
         dim += len(new)
-        converged = dim >= hard_cap or not new
+        converged = dim >= theoretical or not new
         frontier = new
-    verdict = ("universal" if dim >= theoretical else "non_universal"
-               if converged and (cap is None or dim < hard_cap) else "undetermined")
+    verdict = ("universal" if dim >= theoretical else "non_universal" if converged
+               else "undetermined")
     return converged, depth, verdict
 
 
@@ -600,15 +584,17 @@ class ClosureResult:
         return resid < tol, resid
 
 
-def _close_pauli(gen: GeneratorSet, cap: int | None) -> ClosureResult:
+def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     n = gen.n_qubits
     if n > MAX_EXACT_QUBITS:
         raise ClosureError(f"pauli backend needs N <= {MAX_EXACT_QUBITS}, got {n}")
     terms = [_integer_terms(g, n) for g in gen.generators]
+    # u(2^N) once a generator has an identity term (key 0), su(2^N) otherwise
+    theoretical = 4 ** n - 1 + any(0 in keys for keys, _ in terms)
     runs = []
     for p in PRIMES:
         engine = _ModPEngine(n, terms, p)
-        converged, depth, verdict = _bfs(engine, 4 ** n - 1, cap)
+        converged, depth, verdict = _bfs(engine, theoretical)
         runs.append(engine.rows)
         if verdict != "non_universal":
             break
@@ -617,39 +603,31 @@ def _close_pauli(gen: GeneratorSet, cap: int | None) -> ClosureResult:
         raise ClosureError(f"closure dimensions {dims} differ over GF(p) for p in {primes}")
     return ClosureResult(
         dimension=dims[-1], converged=converged, depth_reached=depth,
-        universality=verdict, representation="pauli", theoretical_cap=4 ** n - 1,
+        universality=verdict, representation="pauli", theoretical_cap=theoretical,
         n_qubits=n, primes=primes,
-        _runs=tuple(runs[-1:] if verdict == "universal" else runs),
-        # a cap below the generator count may stop the seeding short
-        _terms=terms if cap is None or cap >= len(terms) else [])
+        _runs=tuple(runs[-1:] if verdict == "universal" else runs), _terms=terms)
 
 
-def close(gen: GeneratorSet, cap: int | None = None, tol: float = DEFAULT_TOL) -> ClosureResult:
+def close(gen: GeneratorSet) -> ClosureResult:
     """Breadth-first Lie closure of a generator set.
 
-    ``cap`` bounds the basis size; hitting it terminates with
-    ``converged=True`` (the closure then provably contains a
-    cap-dimensional algebra).  With cap equal to the representation's
-    theoretical maximum, hitting it certifies universality.  ``tol`` is
-    the dense backend's relative rank tolerance; the pauli backend is
-    exact and has none.  Every dense candidate has norm <= 1 (a normalized
-    bracket of unit-norm operands), so any ``tol`` below _ABS_FLOOR (1e-6),
-    the default included, leaves the rank decision to that floor.
+    It stops once the dimension reaches ``theoretical_cap``, read off the
+    generators: d**2 (u(d)) once one has a trace, or an identity term on the
+    pauli backend, and d**2 - 1 (su(d)) otherwise.  Reaching it is the
+    universal verdict, converging below it the non-universal one; a closure
+    still growing after DEFAULT_DEPTH_LIMIT depths is undetermined.  The
+    pauli backend is exact, the dense one decides rank against _ABS_FLOOR.
     """
-    if not 0 < tol < 1:  # candidates have norm <= 1, so tol >= 1 would reject them all
-        raise ClosureError(f"tol must lie in (0, 1), got {tol!r}")
-    if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
-        raise ClosureError(f"cap must be >= 1 and an integer, got {cap!r}")
     t0 = time.perf_counter()
     if gen.representation == "pauli":
-        result = _close_pauli(gen, cap)
+        result = _close_pauli(gen)
     else:
         d = gen.generators[0].shape[0]
         has_trace = any(abs(np.trace(g)) > _TRACE_TOL * np.linalg.norm(g)
                         for g in gen.generators)
         theoretical = d * d if has_trace else d * d - 1
-        engine = _DenseEngine(gen.generators, tol)
-        converged, depth, verdict = _bfs(engine, theoretical, cap)
+        engine = _DenseEngine(gen.generators)
+        converged, depth, verdict = _bfs(engine, theoretical)
         bases = engine.bases
         acc, rej = min(b.min_accepted for b in bases), max(b.max_rejected for b in bases)
         matrix = np.concatenate([engine.full(g, b.matrix) for g, b in enumerate(bases)])
@@ -690,16 +668,9 @@ def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int])
     return {n_qubits - j + 1 for j in pattern} == pattern
 
 
-def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = (),
-                             backend: Representation = "pauli") -> ClosureResult:
+def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = ()) -> ClosureResult:
     """Universality of the uniform chain controls plus a partial X field."""
-    if backend not in ("pauli", "dense"):
-        raise ClosureError(f"backend must be 'pauli' or 'dense', got {backend!r}")
-    gen = uniform_qubit_generators(n_qubits, break_pattern)
-    if backend == "dense":
-        gen = GeneratorSet("dense", [g.to_dense() for g in gen.generators],
-                           label=gen.label)
-    result = close(gen)
+    result = close(uniform_qubit_generators(n_qubits, break_pattern))
     return replace(
         result, n_qubits=n_qubits,
         pattern_reflection_symmetric=pattern_is_reflection_symmetric(n_qubits, break_pattern))
@@ -733,7 +704,7 @@ def verify_lemma_b2_targets(n_qubits: int) -> bool:
     masks = [m for j in range(-(-n_qubits // 2)) for m in ((1 << j, 0), (0, 1 << j))]
     masks += [(0, 3 << j) for j in range(n_qubits // 2)]
     ops = [PauliSum(n_qubits, {m: 1.0}) for m in masks]
-    return all(result.contains(op + op.reflection_image(), _TARGET_TOL)[0] for op in ops)
+    return all(result.contains(op + op.reflection_image())[0] for op in ops)
 
 
 # -- Trotter product formulas -------------------------------------------

@@ -74,7 +74,7 @@ class AtomGeometry:
 
     def blockade_radius(self, omega_max: float) -> float:
         """R_b = (C6 / Omega_max)^(1/6) in um, Omega_max in rad/us."""
-        if omega_max <= 0:
+        if not omega_max > 0:  # written so that NaN fails
             raise ModelError("omega_max must be positive")
         return float((self.c6 / omega_max) ** (1.0 / 6.0))
 

@@ -150,6 +150,8 @@ class PauliSum:
         """One-qubit operator on 1-based ``site`` embedded in N qubits."""
         if not 1 <= site <= n_qubits:
             raise PauliError(f"site {site} out of range 1..{n_qubits}")
+        if kind not in _CHAR_TO_BITS:
+            raise PauliError(f"invalid Pauli character {kind!r}")
         bx, bz = _CHAR_TO_BITS[kind]
         j = site - 1
         return cls(n_qubits, {(bx << j, bz << j): coeff})

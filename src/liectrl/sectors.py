@@ -29,7 +29,6 @@ from .closure import GeneratorSet
 SectorKind = Literal["fermion", "boson", "spinful_fermion"]
 
 DENSE_SECTOR_BUDGET = 512
-_NNN_RESIDUAL_TOL = 1e-9  # relative residual below which an NNN identity holds
 
 
 class SectorError(ValueError):
@@ -272,20 +271,21 @@ _NNN_RECIPES = {
 
 def verify_nnn_identity(which: str, rows: int, cols: int) -> tuple[bool, float]:
     """Compare one triple-nested-commutator construction with the direct
-    next-nearest-neighbor hopping; returns (passed, fitted constant)."""
+    next-nearest-neighbor hopping in integers: returns (built == k * target
+    exactly, float(k)), with k the integer quotient at the target's first nonzero."""
     if which not in _NNN_RECIPES:
         raise SectorError(f"unknown identity label {which!r}; "
                           f"expected one of {NNN_LABELS}")
     (outer, inner1, inner2), species, direction = _NNN_RECIPES[which]
     gen = build_nnn_lattice(rows, cols)
-    g = gen.generators
+    g = [m.real.astype(np.int64) for m in gen.generators]  # integer matrices
 
     def comm(x, y):
         return x @ y - y @ x
 
     built = comm(g[outer], comm(comm(g[inner1[0]], g[inner1[1]]),
                                 comm(g[inner2[0]], g[inner2[1]])))
-    target = _nnn_target(gen.basis, rows, cols, species, direction)
-    scale = np.vdot(target, built).real / np.vdot(target, target).real
-    residual = np.linalg.norm(built - scale * target) / np.linalg.norm(built)
-    return bool(residual < _NNN_RESIDUAL_TOL), float(scale)
+    target = _nnn_target(gen.basis, rows, cols, species, direction).real.astype(np.int64)
+    first = np.flatnonzero(target)[0]
+    k, rem = divmod(built.flat[first], target.flat[first])
+    return bool(rem == 0 and np.array_equal(built, k * target)), float(k)

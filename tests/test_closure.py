@@ -76,32 +76,6 @@ class TestCloseBasics:
             GeneratorSet("pauli", [PauliSum.from_label("X"), PauliSum.from_label("XX")])
         with pytest.raises(ClosureError):
             GeneratorSet("dense", [np.array([[0, 1], [0, 0]], dtype=complex)])
-        with pytest.raises(ClosureError):
-            close(GeneratorSet("pauli", [PauliSum.from_label("X")]), tol=-1.0)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, 1.0, 2.0, 0.0, -np.inf])
-    def test_tol_outside_unit_interval_rejected(self, tol):
-        # candidates have norm <= 1: tol=nan, inf or >= 1 used to reject every
-        # one of them and return dimension 0, "non_universal", converged
-        gen = build_hubbard_chain_controls("fermion", 3, 1)
-        with pytest.raises(ClosureError, match="tol must lie in"):
-            close(gen, tol=tol)
-
-    @pytest.mark.parametrize("cap", [2.5, 0, -1, "3", np.nan])
-    def test_cap_must_be_a_positive_integer(self, cap):
-        # cap=2.5 used to stop the closure at 3 and answer "undetermined"
-        with pytest.raises(ClosureError, match="cap must be"):
-            close(build_hubbard_chain_controls("fermion", 3, 1), cap=cap)
-
-    def test_integer_cap_of_numpy_type_accepted(self):
-        res = close(uniform_qubit_generators(3), cap=np.int64(5))
-        assert (res.dimension, res.universality) == (5, "undetermined")
-
-    @pytest.mark.parametrize("backend", ["Dense", "PAULI", "", None])
-    def test_unknown_backend_rejected(self, backend):
-        # "Dense" used to run the pauli backend without a word
-        with pytest.raises(ClosureError, match="backend must be"):
-            check_universality_qubit(3, (), backend=backend)
 
     def test_basis_orthonormal_and_closed(self):
         gen = uniform_qubit_generators(3, {1})
@@ -117,12 +91,13 @@ class TestCloseBasics:
             member, resid = res.contains(commutator(basis[i], basis[j]), tol=1e-9)
             assert member, f"bracket ({i},{j}) left the span, residual {resid}"
 
-    def test_cap_early_exit_is_flagged(self):
-        gen = uniform_qubit_generators(3, {1})
-        res = close(gen, cap=10)
-        assert res.dimension == 10
-        assert res.converged
+    def test_depth_limit_leaves_verdict_undetermined(self, monkeypatch):
+        # N=3 {1} is universal, but not after one depth of brackets
+        monkeypatch.setattr(closure, "DEFAULT_DEPTH_LIMIT", 1)
+        res = close(uniform_qubit_generators(3, {1}))
+        assert not res.converged
         assert res.universality == "undetermined"
+        assert res.depth_reached == 1
 
 
 class TestChainTheorem:
@@ -166,13 +141,6 @@ class TestChainTheorem:
         assert not res.pattern_reflection_symmetric
         assert res.universality == "universal"
         assert res.dimension == 4 ** 6 - 1
-
-    def test_dense_result_declares_chain_fields(self):
-        res = check_universality_qubit(3, {1}, backend="dense")
-        assert res.representation == "dense"
-        assert res.n_qubits == 3
-        assert res.pattern_reflection_symmetric is False
-        assert res.dimension == 4 ** 3 - 1
 
     def test_warm_start_matches_cold(self):
         for pat, want in [({1}, 1023), ({2, 4}, 542), ({5}, 1023)]:
@@ -274,10 +242,18 @@ class TestExactPauliBackend:
         with pytest.raises(ClosureError):
             res.basis
 
-    def test_cap_below_generator_count_still_lifts(self):
-        res = close(uniform_qubit_generators(3, {1}), cap=2)
-        assert res.dimension == 2
-        assert res.contains(uniform_qubit_generators(3).generators[0])[0]
+    def test_identity_term_counts_toward_u_bound(self):
+        # I + X and Z generate u(2); the bound used to be 4**N - 1 = 3, which
+        # stopped the closure at {Z, (I+X)/sqrt2, Y} without X or I
+        i, x, z = (PauliSum.from_label(c) for c in "IXZ")
+        gen = GeneratorSet("pauli", [i + x, z])
+        res = close(gen)
+        assert (res.dimension, res.theoretical_cap, res.universality) == (4, 4, "universal")
+        assert res.contains(x)[0] and res.contains(i)[0]
+        dense = close(GeneratorSet("dense", [g.to_dense() for g in gen.generators]))
+        assert (dense.dimension, dense.theoretical_cap, dense.universality) == (4, 4, "universal")
+        res = close(GeneratorSet("pauli", [i * 2.0, z]))
+        assert (res.dimension, res.universality) == (2, "non_universal")
 
 
 def random_hermitian(rng, d):
@@ -290,9 +266,9 @@ def absorb_widths(monkeypatch):
     """The candidate widths handed to the dense _Basis.absorb while the test runs."""
     widths, absorb = set(), closure._Basis.absorb
 
-    def recording(self, cands, tol, cap):
+    def recording(self, cands):
         widths.add(cands.shape[1])
-        return absorb(self, cands, tol, cap)
+        return absorb(self, cands)
 
     monkeypatch.setattr(closure._Basis, "absorb", recording)
     return widths
@@ -349,13 +325,14 @@ class TestDenseCoordinates:
             res.contains(np.triu(np.ones((4, 4))))
 
     def test_low_rank_margin_is_logged(self, caplog):
-        # commuting generators; with tol=0.5 the second one's residual
-        # (0.1/sqrt(1.01) of its norm) is rejected against the first
-        gen = GeneratorSet("dense", [np.diag([1.0, 0, 0]), np.diag([1.0, 0.1, 0])])
+        # commuting generators; against the first, the second one's residual
+        # (about 1e-5) is accepted and the third one's (about 5e-7) rejected
+        gen = GeneratorSet("dense", [np.diag([1.0, 0, 0]), np.diag([1.0, 1e-5, 0]),
+                                     np.diag([1.0, 0, 5e-7])])
         with caplog.at_level("WARNING", logger="liectrl"):
-            res = close(gen, tol=0.5)
-        assert res.dimension == 1
-        assert res.rank_margin == pytest.approx(np.sqrt(101))
+            res = close(gen)
+        assert res.dimension == 2
+        assert res.rank_margin == pytest.approx(20, rel=1e-6)
         assert "rank margin" in caplog.text
 
     def test_margin_inf_without_rejections_and_none_on_pauli(self):
@@ -368,7 +345,8 @@ class TestDenseGrading:
 
     @pytest.mark.parametrize("n,pattern", [(3, ()), (3, (1,)), (4, ()), (4, (1, 4))])
     def test_grades_match_exact_backend(self, n, pattern):
-        dense = check_universality_qubit(n, pattern, backend="dense")
+        dense = close(GeneratorSet(
+            "dense", [g.to_dense() for g in uniform_qubit_generators(n, pattern).generators]))
         exact = check_universality_qubit(n, pattern)
         assert dense.dimension == exact.dimension
         basis = dense.basis

@@ -294,12 +294,13 @@ class TestInputChecks:
         (lambda: AtomGeometry.chain(3, 0.0), "need n_atoms >= 1 and positive spacing"),
         (lambda: AtomGeometry.chain(3, -6.0), "need n_atoms >= 1 and positive spacing"),
         (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(0.0), "omega_max must be positive"),
+        (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(np.nan), "omega_max must be positive"),
         (lambda: rydberg_hamiltonian(AtomGeometry.chain(2, 6.0), np.nan, 0.0),
          "omega and delta must be finite"),
         (lambda: pxp_hamiltonian(2, 1.0, 0.0), "the blockade model needs at least 3 qubits"),
         (lambda: boundary_operators(1), "need at least 2 qubits"),
-    ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "nan omega",
-            "pxp N", "boundary N"])
+    ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "blockade nan",
+            "nan omega", "pxp N", "boundary N"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -37,3 +38,53 @@ def test_traced_names_resolve():
         for attr in attrs:
             obj = getattr(obj, attr)  # AttributeError names the missing member
         assert callable(obj), name
+
+
+def test_public_options_pinned():
+    # every parameter with a default on a public function or method (public:
+    # no leading underscore, so constructors are left out); a new option needs
+    # an edit here
+    found = []
+    for module in ("closure", "models", "pauli", "propagation", "sectors"):
+        mod = importlib.import_module(f"liectrl.{module}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = [(name, obj)]
+            elif inspect.isclass(obj):  # classmethods through __func__
+                members = [(f"{name}.{attr}", getattr(raw, "__func__", raw))
+                           for attr, raw in vars(obj).items() if not attr.startswith("_")]
+            else:
+                continue
+            for qualname, fn in members:
+                if inspect.isfunction(fn):
+                    found += [f"{module}.{qualname}({p.name})"
+                              for p in inspect.signature(fn).parameters.values()
+                              if p.default is not inspect.Parameter.empty]
+    assert sorted(found) == [
+        "closure.ClosureResult.contains(tol)",
+        "closure.check_universality_qubit(break_pattern)",
+        "closure.uniform_qubit_generators(break_pattern)",
+        "models.AtomGeometry.chain(c6)",
+        "models.zxz_hamiltonian(j_eff)",
+        "pauli.PauliSum.from_label(coeff)",
+        "pauli.PauliSum.single_site(coeff)",
+        "pauli.commutator_arrays(labels)",
+        "propagation.ControlPulse.validate(profile)",
+        "propagation.observables(initial_state)",
+        "propagation.propagate_lindblad(dt)",
+        "propagation.propagate_lindblad(force)",
+        "propagation.propagate_lindblad(initial_state)",
+        "propagation.propagate_lindblad(profile)",
+        "propagation.propagate_unitary(force)",
+        "propagation.propagate_unitary(noise)",
+        "propagation.propagate_unitary(profile)",
+        "propagation.propagate_unitary(substeps)",
+        "propagation.unitary_trajectory(force)",
+        "propagation.unitary_trajectory(noise)",
+        "propagation.unitary_trajectory(profile)",
+        "propagation.unitary_trajectory(substeps)",
+        "sectors.build_spinful_controls(a)",
+        "sectors.build_spinful_controls(b)",
+    ]

@@ -377,6 +377,7 @@ class TestInputChecks:
         (lambda: PauliTerm(2, 0, 0b100), "mask has bits outside the qubit register"),
         (lambda: PauliSum.single_site(2, 3, "X"), "site 3 out of range 1..2"),
         (lambda: PauliSum.single_site(2, 0, "Z"), "site 0 out of range 1..2"),
+        (lambda: PauliSum.single_site(3, 1, "W"), "invalid Pauli character 'W'"),
         (lambda: PauliSum.from_label("XIZ").coeff("XI"), "label length does not match qubit count"),
         (lambda: PauliSum.from_label("X") + PauliSum.from_label("XX"),
          "size mismatch in PauliSum addition"),
@@ -386,8 +387,8 @@ class TestInputChecks:
          "size mismatch in commutator"),
         (lambda: PauliSum.from_text(""), "empty Pauli text"),
         (lambda: PauliSum.from_text("# no terms\n\n   \n"), "empty Pauli text"),
-    ], ids=["N 0", "N 65", "x mask", "z mask", "site past N", "site 0", "coeff label",
-            "add", "hs_inner", "commutator", "empty text", "comments only"])
+    ], ids=["N 0", "N 65", "x mask", "z mask", "site past N", "site 0", "site kind",
+            "coeff label", "add", "hs_inner", "commutator", "empty text", "comments only"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(PauliError) as info:
             make()

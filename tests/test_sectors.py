@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liectrl import sectors
 from liectrl.closure import GeneratorSet, close
 from liectrl.sectors import (
     NNN_LABELS,
@@ -252,15 +253,6 @@ class TestDenseRankDecisions:
         gram = rows.conj() @ rows.T
         assert np.max(np.abs(gram - np.eye(res.dimension))) <= 1e-13
 
-    @pytest.mark.parametrize("tol", [1e-12, 5e-7])
-    def test_tol_below_floor_changes_nothing(self, tol):
-        # candidates have norm <= 1, so a relative tol below the 1e-6 floor
-        # leaves every rank decision to the floor
-        gen = build_hubbard_chain_controls("fermion", 5, 2)
-        base, res = close(gen), close(gen, tol=tol)
-        assert (res.dimension, res.depth_reached, res.rank_margin) == \
-            (base.dimension, base.depth_reached, base.rank_margin)
-
 
 class TestSpinfulControls:
     def test_mode_layout(self):
@@ -348,6 +340,15 @@ class TestNNNLattice:
         passed, scale = verify_nnn_identity(label, 5, 5)
         assert passed
         assert scale == pytest.approx(1.0, abs=1e-9)
+
+    def test_swapped_hopping_fails_exactly(self, monkeypatch):
+        # 14R with the even-column hopping in place of the odd one builds the
+        # 14L hopping, which is zero where the 14R target is not
+        (outer, (mu_b, _), inner2), species, direction = sectors._NNN_RECIPES["14R"]
+        monkeypatch.setitem(sectors._NNN_RECIPES, "14R",
+                            ((outer, (mu_b, 5), inner2), species, direction))
+        assert verify_nnn_identity("14R", 5, 5) == (False, 0.0)
+        assert verify_nnn_identity("14L", 5, 5) == (True, 1.0)
 
 
 class TestInputChecks:
