@@ -12,17 +12,23 @@ operators under the normalized bracket (1/(2i))[A, B]:
   kept as sparse reduced row-echelon rows mod p.  The primes lie below
   2**24: a bracket term, the product of two residues, is below 2**48 and
   is reduced mod p before the terms are summed, so int64 sums are exact.
-  A GF(p) dimension never exceeds the rational one, so a universal
-  verdict (``theoretical_cap`` rows mod p) certifies universality over the
-  rationals.  A non-universal dimension is a lower bound, short only if
-  p divides an elementary divisor of the integer matrix of bracket
-  words, so it is rerun on a second prime: a universal rerun makes the
-  verdict universal, and two non-universal dimensions must agree, or
-  :class:`ClosureError` names both.  ``basis`` and ``contains`` lift the
-  rows to the rationals by CRT over the primes run and rational
-  reconstruction, exact for entries with numerator and denominator up to
-  about 1.2e7 (2.9e3 after a single universal run); every generator must
-  reduce to exactly 0 against the lift, or :class:`ClosureError` is raised.
+  A GF(p) dimension never exceeds the rational one, so ``theoretical_cap``
+  rows mod p certify universality over the rationals.  So do rows spanning
+  X_j, Z_j and Z_j Z_{j+1}: the span mod p is closed under brackets, which
+  take these to every string, and with an identity term the algebra is
+  u(2^N), as su(2^N) has no subalgebra of codimension 1.  A non-universal
+  dimension is a lower bound, short only if p divides an elementary
+  divisor of the integer matrix of bracket words.  It is exact when it
+  meets the upper bound of mirror-invariant generators; otherwise it is
+  rerun on a second prime: a universal rerun makes the verdict universal,
+  a rerun meeting the bound decides, and two non-universal dimensions must
+  agree, or :class:`ClosureError` names both.  A universal result spans
+  every string; otherwise ``basis`` and ``contains`` lift the rows to the
+  rationals by CRT over the primes run and rational reconstruction, exact
+  for entries with numerator and denominator up to about 1.2e7, or 2.9e3
+  after one prime: enough at the mirror bound, where the rows span the
+  whole bounded space, whose echelon entries are +/-1.  Every generator
+  must reduce to exactly 0 against the lift, or :class:`ClosureError` is raised.
 * ``dense``  - floating point.  Elements are Hermitian matrices, stored
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
   sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
@@ -475,40 +481,42 @@ class _DenseEngine:
 
 # -- breadth-first closure ----------------------------------------------------
 
-def _bfs(engine, theoretical: int):
-    """Expand the frontier against the generators until nothing new appears
-    or the dimension reaches ``theoretical``, that of the full algebra.
-
-    Returns (converged, depth reached, verdict).  Frontier blocks are
-    expanded oldest first: on the dense backend shallow brackets carry the
-    least numerical noise, so genuine directions enter at large residuals.
+def _bfs(engine, bound: int, certify=lambda: None):
+    """Expand the frontier against the generators until the dimension
+    reaches ``bound``, an upper bound on it, nothing new appears or
+    ``certify()`` names a certificate after a block.  Returns (dimension,
+    depth at the stop, "bound", "converged", that name or None if still
+    growing after DEFAULT_DEPTH_LIMIT depths).  Frontier blocks are expanded
+    oldest first: on the dense backend shallow brackets carry the least
+    numerical noise, so genuine directions enter at large residuals.
     """
     block_size = max(1, _CHUNK // engine.n_gens)
     frontier = engine.seed()
     depth, dim = 0, len(frontier)  # seed and expand return every row they add
-    converged = dim >= theoretical or not frontier
-    while not converged and depth < DEFAULT_DEPTH_LIMIT:
+    while True:
+        stop = "bound" if dim >= bound else "converged" if not frontier else certify()
+        if stop or depth >= DEFAULT_DEPTH_LIMIT:
+            return dim, depth, stop
         depth += 1
         new: list[int] = []
         for lo in range(0, len(frontier), block_size):
             new.extend(engine.expand(frontier[lo: lo + block_size]))
-            if dim + len(new) >= theoretical:
+            if dim + len(new) >= bound or certify():
                 break
         dim += len(new)
-        converged = dim >= theoretical or not new
         frontier = new
-    verdict = ("universal" if dim >= theoretical else "non_universal" if converged
-               else "undetermined")
-    return converged, depth, verdict
 
 
 @dataclass
 class ClosureResult:
     """Basis of the generated algebra plus the verdict.
 
-    ``primes`` lists the GF(p) runs behind a pauli verdict, in order.  The
-    result keeps the exact echelon rows of every run that agrees with the
-    verdict; ``basis`` and ``contains`` use them lifted to the rationals.
+    ``primes`` lists the GF(p) runs behind a pauli verdict, in order, and
+    ``certificate`` how it was reached: "full rank", "local generators",
+    "mirror bound" or "two primes" (module docstring), "float rank" on the
+    dense backend, None if undetermined; ``depth_reached`` is the depth at
+    the stop.  A non-universal result keeps the exact echelon rows of every
+    run that agrees with the verdict, which ``basis`` and ``contains`` lift.
     ``rank_margin`` (dense backend) is the smallest residual accepted as a
     new direction over the largest rejected one: ``inf`` when nothing was
     rejected, ``None`` on the exact pauli backend.
@@ -525,6 +533,7 @@ class ClosureResult:
     pattern_reflection_symmetric: bool | None = None  # chain checks only
     primes: tuple[int, ...] = ()
     rank_margin: float | None = None
+    certificate: str | None = None
     _matrix: np.ndarray = field(default=None, repr=False)
     _runs: tuple[_Rows, ...] = field(default=(), repr=False)
     _terms: list = field(default_factory=list, repr=False)  # generators the rows span
@@ -536,6 +545,10 @@ class ClosureResult:
     @property
     def basis(self) -> list:
         """Orthonormalized basis elements (unit Hilbert-Schmidt norm)."""
+        if self.representation == "pauli" and self.universality == "universal":
+            n = self.n_qubits  # every string, the identity (key 0) only under u(2^N)
+            xs, zs = _split_keys(np.arange(4 ** n - self.theoretical_cap, 4 ** n), n)
+            return [PauliSum(n, {key: 2.0 ** (-n / 2)}) for key in zip(xs.tolist(), zs.tolist())]
         if self.representation == "pauli":
             # float QR over the exact rows lifted to the rationals
             n, (piv, key, val) = self.n_qubits, self._lifted
@@ -569,7 +582,10 @@ class ClosureResult:
         if nrm < _ZERO_FLOOR:
             return True, 0.0
         v = v / nrm
-        if self.representation == "pauli":
+        if self.representation == "pauli" and self.universality == "universal":
+            # the residual is the identity component, out of the span under su(2^N) only
+            v = v[((xs | zs) == 0) & (self.theoretical_cap < 4 ** self.n_qubits)]
+        elif self.representation == "pauli":
             piv, key, val = self._lifted
             keys = _string_keys(xs, zs, self.n_qubits)
             order = np.argsort(keys)
@@ -584,6 +600,29 @@ class ClosureResult:
         return resid < tol, resid
 
 
+def _mirror_bound(terms, n: int) -> int | None:
+    """Upper bound on the closure dimension if every generator is mirror
+    invariant (the same integer coefficient on mirrored strings), else None.
+
+    Brackets of invariant elements are invariant, so the algebra lies in the
+    span of the (4**N + 4**ceil(N/2))/2 string orbits of the site reversal R,
+    traceless without an identity term.  tr(R[A, B]) = tr([R, A]B) = 0 for
+    invariant A, so it is orthogonal to R too once every generator is:
+    tr(R S) is nonzero, and the same, exactly on the palindromes S with I on
+    the middle site of odd N.  For N >= 2, R is independent of the identity.
+    """
+    mid = ((1 << n) | 1) << (n // 2) if n % 2 else 0  # the middle site's x and z bits
+    sums = []  # per generator, its coefficient sum over the strings S with tr(R S) != 0
+    for keys, cs in terms:
+        xr, zr = reflect_masks(np.stack(_split_keys(keys, n)).astype(np.uint64), n)
+        keys, mirrored = keys.tolist(), _string_keys(xr, zr, n).tolist()
+        if dict(zip(keys, cs)) != dict(zip(mirrored, cs)):
+            return None
+        sums.append(sum(c for k, r, c in zip(keys, mirrored, cs) if k == r and not k & mid))
+    identity = any(0 in keys for keys, _ in terms)
+    return (4 ** n + 4 ** -(-n // 2)) // 2 - (not identity) - (n >= 2 and not any(sums))
+
+
 def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     n = gen.n_qubits
     if n > MAX_EXACT_QUBITS:
@@ -591,21 +630,30 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     terms = [_integer_terms(g, n) for g in gen.generators]
     # u(2^N) once a generator has an identity term (key 0), su(2^N) otherwise
     theoretical = 4 ** n - 1 + any(0 in keys for keys, _ in terms)
+    bound = _mirror_bound(terms, n) or theoretical  # the bound is at least 3
+    # X_j, Z_j and Z_j Z_{j+1}: their single-string brackets reach every string
+    local = np.array([1 << (n + j) for j in range(n)] + [1 << j for j in range(n)]
+                     + [3 << j for j in range(n - 1)], dtype=np.int64)
     runs = []
     for p in PRIMES:
         engine = _ModPEngine(n, terms, p)
-        converged, depth, verdict = _bfs(engine, theoretical)
+        dim, depth, stop = _bfs(engine, bound, lambda: None if len(engine.rows.reduce(
+            np.arange(len(local)), local, np.ones_like(local))[0]) else "local generators")
         runs.append(engine.rows)
-        if verdict != "non_universal":
+        if stop != "converged":
             break
     dims, primes = [r.n_rows for r in runs], PRIMES[: len(runs)]
-    if verdict != "universal" and len(set(dims)) > 1:
+    if stop == "converged" and len(set(dims)) > 1:
         raise ClosureError(f"closure dimensions {dims} differ over GF(p) for p in {primes}")
+    universal = dim >= theoretical or stop == "local generators"
+    certificate = ("full rank" if dim >= theoretical else "mirror bound" if stop == "bound"
+                   else "two primes" if stop == "converged" else stop)
+    verdict = "universal" if universal else "non_universal" if stop else "undetermined"
     return ClosureResult(
-        dimension=dims[-1], converged=converged, depth_reached=depth,
-        universality=verdict, representation="pauli", theoretical_cap=theoretical,
-        n_qubits=n, primes=primes,
-        _runs=tuple(runs[-1:] if verdict == "universal" else runs), _terms=terms)
+        dimension=theoretical if universal else dim, converged=stop is not None,
+        depth_reached=depth, universality=verdict, representation="pauli",
+        theoretical_cap=theoretical, n_qubits=n, primes=primes, certificate=certificate,
+        _runs=tuple(runs if certificate == "two primes" else runs[-1:]), _terms=terms)
 
 
 def close(gen: GeneratorSet) -> ClosureResult:
@@ -616,7 +664,9 @@ def close(gen: GeneratorSet) -> ClosureResult:
     pauli backend, and d**2 - 1 (su(d)) otherwise.  Reaching it is the
     universal verdict, converging below it the non-universal one; a closure
     still growing after DEFAULT_DEPTH_LIMIT depths is undetermined.  The
-    pauli backend is exact, the dense one decides rank against _ABS_FLOOR.
+    pauli backend is exact and may stop early on a certificate, the dense
+    one decides rank against _ABS_FLOOR.  One DEBUG record on the
+    ``liectrl`` logger names the verdict, certificate, depth and primes.
     """
     t0 = time.perf_counter()
     if gen.representation == "pauli":
@@ -627,19 +677,24 @@ def close(gen: GeneratorSet) -> ClosureResult:
                         for g in gen.generators)
         theoretical = d * d if has_trace else d * d - 1
         engine = _DenseEngine(gen.generators)
-        converged, depth, verdict = _bfs(engine, theoretical)
+        _, depth, stop = _bfs(engine, theoretical)
         bases = engine.bases
         acc, rej = min(b.min_accepted for b in bases), max(b.max_rejected for b in bases)
         matrix = np.concatenate([engine.full(g, b.matrix) for g, b in enumerate(bases)])
+        verdict = "universal" if stop == "bound" else "non_universal" if stop else "undetermined"
         result = ClosureResult(
-            dimension=len(matrix), converged=converged, depth_reached=depth,
+            dimension=len(matrix), converged=stop is not None, depth_reached=depth,
             universality=verdict, representation="dense", theoretical_cap=theoretical,
-            rank_margin=float(acc / rej) if rej else np.inf, _matrix=matrix)
+            rank_margin=float(acc / rej) if rej else np.inf,
+            certificate="float rank" if stop else None, _matrix=matrix)
         if result.rank_margin < _MARGIN_WARN:
             log.warning("dense closure %s: rank margin %.3g is below %g; dimension %d "
                         "may be wrong", gen.label or "(unlabelled)", result.rank_margin,
                         _MARGIN_WARN, result.dimension)
     result.elapsed_s = time.perf_counter() - t0
+    log.debug("closure %s: %s, dimension %d by %s at depth %d, primes %s",
+              gen.label or "(unlabelled)", result.universality, result.dimension,
+              result.certificate, result.depth_reached, result.primes)
     return result
 
 
@@ -679,20 +734,15 @@ def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = ()) -
 def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:
     """True iff every basis element is invariant under the chain reflection.
 
-    Exact: every echelon row must equal its bit-reversed image, compared as
-    residues mod p (equal exactly when the rows lifted to the rationals are).
+    Exact: that holds iff every generator is invariant, with the same
+    integer coefficient on mirrored strings, since the algebra contains its
+    generators and the brackets of invariant elements are invariant.
     """
     if result.representation != "pauli":
         raise ClosureError("reflection check requires the pauli representation")
     if result.n_qubits != n_qubits:
         raise ClosureError("qubit count mismatch")
-    rows = result._runs[-1]
-    xs, zs = _split_keys(rows.key, n_qubits)
-    rkeys = _string_keys(reflect_masks(xs.astype(np.uint64), n_qubits),
-                         reflect_masks(zs.astype(np.uint64), n_qubits), n_qubits)
-    a, b = np.lexsort((rows.key, rows.row)), np.lexsort((rkeys, rows.row))
-    return bool(np.array_equal(rows.key[a], rkeys[b])
-                and np.array_equal(rows.val[a], rows.val[b]))
+    return _mirror_bound(result._terms, n_qubits) is not None
 
 
 def verify_lemma_b2_targets(n_qubits: int) -> bool:

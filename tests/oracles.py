@@ -12,7 +12,9 @@ one step at a time, rather than gathered block exponentials and damping
 on a reshaped view.  The RK4 oracle integrates the master equation
 itself, a reference that does not use the splitting.  The commutator
 oracle applies the symplectic sign rule one term pair at a time on
-PauliSum dicts, rather than on batched mask arrays.
+PauliSum dicts, rather than on batched mask arrays.  The string BFS
+follows which strings brackets reach, as sets of integer mask pairs, with
+no coefficients and no GF(p) rows.
 """
 
 import numpy as np
@@ -84,6 +86,25 @@ def scalar_commutator(a, b):
             acc[key] = acc.get(key, 0.0) + sign * c1 * c2
     out._prune()
     return out
+
+
+def string_bfs(generators):
+    """Every Pauli string that nested brackets of the ``generators`` strings reach.
+
+    Strings are (x_mask, z_mask) pairs.  Two strings anticommute iff their
+    symplectic form is odd, and their bracket is then +/- the string
+    (x1 ^ x2, z1 ^ z2); commuting strings bracket to 0.  Signs do not
+    change which strings are reached, so each is kept as a set member.
+    """
+    def anticommute(a, b):
+        return (bin(a[0] & b[1]).count("1") + bin(a[1] & b[0]).count("1")) % 2 == 1
+
+    reached, frontier = set(generators), set(generators)
+    while frontier:
+        frontier = {(s[0] ^ g[0], s[1] ^ g[1]) for s in frontier for g in generators
+                    if anticommute(s, g)} - reached
+        reached |= frontier
+    return reached
 
 
 def reflection_sector_dimension(n_qubits):

@@ -20,7 +20,7 @@ from liectrl.closure import (
 from liectrl.pauli import PauliSum, commutator, sum_to_arrays
 from liectrl.sectors import build_hubbard_chain_controls
 
-from oracles import dense_closure_dimension, reflection_sector_dimension
+from oracles import dense_closure_dimension, reflection_sector_dimension, string_bfs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -200,6 +200,17 @@ class TestExactPauliBackend:
         with pytest.raises(ClosureError, match=r"\[3, 4\]"):
             close(GeneratorSet("pauli", [x1, z1_x2]))
 
+    def test_prime_deficiency_settled_by_the_mirror_bound(self):
+        # the ZZ coefficient vanishes mod the first prime only: dims 3 and 9,
+        # and 9 is the mirror bound of these invariant generators
+        x, z = (PauliSum.from_label(c + "I") + PauliSum.from_label("I" + c) for c in "XZ")
+        z = z + PauliSum.from_label("ZZ", float(PRIMES[0]))
+        res = close(GeneratorSet("pauli", [x, z]))
+        assert (res.dimension, res.universality) == (9, "non_universal")
+        assert (res.certificate, res.primes) == ("mirror bound", PRIMES)
+        # one run lifts: at the bound the echelon entries are +/-1
+        assert res.contains(z) == (True, 0.0)
+
     def test_universal_verdict_needs_one_prime(self):
         res = check_universality_qubit(3, {1})
         assert res.universality == "universal"
@@ -365,6 +376,54 @@ class TestDenseGrading:
         assert absorb_widths == {55, 45}
 
 
+LOCAL_GENERATORS = {  # X_j, Z_j and Z_j Z_{j+1} as (x_mask, z_mask), keyed by N
+    n: [(1 << j, 0) for j in range(n)] + [(0, 1 << j) for j in range(n)]
+    + [(0, 3 << j) for j in range(n - 1)] for n in range(2, 7)}
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("n", sorted(LOCAL_GENERATORS))
+    def test_local_generators_reach_every_string(self, n):
+        assert len(string_bfs(LOCAL_GENERATORS[n])) == 4 ** n - 1
+        # without Z_j Z_{j+1}, only the 3N one-site strings
+        assert len(string_bfs(LOCAL_GENERATORS[n][: 2 * n])) == 3 * n
+
+    def test_local_generators_end_a_universal_run(self):
+        res = check_universality_qubit(8, {1})
+        assert (res.dimension, res.universality) == (4 ** 8 - 1, "universal")
+        assert (res.certificate, res.primes) == ("local generators", PRIMES[:1])
+
+    def test_mirror_bound_ends_a_symmetric_run_on_one_prime(self):
+        res = check_universality_qubit(6, ())
+        assert (res.dimension, res.universality) == (2079, "non_universal")
+        assert (res.certificate, res.primes) == ("mirror bound", PRIMES[:1])
+
+    def test_invariant_set_below_its_bound_runs_every_prime(self):
+        res = close(GeneratorSet("pauli", [PauliSum.from_label("XX")]))
+        assert reflection_sector_check(res, 2)
+        assert (res.dimension, res.certificate, res.primes) == (1, "two primes", PRIMES)
+
+    def test_universal_contains_reads_the_identity_component(self):
+        i, x, z = (PauliSum.from_label(c) for c in "IXZ")
+        assert close(GeneratorSet("pauli", [i + x, z])).contains(i) == (True, 0.0)
+        res = check_universality_qubit(4, {3, 4})
+        assert res.contains(PauliSum.from_label("IIII")) == (False, 1.0)
+        member, resid = res.contains(PauliSum.from_label("IIII") + PauliSum.from_label("XYZI"))
+        assert not member and resid == pytest.approx(np.sqrt(0.5))
+        assert len(res.basis) == 255
+
+    def test_certificate_names_and_log(self, caplog):
+        i, x, z = (PauliSum.from_label(c) for c in "IXZ")
+        with caplog.at_level("DEBUG", logger="liectrl"):
+            # X is in the span only at depth 2, where the rank reaches 4
+            exact = close(GeneratorSet("pauli", [i + x, z]))
+            dense = close(GeneratorSet("dense", [X, Z]))
+        assert (exact.certificate, dense.certificate) == ("full rank", "float rank")
+        assert [r.levelname for r in caplog.records] == ["DEBUG", "DEBUG"]
+        assert caplog.records[0].getMessage() == ("closure (unlabelled): universal, dimension 4 "
+                                                  f"by full rank at depth 2, primes {PRIMES[:1]}")
+
+
 class TestReflectionChecks:
     def test_pattern_symmetry_predicate(self):
         assert pattern_is_reflection_symmetric(4, set())
@@ -385,6 +444,10 @@ class TestReflectionChecks:
         gen = GeneratorSet("pauli", [PauliSum.single_site(3, 2, "X")])
         res = close(gen)
         assert reflection_sector_check(res, 3)
+
+    def test_single_site_is_its_own_mirror(self):
+        res = close(GeneratorSet("pauli", [PauliSum.from_label("X"), PauliSum.from_label("Z")]))
+        assert reflection_sector_check(res, 1)
 
     def test_antisymmetric_element_is_not_invariant(self):
         # X1 - X3 has a reflection-invariant support but flips sign
@@ -420,6 +483,21 @@ class TestBackendAgreement:
             pauli_dim = close(gen).dimension
             dense = GeneratorSet("dense", [g.to_dense() for g in gen.generators])
             assert close(dense).dimension == pauli_dim
+
+    def test_random_mirror_invariant_sets(self):
+        # the mirror-bound stop against the dense backend, off the chains
+        rng = np.random.default_rng(5)
+        certificates = []
+        for _ in range(12):
+            n = int(rng.integers(2, 5))
+            gen = random_pauli_set(rng, n, int(rng.integers(2, 4)))
+            gen = GeneratorSet("pauli", [g + g.reflection_image() for g in gen.generators])
+            res = close(gen)
+            assert reflection_sector_check(res, n)
+            certificates.append(res.certificate)
+            dense = GeneratorSet("dense", [g.to_dense() for g in gen.generators])
+            assert close(dense).dimension == res.dimension
+        assert {"mirror bound", "two primes"} <= set(certificates)
 
 
 class TestTrotter:
