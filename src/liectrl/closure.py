@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
@@ -81,6 +81,7 @@ _INTEGER_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _HERM_TOL = 1e-12
 _ZERO_FLOOR = 1e-14
+_MEMBER_TOL = 1e-8  # a unit-norm element whose residual is below this is in the span
 # Dense backend only: residuals below this floor are treated as roundoff.
 # Candidates have norm <= 1 (normalized brackets of unit-norm operands) and
 # are processed oldest first, so genuine directions enter at large residuals
@@ -131,6 +132,9 @@ class GeneratorSet:
             self.generators = gens
         else:
             raise ClosureError(f"unknown representation {self.representation!r}")
+        if all(np.linalg.norm(g) < _ZERO_FLOOR if self.representation == "dense" else not g.terms
+               for g in self.generators):
+            raise ClosureError("all generators are zero")
 
     @property
     def n_qubits(self) -> int:
@@ -435,8 +439,6 @@ class _DenseEngine:
         self.d = d = gens[0].shape[0]
         self.n_gens = len(gens)
         norms = [np.linalg.norm(g) for g in gens]
-        if max(norms) < _ZERO_FLOOR:
-            raise ClosureError("all generators are zero")
         # zero generators stay as zeros and produce no candidates
         self.gen_mats = [g / n if n >= _ZERO_FLOOR else g * 0.0 for g, n in zip(gens, norms)]
         self._gen_rows = np.concatenate(self.gen_mats)  # (g*d, d)
@@ -530,7 +532,8 @@ class ClosureResult:
     theoretical_cap: int
     n_qubits: int | None = None
     elapsed_s: float = 0.0
-    pattern_reflection_symmetric: bool | None = None  # chain checks only
+    # pauli: every generator mirror invariant; for chain controls, a symmetric break pattern
+    pattern_reflection_symmetric: bool | None = None  # None on the dense backend
     primes: tuple[int, ...] = ()
     rank_margin: float | None = None
     certificate: str | None = None
@@ -561,12 +564,12 @@ class ClosureResult:
             return [arrays_to_sum(n, xs, zs, q[:, i]) for i in range(len(pivots))]
         return list(_unstack_rows(self._matrix, isqrt(self._matrix.shape[1])))
 
-    def contains(self, element, tol: float = 1e-8) -> tuple[bool, float]:
+    def contains(self, element) -> tuple[bool, float]:
         """Span membership of a Hermitian element; returns (member, residual).
 
-        The residual is that of the unit-norm element.  On the pauli
-        backend it is the norm of v - v[pivots] R over the exact rows R
-        lifted to the rationals, an upper bound on the distance to the span.
+        The residual is that of the unit-norm element, a member below _MEMBER_TOL.
+        On the pauli backend it is the norm of v - v[pivots] R over the exact
+        rows R lifted to the rationals, an upper bound on the distance to the span.
         """
         if self.representation == "pauli":
             if element.n_qubits != self.n_qubits:
@@ -597,7 +600,7 @@ class ClosureResult:
             v = v - (v @ self._matrix.T) @ self._matrix
             v = v - (v @ self._matrix.T) @ self._matrix
         resid = float(np.linalg.norm(v))
-        return resid < tol, resid
+        return resid < _MEMBER_TOL, resid
 
 
 def _mirror_bound(terms, n: int) -> int | None:
@@ -630,7 +633,7 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     terms = [_integer_terms(g, n) for g in gen.generators]
     # u(2^N) once a generator has an identity term (key 0), su(2^N) otherwise
     theoretical = 4 ** n - 1 + any(0 in keys for keys, _ in terms)
-    bound = _mirror_bound(terms, n) or theoretical  # the bound is at least 3
+    bound = (mirror := _mirror_bound(terms, n)) or theoretical  # the bound is at least 3
     # X_j, Z_j and Z_j Z_{j+1}: their single-string brackets reach every string
     local = np.array([1 << (n + j) for j in range(n)] + [1 << j for j in range(n)]
                      + [3 << j for j in range(n - 1)], dtype=np.int64)
@@ -652,7 +655,8 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     return ClosureResult(
         dimension=theoretical if universal else dim, converged=stop is not None,
         depth_reached=depth, universality=verdict, representation="pauli",
-        theoretical_cap=theoretical, n_qubits=n, primes=primes, certificate=certificate,
+        theoretical_cap=theoretical, n_qubits=n, pattern_reflection_symmetric=mirror is not None,
+        primes=primes, certificate=certificate,
         _runs=tuple(runs if certificate == "two primes" else runs[-1:]), _terms=terms)
 
 
@@ -718,31 +722,22 @@ def uniform_qubit_generators(n_qubits: int, break_pattern: Sequence[int] = ()) -
     return GeneratorSet("pauli", gens, label=f"chain N={n_qubits} break={tag}")
 
 
-def pattern_is_reflection_symmetric(n_qubits: int, break_pattern: Sequence[int]) -> bool:
-    pattern = set(break_pattern)
-    return {n_qubits - j + 1 for j in pattern} == pattern
-
-
 def check_universality_qubit(n_qubits: int, break_pattern: Sequence[int] = ()) -> ClosureResult:
     """Universality of the uniform chain controls plus a partial X field."""
-    result = close(uniform_qubit_generators(n_qubits, break_pattern))
-    return replace(
-        result, n_qubits=n_qubits,
-        pattern_reflection_symmetric=pattern_is_reflection_symmetric(n_qubits, break_pattern))
+    return close(uniform_qubit_generators(n_qubits, break_pattern))
 
 
 def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:
     """True iff every basis element is invariant under the chain reflection.
 
-    Exact: that holds iff every generator is invariant, with the same
-    integer coefficient on mirrored strings, since the algebra contains its
-    generators and the brackets of invariant elements are invariant.
+    Exact: that holds iff every generator is (``pattern_reflection_symmetric``),
+    as the algebra contains them and brackets of invariant elements are invariant.
     """
     if result.representation != "pauli":
         raise ClosureError("reflection check requires the pauli representation")
     if result.n_qubits != n_qubits:
         raise ClosureError("qubit count mismatch")
-    return _mirror_bound(result._terms, n_qubits) is not None
+    return result.pattern_reflection_symmetric
 
 
 def verify_lemma_b2_targets(n_qubits: int) -> bool:

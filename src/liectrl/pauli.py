@@ -156,16 +156,7 @@ class PauliSum:
         j = site - 1
         return cls(n_qubits, {(bx << j, bz << j): coeff})
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
     # -- bookkeeping -------------------------------------------------
-
-    def _prune(self) -> None:
-        dead = [k for k, c in self.terms.items() if abs(c) < PRUNE_TOL]
-        for k in dead:
-            del self.terms[k]
 
     def __len__(self) -> int:
         return len(self.terms)

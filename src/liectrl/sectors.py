@@ -80,12 +80,6 @@ class SectorBasis:
         return self.kind in ("fermion", "spinful_fermion")
 
 
-@dataclass
-class SectorOperator:
-    basis: SectorBasis
-    matrix: np.ndarray
-
-
 def _check_mode(basis: SectorBasis, i: int) -> int:
     if not 1 <= i <= basis.n_modes:
         raise SectorError(f"mode {i} out of range 1..{basis.n_modes}")
@@ -133,14 +127,14 @@ def transfer(basis: SectorBasis, i: int, j: int) -> np.ndarray:
     return _transfers(basis, [(mi, mj)])
 
 
-def hopping(basis: SectorBasis, i: int, j: int) -> SectorOperator:
-    """c_i^dag c_j + c_j^dag c_i on the sector."""
+def hopping(basis: SectorBasis, i: int, j: int) -> np.ndarray:
+    """Matrix of c_i^dag c_j + c_j^dag c_i on the sector."""
     t = transfer(basis, i, j)
-    return SectorOperator(basis, t + t.conj().T)
+    return t + t.conj().T
 
 
-def number_op(basis: SectorBasis, i: int) -> SectorOperator:
-    return SectorOperator(basis, _diag(basis._occ[:, _check_mode(basis, i)]))
+def number_op(basis: SectorBasis, i: int) -> np.ndarray:
+    return _diag(basis._occ[:, _check_mode(basis, i)])
 
 
 def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,

@@ -70,8 +70,7 @@ def scalar_commutator(a, b):
     def popcount(v):
         return bin(v).count("1")
 
-    out = PauliSum(a.n_qubits)
-    acc = out.terms
+    acc = {}
     for (x1, z1), c1 in a.terms.items():
         q1 = popcount(x1 & z1)
         for (x2, z2), c2 in b.terms.items():
@@ -84,8 +83,7 @@ def scalar_commutator(a, b):
             sign = 1.0 if e == 0 else -1.0
             key = (x3, z3)
             acc[key] = acc.get(key, 0.0) + sign * c1 * c2
-    out._prune()
-    return out
+    return PauliSum(a.n_qubits, acc)
 
 
 def string_bfs(generators):
@@ -133,9 +131,9 @@ def pauli_rydberg_terms(geom):
     from liectrl.pauli import PauliSum
 
     n = geom.n_atoms
-    x_total = sum((PauliSum.single_site(n, l, "X") for l in range(1, n + 1)), PauliSum.zero(n))
-    n_total = sum((density_operator(n, l) for l in range(1, n + 1)), PauliSum.zero(n))
-    v = PauliSum.zero(n)
+    x_total = sum((PauliSum.single_site(n, l, "X") for l in range(1, n + 1)), PauliSum(n))
+    n_total = sum((density_operator(n, l) for l in range(1, n + 1)), PauliSum(n))
+    v = PauliSum(n)
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
             zj, zl = 1 << (j - 1), 1 << (l - 1)  # n_j n_l = (I - Z_j - Z_l + Z_j Z_l)/4

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,11 @@ from liectrl.closure import (
     MAX_EXACT_QUBITS,
     PRIMES,
     ClosureError,
+    ClosureResult,
     GeneratorSet,
     check_universality_qubit,
     close,
     loglog_slope,
-    pattern_is_reflection_symmetric,
     reflection_sector_check,
     trotter_commutator_error,
     trotter_linear_error,
@@ -88,8 +91,8 @@ class TestCloseBasics:
         rng = np.random.default_rng(0)
         for _ in range(10):
             i, j = rng.integers(0, n, size=2)
-            member, resid = res.contains(commutator(basis[i], basis[j]), tol=1e-9)
-            assert member, f"bracket ({i},{j}) left the span, residual {resid}"
+            _, resid = res.contains(commutator(basis[i], basis[j]))
+            assert resid < 1e-9, f"bracket ({i},{j}) left the span, residual {resid}"
 
     def test_depth_limit_leaves_verdict_undetermined(self, monkeypatch):
         # N=3 {1} is universal, but not after one depth of brackets
@@ -178,7 +181,7 @@ class TestChainTheorem:
             while abs(np.linalg.det(m)) < 0.5:
                 m = rng.integers(-2, 3, size=(len(gens), len(gens)))
             mixed = [sum((float(m[i, j]) * gens[j] for j in range(len(gens))),
-                         PauliSum.zero(3)) for i in range(len(gens))]
+                         PauliSum(3)) for i in range(len(gens))]
             assert close(GeneratorSet("pauli", mixed)).dimension == dim0
 
 
@@ -237,21 +240,29 @@ class TestExactPauliBackend:
         g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", c)
         res = close(GeneratorSet("pauli", [g]))
         assert res.dimension == 1
-        member, resid = res.contains(g * 3.0, tol=1e-12)
-        assert member, resid
+        _, resid = res.contains(g * 3.0)
+        assert resid < 1e-12, resid
         assert not res.contains(PauliSum.from_label("ZI"))[0]
         (b,) = res.basis
         assert b.hs_inner(b) == pytest.approx(1.0)
         assert b.coeff("IX") == pytest.approx(c * b.coeff("ZI"))
 
     def test_row_beyond_the_lift_bound_raises(self):
-        g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", 2.0 ** 40)
-        res = close(GeneratorSet("pauli", [g]))
-        assert res.dimension == 1
-        with pytest.raises(ClosureError):
-            res.contains(g)
-        with pytest.raises(ClosureError):
-            res.basis
+        # the entry 1/c has a denominator above the two-prime bound: it lifts to a
+        # wrong fraction, or to none
+        for c, message in [
+                (2.0 ** 40, "rows lifted mod 281474641166387 miss a generator: an exact "
+                            "entry exceeds the reconstruction bound 11863276"),
+                (2.0 ** 24 + 3, "residue 44566818044868 mod 281474641166387 has no rational "
+                                "lift below 11863276")]:
+            g = PauliSum.from_label("ZI") + PauliSum.from_label("IX", c)
+            res = close(GeneratorSet("pauli", [g]))
+            assert res.dimension == 1
+            with pytest.raises(ClosureError) as info:
+                res.contains(g)
+            assert str(info.value) == message
+            with pytest.raises(ClosureError):
+                res.basis
 
     def test_identity_term_counts_toward_u_bound(self):
         # I + X and Z generate u(2); the bound used to be 4**N - 1 = 3, which
@@ -311,8 +322,8 @@ class TestDenseCoordinates:
         basis = res.basis
         for a in basis:
             for b in basis:
-                member, resid = res.contains((a @ b - b @ a) / 2j, tol=1e-9)
-                assert member, resid
+                _, resid = res.contains((a @ b - b @ a) / 2j)
+                assert resid < 1e-9, resid
 
     def test_contains_residual_matches_complex_projection(self, closed):
         res, rng = closed
@@ -426,11 +437,34 @@ class TestCertificates:
 
 class TestReflectionChecks:
     def test_pattern_symmetry_predicate(self):
-        assert pattern_is_reflection_symmetric(4, set())
-        assert pattern_is_reflection_symmetric(4, {2, 3})
-        assert not pattern_is_reflection_symmetric(4, {3, 4})
-        assert pattern_is_reflection_symmetric(3, {2})
-        assert not pattern_is_reflection_symmetric(6, {1, 3, 5})
+        assert check_universality_qubit(4, set()).pattern_reflection_symmetric
+        assert check_universality_qubit(4, {2, 3}).pattern_reflection_symmetric
+        assert not check_universality_qubit(4, {3, 4}).pattern_reflection_symmetric
+        assert check_universality_qubit(3, {2}).pattern_reflection_symmetric
+        assert not check_universality_qubit(6, {1, 3, 5}).pattern_reflection_symmetric
+
+    @pytest.mark.parametrize("n, pattern", [(4, {2, 3}), (5, {1, 2})],
+                             ids=["symmetric", "asymmetric"])
+    def test_chain_check_is_the_closure(self, n, pattern):
+        # the chain entry point adds nothing to close(): every field but the timing agrees
+        got = check_universality_qubit(n, pattern)
+        want = close(uniform_qubit_generators(n, pattern))
+        assert got.pattern_reflection_symmetric == ({n + 1 - j for j in pattern} == pattern)
+        for f in dataclasses.fields(ClosureResult):
+            if f.name == "elapsed_s":
+                continue
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "_runs":  # echelon rows, compared by content
+                a, b = ([(r.p, r.pivots, r.row, r.key, r.val) for r in x] for x in (a, b))
+            np.testing.assert_equal(a, b, err_msg=f.name)
+
+    def test_sector_check_on_every_n5_reflection_class(self):
+        classes = {min(p, tuple(sorted(6 - j for j in p))) for r in range(6)
+                   for p in itertools.combinations(range(1, 6), r)}
+        assert len(classes) == 20
+        for p in classes:
+            res = check_universality_qubit(5, p)
+            assert reflection_sector_check(res, 5) == ({6 - j for j in p} == set(p)), p
 
     def test_sector_check_true_for_uniform(self):
         res = close(uniform_qubit_generators(4))
@@ -470,8 +504,8 @@ class TestLemmaTargets:
 
     def test_unpaired_boundary_not_member(self):
         res = close(uniform_qubit_generators(3))
-        member, _ = res.contains(PauliSum.single_site(3, 1, "X"), tol=1e-8)
-        assert not member
+        _, resid = res.contains(PauliSum.single_site(3, 1, "X"))
+        assert not resid < 1e-8
 
 
 class TestBackendAgreement:
@@ -628,3 +662,15 @@ class TestInputChecks:
         with pytest.raises(ClosureError) as info:
             make()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("representation, zero, one", [
+        ("pauli", PauliSum(2), PauliSum.from_label("XI")),
+        ("dense", 1e-15 * np.eye(4), np.kron(X, np.eye(2))),
+    ], ids=["pauli", "dense"])
+    def test_all_zero_generators_rejected_on_both_backends(self, representation, zero, one):
+        # the pauli backend used to answer dimension 0, "non_universal", "two primes"
+        with pytest.raises(ClosureError) as info:
+            GeneratorSet(representation, [zero, zero])
+        assert str(info.value) == "all generators are zero"
+        # one zero generator among others is kept and adds nothing
+        assert close(GeneratorSet(representation, [zero, one])).dimension == 1

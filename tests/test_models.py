@@ -282,9 +282,9 @@ class TestControlFamily:
         gen = uniform_qubit_generators(n, {1, 3, 5})
         hz = gen.generators[1]
         ha = sum((PauliSum.single_site(n, j, "Z") for j in range(2, n + 1, 2)),
-                 PauliSum.zero(n))
+                 PauliSum(n))
         hb = sum((PauliSum.single_site(n, j, "Z") for j in range(1, n + 1, 2)),
-                 PauliSum.zero(n))
+                 PauliSum(n))
         assert (ha + hb).terms == pytest.approx(hz.terms)
 
 

@@ -40,30 +40,31 @@ def test_traced_names_resolve():
         assert callable(obj), name
 
 
-def test_public_options_pinned():
-    # every parameter with a default on a public function or method (public:
-    # no leading underscore, so constructors are left out); a new option needs
-    # an edit here
-    found = []
+def public_members():
+    # (module, qualname, object) of every public function, class and method
+    # (public: no leading underscore, so constructors are left out)
     for module in ("closure", "models", "pauli", "propagation", "sectors"):
         mod = importlib.import_module(f"liectrl.{module}")
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
-                members = [(name, obj)]
+                yield module, name, obj
             elif inspect.isclass(obj):  # classmethods through __func__
-                members = [(f"{name}.{attr}", getattr(raw, "__func__", raw))
-                           for attr, raw in vars(obj).items() if not attr.startswith("_")]
-            else:
-                continue
-            for qualname, fn in members:
-                if inspect.isfunction(fn):
-                    found += [f"{module}.{qualname}({p.name})"
-                              for p in inspect.signature(fn).parameters.values()
-                              if p.default is not inspect.Parameter.empty]
+                yield module, name, obj
+                for attr, raw in vars(obj).items():
+                    fn = getattr(raw, "__func__", raw)
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield module, f"{name}.{attr}", fn
+
+
+def test_public_options_pinned():
+    # every parameter with a default on a public function or method; a new
+    # option needs an edit here
+    found = [f"{module}.{qualname}({p.name})" for module, qualname, fn in public_members()
+             if inspect.isfunction(fn) for p in inspect.signature(fn).parameters.values()
+             if p.default is not inspect.Parameter.empty]
     assert sorted(found) == [
-        "closure.ClosureResult.contains(tol)",
         "closure.check_universality_qubit(break_pattern)",
         "closure.uniform_qubit_generators(break_pattern)",
         "models.AtomGeometry.chain(c6)",
@@ -88,3 +89,48 @@ def test_public_options_pinned():
         "sectors.build_spinful_controls(a)",
         "sectors.build_spinful_controls(b)",
     ]
+
+
+def test_public_names_pinned():
+    # every public function, class and method per module, by the walker above;
+    # a new or restored entry point needs an edit here
+    found: dict[str, list[str]] = {}
+    for module, qualname, _ in public_members():
+        found.setdefault(module, []).append(qualname)
+    assert {module: sorted(names) for module, names in found.items()} == {
+        "closure": [
+            "ClosureError", "ClosureResult", "ClosureResult.contains", "GeneratorSet",
+            "check_universality_qubit", "close", "loglog_slope", "reflection_sector_check",
+            "trotter_commutator_error", "trotter_linear_error", "uniform_qubit_generators",
+            "verify_lemma_b2_targets",
+        ],
+        "models": [
+            "AtomGeometry", "AtomGeometry.blockade_radius", "AtomGeometry.chain",
+            "AtomGeometry.from_json", "AtomGeometry.interaction", "AtomGeometry.to_json",
+            "ModelError", "NoiseModel", "NoiseModel.fitted", "NoiseModel.realized_controls",
+            "basis_bits", "boundary_operators", "density_operator", "doubly_excited_indices",
+            "mhz", "pxp_hamiltonian", "rydberg_hamiltonian", "rydberg_terms", "to_mhz",
+            "zxz_hamiltonian",
+        ],
+        "pauli": [
+            "PauliError", "PauliSum", "PauliSum.coeff", "PauliSum.from_label",
+            "PauliSum.from_text", "PauliSum.hs_inner", "PauliSum.reflection_image",
+            "PauliSum.single_site", "PauliSum.to_dense", "PauliSum.to_text", "PauliTerm",
+            "PauliTerm.from_label", "PauliTerm.is_hermitian", "PauliTerm.label",
+            "PauliTerm.to_dense", "arrays_to_sum", "commutator", "commutator_arrays",
+            "multiply", "reflect_masks", "sum_to_arrays", "terms_commute",
+        ],
+        "propagation": [
+            "ConstraintProfile", "ConstraintProfile.from_json", "ConstraintProfile.to_json",
+            "ControlPulse", "ControlPulse.from_csv", "ControlPulse.sample", "ControlPulse.to_csv",
+            "ControlPulse.validate", "DensityState", "DensityState.hermiticity_defect",
+            "DensityState.min_eigenvalue", "DensityState.trace", "ObservableRecord",
+            "PropagationError", "PulseError", "observables", "propagate_lindblad",
+            "propagate_unitary", "unitary_trajectory",
+        ],
+        "sectors": [
+            "SectorBasis", "SectorBasis.build", "SectorError", "build_hubbard_chain_controls",
+            "build_nnn_lattice", "build_spinful_controls", "hopping", "lattice_mode", "number_op",
+            "spinful_mode", "transfer", "verify_nnn_identity",
+        ],
+    }

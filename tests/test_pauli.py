@@ -102,10 +102,10 @@ class TestCommutator:
 
     def test_uniform_fields(self):
         n = 3
-        hx = sum((PauliSum.single_site(n, j, "X") for j in range(1, n + 1)), PauliSum.zero(n))
-        hz = sum((PauliSum.single_site(n, j, "Z") for j in range(1, n + 1)), PauliSum.zero(n))
+        hx = sum((PauliSum.single_site(n, j, "X") for j in range(1, n + 1)), PauliSum(n))
+        hz = sum((PauliSum.single_site(n, j, "Z") for j in range(1, n + 1)), PauliSum(n))
         got = commutator(hx, hz)
-        want = sum((PauliSum.single_site(n, j, "Y", -1.0) for j in range(1, n + 1)), PauliSum.zero(n))
+        want = sum((PauliSum.single_site(n, j, "Y", -1.0) for j in range(1, n + 1)), PauliSum(n))
         assert got.terms == pytest.approx(want.terms)
 
     def test_hyy_hzz_three_site_strings(self):
@@ -349,7 +349,7 @@ class TestArrayKernels:
         assert got.terms == {(1, 0): 0.75}  # the cancelled string is pruned
 
     def test_sum_to_arrays_of_zero_sum(self):
-        xs, zs, cs = sum_to_arrays(PauliSum.zero(3))
+        xs, zs, cs = sum_to_arrays(PauliSum(3))
         assert (len(xs), len(zs), len(cs)) == (0, 0, 0)
         assert (xs.dtype, zs.dtype, cs.dtype) == (np.uint64, np.uint64, np.float64)
 

@@ -24,6 +24,11 @@ from oracles import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def flat_pulse(duration, omega, delta):
+    # two equal knots; a nonzero Rabi amplitude at the endpoints fails validate()
+    return ControlPulse([0.0, duration], [omega, omega], [delta, delta])
+
+
 def lone_atom():
     return AtomGeometry.chain(1, 5.0)
 
@@ -103,6 +108,15 @@ class TestControlPulse:
         with pytest.raises(PulseError, match="spacing"):
             tight.validate(prof)
 
+    def test_spacing_allowance_is_relative_1e_12(self):
+        # the documented allowance for knot roundoff: dt_min * (1 - 1e-12)
+        prof = ConstraintProfile()
+        ControlPulse([0.0, prof.dt_min * (1 - 1e-13)], [0.0, 0.0], [0.0, 0.0]).validate(prof)
+        short = ControlPulse([0.0, prof.dt_min * (1 - 1e-11)], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(PulseError) as info:
+            short.validate(prof)
+        assert str(info.value) == "knot spacing below 0.05 us"
+
     def test_sample_interpolates(self):
         p = ControlPulse(np.array([0.0, 1.0]), np.array([0.0, 2.0]),
                          np.array([1.0, -1.0]))
@@ -154,7 +168,7 @@ class TestUnitary:
 
     def test_constant_rabi_closed_form(self):
         omega = mhz(1.0)
-        p = ControlPulse.constant(0.5, omega, 0.0)
+        p = flat_pulse(0.5, omega, 0.0)
         u = propagate_unitary(p, lone_atom(), force=True)
         want = scipy.linalg.expm(-1j * (omega / 2) * 0.5 * X)
         np.testing.assert_allclose(u, want, atol=1e-10)
@@ -208,25 +222,25 @@ class TestUnitary:
                                       unitary_trajectory(p, geom)[-1][1])
 
     def test_zero_substeps_rejected(self):
-        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        p = flat_pulse(0.5, mhz(1.0), 0.0)
         with pytest.raises(PropagationError, match="substeps must be >= 1"):
             propagate_unitary(p, lone_atom(), substeps=0, force=True)
 
     @pytest.mark.parametrize("substeps", [2.5, 3.0, "3"])
     def test_non_integer_substeps_rejected(self, substeps):
         # 2.5 used to escape as numpy's TypeError from np.repeat
-        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        p = flat_pulse(0.5, mhz(1.0), 0.0)
         with pytest.raises(PropagationError, match="integer"):
             propagate_unitary(p, lone_atom(), substeps=substeps, force=True)
 
     def test_numpy_integer_substeps_accepted(self):
-        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        p = flat_pulse(0.5, mhz(1.0), 0.0)
         np.testing.assert_array_equal(propagate_unitary(p, lone_atom(), substeps=np.int64(3),
                                                         force=True),
                                       propagate_unitary(p, lone_atom(), substeps=3, force=True))
 
     def test_refuses_unvalidated_without_force(self):
-        p = ControlPulse.constant(0.5, mhz(1.0), 0.0)
+        p = flat_pulse(0.5, mhz(1.0), 0.0)
         with pytest.raises(PulseError):
             propagate_unitary(p, lone_atom())
 
@@ -606,7 +620,7 @@ class TestLindblad:
         # Strang splitting's own second order: halving the step divides the
         # error by 4 (measured: 4.004)
         noise = NoiseModel(gamma=0.3)
-        p = ControlPulse.constant(0.4, mhz(1.0), mhz(0.5))
+        p = flat_pulse(0.4, mhz(1.0), mhz(0.5))
         geom = lone_atom()
         psi = np.array([0.6, 0.8], dtype=complex)
         ref = propagate_lindblad(p, geom, noise, dt=1e-4, initial_state=psi, force=True)[-1].rho
@@ -737,6 +751,10 @@ class TestObservables:
         assert np.max(np.abs(rec.expect_z[1:-1] - 1.0)) > 0.1
 
 
+def idle_pulse():
+    return ControlPulse([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("make, error, message", [
         (lambda: ControlPulse([0.1, 0.5], [0.0, 0.0], [0.0, 0.0]).validate(), PulseError,
@@ -744,7 +762,26 @@ class TestInputChecks:
         (lambda: ControlPulse([0.0, 1.0], [0.0, 0.0], [mhz(20.0)] * 2).validate(
             ConstraintProfile()), PulseError, "detuning outside +-19.9 MHz"),
         (lambda: observables(np.zeros((2, 2, 2))), PropagationError, "unrecognized state input"),
-    ], ids=["late start", "detuning", "3-d state"])
+        # numpy's LinAlgError "Eigenvalues did not converge", and for inf an
+        # "invalid value" RuntimeWarning, before the finiteness check
+        (lambda: propagate_lindblad(idle_pulse(), AtomGeometry.chain(2, 6.0), quiet_noise(),
+                                    initial_state=[np.nan, 0, 0, 0]),
+         PropagationError, "initial_state must be finite"),
+        (lambda: propagate_lindblad(idle_pulse(), AtomGeometry.chain(2, 6.0), quiet_noise(),
+                                    initial_state=[np.inf, 0, 0, 0]),
+         PropagationError, "initial_state must be finite"),
+        (lambda: propagate_lindblad(idle_pulse(), AtomGeometry.chain(2, 6.0), quiet_noise(),
+                                    initial_state=np.diag([np.inf, 0, 0, 0])),
+         PropagationError, "initial_state must be finite"),
+        # these returned expect_z [nan, nan]
+        (lambda: observables(np.array([np.nan, 0, 0, 0])), PropagationError,
+         "state must be finite"),
+        (lambda: observables(np.diag([np.inf, 0, 0, 0])), PropagationError,
+         "state must be finite"),
+        (lambda: observables(np.eye(4), np.array([np.nan, 0, 0, 0])), PropagationError,
+         "state must be finite"),
+    ], ids=["late start", "detuning", "3-d state", "NaN Lindblad vector", "inf Lindblad vector",
+            "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state"])
     def test_rejected_with_message(self, make, error, message):
         with pytest.raises(error) as info:
             make()

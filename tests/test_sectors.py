@@ -96,34 +96,34 @@ class TestBasis:
 class TestLadderOperators:
     def test_fermion_two_mode_hopping(self):
         b = SectorBasis.build("fermion", 2, 1)
-        np.testing.assert_allclose(hopping(b, 1, 2).matrix,
+        np.testing.assert_allclose(hopping(b, 1, 2),
                                    [[0, 1], [1, 0]], atol=1e-15)
 
     def test_boson_two_mode_hopping(self):
         b = SectorBasis.build("boson", 2, 2)
-        got = hopping(b, 1, 2).matrix
+        got = hopping(b, 1, 2)
         s2 = np.sqrt(2)
         want = [[0, s2, 0], [s2, 0, s2], [0, s2, 0]]
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_fermion_long_range_sign(self):
         b = SectorBasis.build("fermion", 3, 2)
-        got = hopping(b, 1, 3).matrix
+        got = hopping(b, 1, 3)
         i_110 = b.index[(1, 1, 0)]
         i_011 = b.index[(0, 1, 1)]
         assert got[i_110, i_011] == pytest.approx(-1.0)
 
     def test_number_ops(self):
         b = SectorBasis.build("fermion", 2, 1)
-        np.testing.assert_allclose(number_op(b, 1).matrix, np.diag([0, 1.0]))
+        np.testing.assert_allclose(number_op(b, 1), np.diag([0, 1.0]))
         bb = SectorBasis.build("boson", 2, 2)
-        diag = np.diag(number_op(bb, 1).matrix).real
+        diag = np.diag(number_op(bb, 1)).real
         assert sorted(diag) == [0, 1, 2]
 
     def test_total_number_is_identity_multiple(self):
         for kind, m, n in [("fermion", 4, 2), ("boson", 3, 3)]:
             b = SectorBasis.build(kind, m, n)
-            total = sum(number_op(b, i).matrix for i in range(1, m + 1))
+            total = sum(number_op(b, i) for i in range(1, m + 1))
             np.testing.assert_allclose(total, n * np.eye(b.dim), atol=1e-14)
 
     def test_mode_out_of_range(self):
@@ -162,7 +162,7 @@ class TestLadderOperators:
         # [n_i, c_i^dag c_j] = c_i^dag c_j projected identity
         for kind in ("fermion", "boson"):
             b = SectorBasis.build(kind, 3, 2)
-            n1 = number_op(b, 1).matrix
+            n1 = number_op(b, 1)
             t = transfer(b, 1, 2)
             np.testing.assert_allclose(n1 @ t - t @ n1, t, atol=1e-13)
 
@@ -181,7 +181,7 @@ class TestChainControls:
             np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
         # particle number commutes with everything built
         b = gen.basis
-        total = sum(number_op(b, i).matrix for i in range(1, b.n_modes + 1))
+        total = sum(number_op(b, i) for i in range(1, b.n_modes + 1))
         for g in gen.generators:
             assert np.max(np.abs(g @ total - total @ g)) < 1e-12
 
