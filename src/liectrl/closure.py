@@ -525,7 +525,6 @@ class ClosureResult:
     """
 
     dimension: int
-    converged: bool
     depth_reached: int
     universality: Literal["universal", "non_universal", "undetermined"]
     representation: Representation
@@ -571,6 +570,8 @@ class ClosureResult:
         On the pauli backend it is the norm of v - v[pivots] R over the exact
         rows R lifted to the rationals, an upper bound on the distance to the span.
         """
+        if isinstance(element, PauliSum) != (self.representation == "pauli"):
+            raise ClosureError(f"{type(element).__name__} on a {self.representation} result")
         if self.representation == "pauli":
             if element.n_qubits != self.n_qubits:
                 raise ClosureError("qubit count mismatch")
@@ -653,10 +654,9 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
                    else "two primes" if stop == "converged" else stop)
     verdict = "universal" if universal else "non_universal" if stop else "undetermined"
     return ClosureResult(
-        dimension=theoretical if universal else dim, converged=stop is not None,
-        depth_reached=depth, universality=verdict, representation="pauli",
-        theoretical_cap=theoretical, n_qubits=n, pattern_reflection_symmetric=mirror is not None,
-        primes=primes, certificate=certificate,
+        dimension=theoretical if universal else dim, depth_reached=depth, universality=verdict,
+        representation="pauli", theoretical_cap=theoretical, n_qubits=n,
+        pattern_reflection_symmetric=mirror is not None, primes=primes, certificate=certificate,
         _runs=tuple(runs if certificate == "two primes" else runs[-1:]), _terms=terms)
 
 
@@ -687,10 +687,10 @@ def close(gen: GeneratorSet) -> ClosureResult:
         matrix = np.concatenate([engine.full(g, b.matrix) for g, b in enumerate(bases)])
         verdict = "universal" if stop == "bound" else "non_universal" if stop else "undetermined"
         result = ClosureResult(
-            dimension=len(matrix), converged=stop is not None, depth_reached=depth,
-            universality=verdict, representation="dense", theoretical_cap=theoretical,
+            dimension=len(matrix), depth_reached=depth, universality=verdict,
+            representation="dense", theoretical_cap=theoretical, _matrix=matrix,
             rank_margin=float(acc / rej) if rej else np.inf,
-            certificate="float rank" if stop else None, _matrix=matrix)
+            certificate="float rank" if stop else None)
         if result.rank_margin < _MARGIN_WARN:
             log.warning("dense closure %s: rank margin %.3g is below %g; dimension %d "
                         "may be wrong", gen.label or "(unlabelled)", result.rank_margin,
@@ -763,6 +763,8 @@ def _trotter_operands(A, B, n: int) -> tuple[np.ndarray, np.ndarray]:
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ClosureError("dimension mismatch")
+    if not isinstance(n, (int, np.integer)):
+        raise ClosureError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ClosureError("n must be >= 1")
     for m, what in ((A, "1j * A"), (B, "1j * B")):  # finite first: 1j * inf warns
@@ -794,4 +796,6 @@ def loglog_slope(ns: Sequence[int], errors: Sequence[float]) -> float:
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = errors > 0
+    if keep.sum() < 2:
+        raise ClosureError(f"a slope needs two positive errors, got {errors.tolist()}")
     return float(np.polyfit(np.log(ns[keep]), np.log(errors[keep]), 1)[0])

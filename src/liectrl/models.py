@@ -68,6 +68,8 @@ class AtomGeometry:
 
     def interaction(self, j: int, l: int) -> float:
         """V_jl = C6 / |x_j - x_l|^6 in rad/us (atoms 1-based)."""
+        if not (1 <= j <= self.n_atoms and 1 <= l <= self.n_atoms and j != l):
+            raise ModelError(f"need two distinct atoms in 1..{self.n_atoms}, got {j} and {l}")
         xj, yj = self.positions[j - 1]
         xl, yl = self.positions[l - 1]
         return self.c6 / np.hypot(xj - xl, yj - yl) ** 6
@@ -84,7 +86,10 @@ class AtomGeometry:
 
     @classmethod
     def from_json(cls, text: str) -> "AtomGeometry":
-        return cls(**json.loads(text))
+        doc = json.loads(text)
+        if not (isinstance(doc, dict) and "positions" in doc and set(doc) <= {"positions", "c6"}):
+            raise ModelError(f"geometry JSON must be an object of positions and c6, got {text}")
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ is a Y.  The canonical Hermitian operator attached to a mask pair is
 
 which is exactly the tensor product of literal I/X/Y/Z factors.  A
 :class:`PauliSum` keeps a real coefficient per mask pair and therefore
-always represents a Hermitian operator.
+always represents a Hermitian operator.  It is the only string type (one
+string is a one-term sum); the sign rule lives in :func:`commutator_arrays`.
 
 Qubit indices are 1-based in the public interface (bit 0 of the masks is
 qubit 1).  Masks are kept as Python ints but must fit 64 bits.
@@ -22,7 +23,6 @@ i**popcount(x & z) * (-1)**popcount(k & z') at row k ^ x'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -51,71 +51,17 @@ def _label(n_qubits: int, x: int, z: int) -> str:
     return "".join(_BITS_TO_CHAR[(x >> j) & 1, (z >> j) & 1] for j in range(n_qubits))
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """One Pauli string with an exact phase, tracked as a power of i mod 4."""
-
-    n_qubits: int
-    x_mask: int
-    z_mask: int
-    phase_exp: int = 0  # operator = i**phase_exp * X^x * Z^z
-
-    def __post_init__(self):
-        _check_n_qubits(self.n_qubits)
-        full = (1 << self.n_qubits) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
-            raise PauliError("mask has bits outside the qubit register")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliTerm":
-        """Build the canonical Hermitian term from a string like ``"XIZ"``.
-
-        Position 1 of the label is qubit 1.
-        """
-        x = z = 0
-        for j, ch in enumerate(label):
-            try:
-                bx, bz = _CHAR_TO_BITS[ch]
-            except KeyError:
-                raise PauliError(f"invalid Pauli character {ch!r}") from None
-            x |= bx << j
-            z |= bz << j
-        # phase i**popcount(x&z) turns the XZ products into literal Y's
-        return cls(len(label), x, z, (x & z).bit_count())
-
-    def _relative_phase(self) -> int:
-        # power of i relative to the canonical Hermitian string
-        return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4
-
-    def is_hermitian(self) -> bool:
-        # (X^x Z^z)^dag = (-1)^{x.z} X^x Z^z
-        return self._relative_phase() % 2 == 0
-
-    def label(self) -> str:
-        return _label(self.n_qubits, self.x_mask, self.z_mask)
-
-    def to_dense(self) -> np.ndarray:
-        canonical = PauliSum(self.n_qubits, {(self.x_mask, self.z_mask): 1.0})
-        return _PHASES[self._relative_phase()] * canonical.to_dense()
-
-    def __repr__(self):
-        # fold the canonical Y phases into the label for readability
-        pre = ("", "i*", "-", "-i*")[self._relative_phase()]
-        return f"{pre}{self.label()}"
-
-
-def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Exact product of two Pauli terms via the symplectic sign rule."""
-    if a.n_qubits != b.n_qubits:
-        raise PauliError("size mismatch in Pauli product")
-    # X^x1 Z^z1 X^x2 Z^z2 = (-1)^{z1.x2} X^(x1^x2) Z^(z1^z2)
-    phase = a.phase_exp + b.phase_exp + 2 * (a.z_mask & b.x_mask).bit_count()
-    return PauliTerm(a.n_qubits, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, phase % 4)
-
-
-def terms_commute(a: PauliTerm, b: PauliTerm) -> bool:
-    return ((a.z_mask & b.x_mask).bit_count() + (a.x_mask & b.z_mask).bit_count()) % 2 == 0
+def _masks(label: str) -> tuple[int, int]:
+    """(x_mask, z_mask) of a string like ``"XIZ"``; position 1 is qubit 1."""
+    x = z = 0
+    for j, ch in enumerate(label):
+        try:
+            bx, bz = _CHAR_TO_BITS[ch]
+        except KeyError:
+            raise PauliError(f"invalid Pauli character {ch!r}") from None
+        x |= bx << j
+        z |= bz << j
+    return x, z
 
 
 class PauliSum:
@@ -142,8 +88,7 @@ class PauliSum:
 
     @classmethod
     def from_label(cls, label: str, coeff: float = 1.0) -> "PauliSum":
-        term = PauliTerm.from_label(label)
-        return cls(term.n_qubits, {(term.x_mask, term.z_mask): coeff})
+        return cls(len(label), {_masks(label): coeff})
 
     @classmethod
     def single_site(cls, n_qubits: int, site: int, kind: str, coeff: float = 1.0) -> "PauliSum":
@@ -152,9 +97,8 @@ class PauliSum:
             raise PauliError(f"site {site} out of range 1..{n_qubits}")
         if kind not in _CHAR_TO_BITS:
             raise PauliError(f"invalid Pauli character {kind!r}")
-        bx, bz = _CHAR_TO_BITS[kind]
-        j = site - 1
-        return cls(n_qubits, {(bx << j, bz << j): coeff})
+        x, z = _masks(kind)
+        return cls(n_qubits, {(x << (site - 1), z << (site - 1)): coeff})
 
     # -- bookkeeping -------------------------------------------------
 
@@ -162,10 +106,10 @@ class PauliSum:
         return len(self.terms)
 
     def coeff(self, label: str) -> float:
-        term = PauliTerm.from_label(label)
-        if term.n_qubits != self.n_qubits:
+        key = _masks(label)
+        if len(label) != self.n_qubits:
             raise PauliError("label length does not match qubit count")
-        return self.terms.get((term.x_mask, term.z_mask), 0.0)
+        return self.terms.get(key, 0.0)
 
     # -- linear algebra ----------------------------------------------
 
@@ -233,14 +177,13 @@ class PauliSum:
                 continue
             try:
                 coeff_s, label = line.split()
-                coeff, t = float(coeff_s), PauliTerm.from_label(label)
+                coeff, key = float(coeff_s), _masks(label)
             except ValueError as exc:  # PauliError included
                 raise PauliError(
                     f"line {lineno} {line!r} is not 'coeff PAULI_STRING': {exc}") from None
             n = n or len(label)
             if len(label) != n:
                 raise PauliError(f"inconsistent string length in line {line!r}")
-            key = (t.x_mask, t.z_mask)
             terms[key] = terms.get(key, 0.0) + coeff
         if n is None:
             raise PauliError("empty Pauli text")

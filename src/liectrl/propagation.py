@@ -71,7 +71,10 @@ class ConstraintProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintProfile":
-        return cls(**json.loads(text))
+        doc = json.loads(text)
+        if not (isinstance(doc, dict) and set(doc) <= {f.name for f in fields(cls)}):
+            raise PulseError(f"constraint JSON must be an object of profile fields, got {text}")
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

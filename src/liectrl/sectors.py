@@ -165,6 +165,8 @@ def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
 
 def spinful_mode(site: int, spin: Literal["up", "down"]) -> int:
     """1-based mode index of (site, spin) with up ordered before down."""
+    if site < 1 or spin not in ("up", "down"):
+        raise SectorError(f"need site >= 1 and spin 'up' or 'down', got {site} and {spin!r}")
     return 2 * (site - 1) + (1 if spin == "up" else 2)
 
 
@@ -207,6 +209,8 @@ def _species(row: int, col: int) -> int:
 
 
 def lattice_mode(row: int, col: int, cols: int) -> int:
+    if row < 1 or not 1 <= col <= cols:
+        raise SectorError(f"need row >= 1 and col in 1..{cols}, got ({row}, {col})")
     return (row - 1) * cols + col
 
 

@@ -57,7 +57,6 @@ class TestCloseBasics:
         gen = GeneratorSet("pauli", [PauliSum.from_label("X"), PauliSum.from_label("Z")])
         res = close(gen)
         assert res.dimension == 3
-        assert res.converged
         assert res.universality == "universal"
 
     def test_single_generator_is_abelian(self):
@@ -98,7 +97,6 @@ class TestCloseBasics:
         # N=3 {1} is universal, but not after one depth of brackets
         monkeypatch.setattr(closure, "DEFAULT_DEPTH_LIMIT", 1)
         res = close(uniform_qubit_generators(3, {1}))
-        assert not res.converged
         assert res.universality == "undetermined"
         assert res.depth_reached == 1
 
@@ -655,9 +653,21 @@ class TestInputChecks:
          "qubit count mismatch"),
         (lambda: verify_lemma_b2_targets(2), "target check needs N >= 3"),
         (lambda: trotter_linear_error(1j * X, 1j * Z, 0), "n must be >= 1"),
+        # numpy's "exponent must be an integer"
+        (lambda: trotter_linear_error(1j * X, 1j * Z, 2.5), "n must be an integer, got 2.5"),
+        (lambda: trotter_commutator_error(1j * X, 1j * Z, 2.5), "n must be an integer, got 2.5"),
+        # polyfit's TypeError
+        (lambda: loglog_slope([1, 2], [0.1, 0.0]),
+         "a slope needs two positive errors, got [0.1, 0.0]"),
+        # AttributeError and TypeError
+        (lambda: close(uniform_qubit_generators(2)).contains(np.eye(4)),
+         "ndarray on a pauli result"),
+        (lambda: close(GeneratorSet("dense", [X, Z])).contains(PauliSum.from_label("X")),
+         "PauliSum on a dense result"),
     ], ids=["dense shapes", "representation", "dense n_qubits", "too many terms", "all zero",
             "pauli contains", "dense contains", "short chain", "break past N", "break 0",
-            "reflection N", "lemma N", "trotter n"])
+            "reflection N", "lemma N", "trotter n", "trotter float n", "commutator float n",
+            "slope of one error", "pauli contains matrix", "dense contains pauli"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ClosureError) as info:
             make()

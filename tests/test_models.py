@@ -299,8 +299,23 @@ class TestInputChecks:
          "omega and delta must be finite"),
         (lambda: pxp_hamiltonian(2, 1.0, 0.0), "the blockade model needs at least 3 qubits"),
         (lambda: boundary_operators(1), "need at least 2 qubits"),
+        # the negative index wrapped to V_31
+        (lambda: AtomGeometry.chain(3, 6.0).interaction(0, 1),
+         "need two distinct atoms in 1..3, got 0 and 1"),
+        # numpy's divide-by-zero RuntimeWarning
+        (lambda: AtomGeometry.chain(3, 6.0).interaction(1, 1),
+         "need two distinct atoms in 1..3, got 1 and 1"),
+        # IndexError
+        (lambda: AtomGeometry.chain(3, 6.0).interaction(1, 4),
+         "need two distinct atoms in 1..3, got 1 and 4"),
+        # TypeError from cls(**document)
+        (lambda: AtomGeometry.from_json("[[0, 0]]"),
+         "geometry JSON must be an object of positions and c6, got [[0, 0]]"),
+        (lambda: AtomGeometry.from_json('{"positions": [], "C6": 1}'),
+         'geometry JSON must be an object of positions and c6, got {"positions": [], "C6": 1}'),
     ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "blockade nan",
-            "nan omega", "pxp N", "boundary N"])
+            "nan omega", "pxp N", "boundary N", "interaction 0", "interaction self",
+            "interaction past N", "json list", "json unknown key"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

@@ -115,10 +115,8 @@ def test_public_names_pinned():
         "pauli": [
             "PauliError", "PauliSum", "PauliSum.coeff", "PauliSum.from_label",
             "PauliSum.from_text", "PauliSum.hs_inner", "PauliSum.reflection_image",
-            "PauliSum.single_site", "PauliSum.to_dense", "PauliSum.to_text", "PauliTerm",
-            "PauliTerm.from_label", "PauliTerm.is_hermitian", "PauliTerm.label",
-            "PauliTerm.to_dense", "arrays_to_sum", "commutator", "commutator_arrays",
-            "multiply", "reflect_masks", "sum_to_arrays", "terms_commute",
+            "PauliSum.single_site", "PauliSum.to_dense", "PauliSum.to_text", "arrays_to_sum",
+            "commutator", "commutator_arrays", "reflect_masks", "sum_to_arrays",
         ],
         "propagation": [
             "ConstraintProfile", "ConstraintProfile.from_json", "ConstraintProfile.to_json",

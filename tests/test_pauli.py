@@ -1,19 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liectrl.pauli import (
-    MAX_DENSE_QUBITS,
     PauliError,
     PauliSum,
-    PauliTerm,
     arrays_to_sum,
     commutator,
     commutator_arrays,
-    multiply,
     reflect_masks,
     sum_to_arrays,
-    terms_commute,
 )
 
 I2 = np.eye(2)
@@ -21,6 +19,15 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+
+
+def all_labels(n):
+    return ["".join(letters) for letters in product("IXYZ", repeat=n)]
+
+
+def masks(label):
+    (key,) = PauliSum.from_label(label).terms
+    return key
 
 
 def dense_from_label(label, coeff=1.0):
@@ -36,59 +43,8 @@ def random_sum(rng, n_qubits, n_terms):
         label = "".join(rng.choice(list("IXYZ"), size=n_qubits))
         if set(label) == {"I"}:
             continue
-        t = PauliTerm.from_label(label)
-        terms[(t.x_mask, t.z_mask)] = float(rng.integers(-3, 4)) or 1.0
+        terms[masks(label)] = float(rng.integers(-3, 4)) or 1.0
     return PauliSum(n_qubits, terms)
-
-
-class TestTermProduct:
-    def test_single_qubit_table_matches_dense(self):
-        for a in "IXYZ":
-            for b in "IXYZ":
-                ta, tb = PauliTerm.from_label(a), PauliTerm.from_label(b)
-                got = multiply(ta, tb).to_dense()
-                np.testing.assert_allclose(got, MATS[a] @ MATS[b], atol=1e-15)
-
-    def test_x_times_z_is_minus_i_y(self):
-        prod = multiply(PauliTerm.from_label("X"), PauliTerm.from_label("Z"))
-        np.testing.assert_allclose(prod.to_dense(), -1j * Y, atol=1e-15)
-
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(0)
-        ident = PauliTerm.from_label("III")
-        for _ in range(20):
-            label = "".join(rng.choice(list("IXYZ"), size=3))
-            t = PauliTerm.from_label(label)
-            assert multiply(ident, t) == t
-            assert multiply(t, ident) == t
-
-    def test_two_qubit_phase_cancellation(self):
-        # (X1 Z2)(Z1 X2) = (XZ)(ZX) per qubit = (-iY)(iY) = Y1 Y2
-        a = PauliTerm.from_label("XZ")
-        b = PauliTerm.from_label("ZX")
-        prod = multiply(a, b)
-        assert prod == PauliTerm.from_label("YY")
-
-    def test_size_mismatch(self):
-        with pytest.raises(PauliError):
-            multiply(PauliTerm.from_label("X"), PauliTerm.from_label("XX"))
-
-    def test_hermiticity_flag(self):
-        assert PauliTerm.from_label("XYZ").is_hermitian()
-        anti = PauliTerm(1, 1, 1, 0)  # plain XZ product, phase +1
-        assert not anti.is_hermitian()
-
-    def test_random_products_match_dense(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            la = "".join(rng.choice(list("IXYZ"), size=4))
-            lb = "".join(rng.choice(list("IXYZ"), size=4))
-            ta, tb = PauliTerm.from_label(la), PauliTerm.from_label(lb)
-            np.testing.assert_allclose(
-                multiply(ta, tb).to_dense(),
-                dense_from_label(la) @ dense_from_label(lb),
-                atol=1e-12,
-            )
 
 
 class TestCommutator:
@@ -118,9 +74,7 @@ class TestCommutator:
             hzz = hzz + PauliSum.from_label("I" * (j - 1) + "ZZ" + "I" * (n - j - 1))
         got = commutator(hyy, hzz)
         labels = {"ZXYI", "YXZI", "IZXY", "IYXZ"}
-        assert set() == {k for k in got.terms} - {
-            (PauliTerm.from_label(s).x_mask, PauliTerm.from_label(s).z_mask) for s in labels
-        }
+        assert set() == {k for k in got.terms} - {masks(s) for s in labels}
         coeffs = set(round(c, 12) for c in got.terms.values())
         assert len(coeffs) == 1  # all four strings share one coefficient
 
@@ -174,37 +128,16 @@ class TestDense:
         with pytest.raises(PauliError):
             PauliSum.single_site(12, 1, "X").to_dense()
 
-    def test_term_budget(self):
-        n = MAX_DENSE_QUBITS + 1
-        with pytest.raises(PauliError, match="dense budget"):
-            PauliTerm(n, 1, 1 << (n - 1)).to_dense()
-
     def test_sums_with_y_terms_match_kron_exactly(self):
         rng = np.random.default_rng(11)
         for n in range(1, 7):
+            labels = {masks(s): s for s in all_labels(n)}
             for _ in range(15):
                 y = PauliSum.single_site(n, int(rng.integers(1, n + 1)), "Y", 5.0)
                 p = random_sum(rng, n, 6) + y  # |coefficients| <= 3 cannot cancel it
                 assert any(x & z for x, z in p.terms)
-                want = sum(dense_from_label(PauliTerm(n, x, z).label(), c)
-                           for (x, z), c in p.terms.items())
+                want = sum(dense_from_label(labels[key], c) for key, c in p.terms.items())
                 np.testing.assert_array_equal(p.to_dense(), want)
-
-    def test_term_products_exact_at_every_phase(self):
-        rng = np.random.default_rng(12)
-        phases = set()
-        for _ in range(60):
-            n = int(rng.integers(1, 5))
-            la = "".join(rng.choice(list("IXYZ"), size=n))
-            lb = "".join(rng.choice(list("IXYZ"), size=n))
-            ta, tb = PauliTerm.from_label(la), PauliTerm.from_label(lb)
-            for extra in range(4):
-                shifted = PauliTerm(n, ta.x_mask, ta.z_mask, ta.phase_exp + extra)
-                prod = multiply(shifted, tb)
-                phases.add(prod.phase_exp)
-                np.testing.assert_array_equal(
-                    prod.to_dense(), 1j ** extra * (dense_from_label(la) @ dense_from_label(lb)))
-        assert phases == {0, 1, 2, 3}
 
     def test_roundtrip_decompose(self):
         rng = np.random.default_rng(5)
@@ -213,15 +146,12 @@ class TestDense:
             p = random_sum(rng, n, 4)
             dense = p.to_dense()
             # independent decomposition: project onto literal kron strings
-            from itertools import product as iproduct
             rebuilt = {}
-            for labels in iproduct("IXYZ", repeat=n):
-                label = "".join(labels)
+            for label in all_labels(n):
                 coeff = np.trace(dense_from_label(label).conj().T @ dense) / 2**n
                 assert abs(coeff.imag) < 1e-12
                 if abs(coeff.real) > 1e-12:
-                    t = PauliTerm.from_label(label)
-                    rebuilt[(t.x_mask, t.z_mask)] = coeff.real
+                    rebuilt[masks(label)] = coeff.real
             assert rebuilt == pytest.approx(p.terms, abs=1e-12)
 
 
@@ -268,6 +198,18 @@ class TestSumBasics:
 
     def test_text_example_format(self):
         assert PauliSum.from_label("XIZ").to_text() == "1 XIZ"
+
+    @pytest.mark.parametrize("label", [s for n in (1, 2, 3) for s in all_labels(n)])
+    def test_label_parsers_agree_on_masks(self, label):
+        n = len(label)
+        want = (sum(1 << j for j, ch in enumerate(label) if ch in "XY"),
+                sum(1 << j for j, ch in enumerate(label) if ch in "YZ"))
+        assert PauliSum.from_label(label, 0.5).terms == {want: 0.5}
+        assert PauliSum.from_text(f"0.5 {label}").terms == {want: 0.5}
+        assert PauliSum(n, {want: 0.5}).coeff(label) == 0.5
+        assert PauliSum(n, {(want[0] ^ 1, want[1]): 0.5}).coeff(label) == 0.0
+        sites = [PauliSum.single_site(n, j + 1, ch).terms for j, ch in enumerate(label)]
+        assert tuple(np.bitwise_or.reduce([key for (key,) in sites])) == want
 
     @pytest.mark.parametrize("key", [(4, 0), (0, 7), (-1, 0)])
     def test_masks_outside_register_rejected(self, key):
@@ -364,21 +306,17 @@ class TestArrayKernels:
             (xr, _), = p.reflection_image().terms
             assert int(g) == xr
 
-    def test_terms_commute(self):
-        assert terms_commute(PauliTerm.from_label("XX"), PauliTerm.from_label("YY"))
-        assert not terms_commute(PauliTerm.from_label("XI"), PauliTerm.from_label("ZI"))
-
 
 class TestInputChecks:
     @pytest.mark.parametrize("make, message", [
         (lambda: PauliSum(0), "n_qubits must be in [1, 64], got 0"),
         (lambda: PauliSum(65), "n_qubits must be in [1, 64], got 65"),
-        (lambda: PauliTerm(2, 0b100, 0), "mask has bits outside the qubit register"),
-        (lambda: PauliTerm(2, 0, 0b100), "mask has bits outside the qubit register"),
         (lambda: PauliSum.single_site(2, 3, "X"), "site 3 out of range 1..2"),
         (lambda: PauliSum.single_site(2, 0, "Z"), "site 0 out of range 1..2"),
         (lambda: PauliSum.single_site(3, 1, "W"), "invalid Pauli character 'W'"),
         (lambda: PauliSum.from_label("XIZ").coeff("XI"), "label length does not match qubit count"),
+        (lambda: PauliSum.from_label("XQ"), "invalid Pauli character 'Q'"),
+        (lambda: PauliSum.from_label("XI").coeff("XQ"), "invalid Pauli character 'Q'"),
         (lambda: PauliSum.from_label("X") + PauliSum.from_label("XX"),
          "size mismatch in PauliSum addition"),
         (lambda: PauliSum.from_label("X").hs_inner(PauliSum.from_label("XX")),
@@ -387,8 +325,9 @@ class TestInputChecks:
          "size mismatch in commutator"),
         (lambda: PauliSum.from_text(""), "empty Pauli text"),
         (lambda: PauliSum.from_text("# no terms\n\n   \n"), "empty Pauli text"),
-    ], ids=["N 0", "N 65", "x mask", "z mask", "site past N", "site 0", "site kind",
-            "coeff label", "add", "hs_inner", "commutator", "empty text", "comments only"])
+    ], ids=["N 0", "N 65", "site past N", "site 0", "site kind",
+            "coeff label", "label char", "coeff char", "add", "hs_inner", "commutator",
+            "empty text", "comments only"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(PauliError) as info:
             make()

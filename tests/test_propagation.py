@@ -780,8 +780,14 @@ class TestInputChecks:
          "state must be finite"),
         (lambda: observables(np.eye(4), np.array([np.nan, 0, 0, 0])), PropagationError,
          "state must be finite"),
+        # TypeError from cls(**document)
+        (lambda: ConstraintProfile.from_json("2.41"), PulseError,
+         "constraint JSON must be an object of profile fields, got 2.41"),
+        (lambda: ConstraintProfile.from_json('{"omega": 2.41}'), PulseError,
+         'constraint JSON must be an object of profile fields, got {"omega": 2.41}'),
     ], ids=["late start", "detuning", "3-d state", "NaN Lindblad vector", "inf Lindblad vector",
-            "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state"])
+            "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state", "json scalar",
+            "json unknown key"])
     def test_rejected_with_message(self, make, error, message):
         with pytest.raises(error) as info:
             make()

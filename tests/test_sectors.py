@@ -360,7 +360,14 @@ class TestInputChecks:
          "transfer needs distinct modes; use number_op"),
         (lambda: build_hubbard_chain_controls("spinful_fermion", 3, 1),
          "spinless chain supports fermion or boson kinds"),
-    ], ids=["no modes", "too many fermions", "unknown kind", "same mode", "spinful chain"])
+        # these returned 2 (the down mode), -1, 6, 3 and 7
+        (lambda: spinful_mode(1, "UP"), "need site >= 1 and spin 'up' or 'down', got 1 and 'UP'"),
+        (lambda: spinful_mode(0, "up"), "need site >= 1 and spin 'up' or 'down', got 0 and 'up'"),
+        (lambda: lattice_mode(0, 9, 3), "need row >= 1 and col in 1..3, got (0, 9)"),
+        (lambda: lattice_mode(2, 0, 3), "need row >= 1 and col in 1..3, got (2, 0)"),
+        (lambda: lattice_mode(2, 4, 3), "need row >= 1 and col in 1..3, got (2, 4)"),
+    ], ids=["no modes", "too many fermions", "unknown kind", "same mode", "spinful chain",
+            "spin name", "site 0", "lattice row 0", "lattice col 0", "lattice col past cols"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(SectorError) as info:
             make()
