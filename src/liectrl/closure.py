@@ -14,21 +14,24 @@ operators under the normalized bracket (1/(2i))[A, B]:
   is reduced mod p before the terms are summed, so int64 sums are exact.
   A GF(p) dimension never exceeds the rational one, so ``theoretical_cap``
   rows mod p certify universality over the rationals.  So do rows spanning
-  X_j, Z_j and Z_j Z_{j+1}: the span mod p is closed under brackets, which
-  take these to every string, and with an identity term the algebra is
-  u(2^N), as su(2^N) has no subalgebra of codimension 1.  A non-universal
-  dimension is a lower bound, short only if p divides an elementary
-  divisor of the integer matrix of bracket words.  It is exact when it
-  meets the upper bound of mirror-invariant generators; otherwise it is
-  rerun on a second prime: a universal rerun makes the verdict universal,
-  a rerun meeting the bound decides, and two non-universal dimensions must
-  agree, or :class:`ClosureError` names both.  A universal result spans
-  every string; otherwise ``basis`` and ``contains`` lift the rows to the
-  rationals by CRT over the primes run and rational reconstruction, exact
-  for entries with numerator and denominator up to about 1.2e7, or 2.9e3
-  after one prime: enough at the mirror bound, where the rows span the
-  whole bounded space, whose echelon entries are +/-1.  Every generator
-  must reduce to exactly 0 against the lift, or :class:`ClosureError` is raised.
+  X_j, Z_j and Z_j Z_{j+1}, which are not mirror invariant: the span mod p
+  is closed under brackets, which take these to every string, and with an
+  identity term the algebra is u(2^N), as su(2^N) has no subalgebra of
+  codimension 1.  A non-universal dimension is a lower bound, short only
+  if p divides an elementary divisor of the integer matrix of bracket
+  words.  It is exact when it meets the upper bound of mirror-invariant
+  generators, whose closure is kept on one key per mirror orbit, never
+  spans those strings, and is unfolded to both keys when the result is
+  built; otherwise it is rerun on a second prime: a universal rerun makes
+  the verdict universal, a rerun meeting the bound decides, and two
+  non-universal dimensions must agree, or :class:`ClosureError` names both.
+  A universal result spans every string; otherwise ``basis`` and
+  ``contains`` lift the rows to the rationals by CRT over the primes run
+  and rational reconstruction, exact for entries with numerator and
+  denominator up to about 1.2e7, or 2.9e3 after one prime: enough at the
+  mirror bound, where the rows span the whole bounded space, whose echelon
+  entries are +/-1.  Every generator must reduce to exactly 0 against the
+  lift, or :class:`ClosureError` is raised.
 * ``dense``  - floating point.  Elements are Hermitian matrices, stored
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
   sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
@@ -258,6 +261,12 @@ def _split_keys(keys: np.ndarray, n: int):
     return keys >> n, keys & ((1 << n) - 1)
 
 
+def _reflect_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Keys of the mirror images R S R of the strings S (R the site reversal)."""
+    xr, zr = reflect_masks(np.stack(_split_keys(keys, n)).astype(np.uint64), n)
+    return _string_keys(xr, zr, n)
+
+
 def _integer_terms(g: PauliSum, n: int):
     """(keys, integer coefficients) of g, itself or divided by its smallest |coefficient|."""
     xs, zs, cs = sum_to_arrays(g)
@@ -272,25 +281,45 @@ def _integer_terms(g: PauliSum, n: int):
 
 
 class _ModPEngine:
-    """Closure state for the pauli backend over GF(p)."""
+    """Closure state for the pauli backend over GF(p).
 
-    def __init__(self, n: int, terms: Sequence[tuple], p: int):
-        self.n, self.p, self.n_gens = n, p, len(terms)
+    With ``orbits`` (every generator mirror invariant) rows are kept on the
+    canonical keys (key <= R(key)) alone, which fix an invariant vector, and
+    unfolded to both keys of each orbit for brackets and for the result.
+    """
+
+    def __init__(self, n: int, terms: Sequence[tuple], p: int, orbits: bool):
+        self.n, self.p, self.n_gens, self.orbits = n, p, len(terms), orbits
         self.rows = _Rows(p, *[np.zeros(0, np.int64)] * 4)
         self.g_key = np.concatenate([k for k, _ in terms])
         self.g_val = np.array([c % p for _, cs in terms for c in cs], dtype=np.int64)
         self.g_lab = np.repeat(np.arange(self.n_gens), [len(k) for k, _ in terms])
 
     def seed(self) -> list[int]:
-        return self.rows.absorb(self.g_lab, self.g_key, self.g_val)
+        return self.absorb(self.g_lab, self.g_key, self.g_val)
 
     def expand(self, block: list[int]) -> list[int]:
         """Bracket a block of rows with every generator in one call and absorb."""
-        pos, keys, vals = self.rows.entries(np.asarray(block))
+        pos, keys, vals = self.unfold(*self.rows.entries(np.asarray(block)))
         x3, z3, c3, lab = commutator_arrays(
             *_split_keys(keys, self.n), vals, *_split_keys(self.g_key, self.n), self.g_val,
             labels=(pos * self.n_gens, self.g_lab))
-        return self.rows.absorb(lab, (x3 << self.n) | z3, c3 % self.p)
+        return self.absorb(lab, (x3 << self.n) | z3, c3 % self.p)
+
+    def unfold(self, ids, keys, vals):
+        if not self.orbits:
+            return ids, keys, vals
+        mirrored = _reflect_keys(keys, self.n)
+        reps = 1 + (mirrored != keys)  # a palindrome is its own mirror
+        keys = np.repeat(keys, reps)
+        keys[np.cumsum(reps) - 1] = mirrored
+        return np.repeat(ids, reps), keys, np.repeat(vals, reps)
+
+    def absorb(self, ids, keys, vals) -> list[int]:
+        if self.orbits:
+            keep = keys <= _reflect_keys(keys, self.n)
+            ids, keys, vals = ids[keep], keys[keep], vals[keep]
+        return self.rows.absorb(ids, keys, vals)
 
 
 def _rational(u: int, m: int, bound: int) -> tuple[int, int]:
@@ -618,8 +647,7 @@ def _mirror_bound(terms, n: int) -> int | None:
     mid = ((1 << n) | 1) << (n // 2) if n % 2 else 0  # the middle site's x and z bits
     sums = []  # per generator, its coefficient sum over the strings S with tr(R S) != 0
     for keys, cs in terms:
-        xr, zr = reflect_masks(np.stack(_split_keys(keys, n)).astype(np.uint64), n)
-        keys, mirrored = keys.tolist(), _string_keys(xr, zr, n).tolist()
+        keys, mirrored = keys.tolist(), _reflect_keys(keys, n).tolist()
         if dict(zip(keys, cs)) != dict(zip(mirrored, cs)):
             return None
         sums.append(sum(c for k, r, c in zip(keys, mirrored, cs) if k == r and not k & mid))
@@ -640,10 +668,11 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
                      + [3 << j for j in range(n - 1)], dtype=np.int64)
     runs = []
     for p in PRIMES:
-        engine = _ModPEngine(n, terms, p)
-        dim, depth, stop = _bfs(engine, bound, lambda: None if len(engine.rows.reduce(
+        engine = _ModPEngine(n, terms, p, orbits=mirror is not None)
+        dim, depth, stop = _bfs(engine, bound, lambda: None if mirror or len(engine.rows.reduce(
             np.arange(len(local)), local, np.ones_like(local))[0]) else "local generators")
-        runs.append(engine.rows)
+        rows = engine.rows  # unfolded, each stays 1 at its pivot (and mirror), 0 at other pivots
+        runs.append(_Rows(p, rows.pivots, *engine.unfold(rows.row, rows.key, rows.val)))
         if stop != "converged":
             break
     dims, primes = [r.n_rows for r in runs], PRIMES[: len(runs)]

@@ -86,10 +86,20 @@ class AtomGeometry:
 
     @classmethod
     def from_json(cls, text: str) -> "AtomGeometry":
-        doc = json.loads(text)
+        """Read :meth:`to_json`'s document; anything else raises :class:`ModelError`."""
+        try:
+            doc = json.loads(text)
+        except (TypeError, ValueError):
+            doc = None
         if not (isinstance(doc, dict) and "positions" in doc and set(doc) <= {"positions", "c6"}):
             raise ModelError(f"geometry JSON must be an object of positions and c6, got {text}")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except ModelError:
+            raise
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ModelError(f"geometry JSON needs [x, y] number pairs and a number c6, "
+                             f"got {text}") from err
 
 
 @dataclass(frozen=True)

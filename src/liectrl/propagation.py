@@ -71,10 +71,19 @@ class ConstraintProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintProfile":
-        doc = json.loads(text)
+        """Read :meth:`to_json`'s document; anything else raises :class:`PulseError`."""
+        try:
+            doc = json.loads(text)
+        except (TypeError, ValueError):
+            doc = None
         if not (isinstance(doc, dict) and set(doc) <= {f.name for f in fields(cls)}):
             raise PulseError(f"constraint JSON must be an object of profile fields, got {text}")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except PulseError:
+            raise
+        except (TypeError, ValueError) as err:
+            raise PulseError(f"constraint JSON fields must be numbers, got {text}") from err
 
 
 @dataclass(frozen=True)

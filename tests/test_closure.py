@@ -407,6 +407,12 @@ class TestCertificates:
         assert (res.dimension, res.universality) == (2079, "non_universal")
         assert (res.certificate, res.primes) == ("mirror bound", PRIMES[:1])
 
+    def test_mirror_bound_ends_the_bare_n7_chain_on_one_prime(self):
+        res = check_universality_qubit(7, ())
+        assert (res.dimension, res.universality) == (reflection_sector_dimension(7), "non_universal")
+        assert (res.dimension, res.certificate, res.primes, res.depth_reached) == (
+            8318, "mirror bound", PRIMES[:1], 24)
+
     def test_invariant_set_below_its_bound_runs_every_prime(self):
         res = close(GeneratorSet("pauli", [PauliSum.from_label("XX")]))
         assert reflection_sector_check(res, 2)
@@ -500,6 +506,30 @@ class TestLemmaTargets:
     def test_odd_chain_includes_center(self):
         assert verify_lemma_b2_targets(5)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_targets_lie_in_the_bounded_space(self, n):
+        # the second route: a "mirror bound" closure spans every mirror
+        # invariant, traceless element, orthogonal to R if every generator is.
+        # For even N the middle bond Z_{N/2} Z_{N/2+1} is a palindrome, so
+        # H_ZZ is not orthogonal to R and neither is that bond's target
+        k = np.arange(2 ** n)
+        reflection = np.zeros((2 ** n, 2 ** n))
+        reflection[[int(f"{i:0{n}b}"[::-1], 2) for i in k], k] = 1.0
+        gen = uniform_qubit_generators(n)
+        orthogonal = [abs(np.trace(reflection @ g.to_dense())) < 1e-12 for g in gen.generators]
+        assert all(orthogonal) == (n % 2 == 1)
+        ops = [PauliSum.single_site(n, j, c) for j in range(1, -(-n // 2) + 1) for c in "XZ"]
+        ops += [PauliSum.from_label("I" * (j - 1) + "ZZ" + "I" * (n - j - 1))
+                for j in range(1, n // 2 + 1)]
+        for op in ops:
+            target = op + op.reflection_image()
+            assert target.reflection_image().terms == target.terms
+            dense = target.to_dense()
+            assert abs(np.trace(dense)) < 1e-12
+            assert not all(orthogonal) or abs(np.trace(reflection @ dense)) < 1e-12
+        assert close(gen).certificate == "mirror bound"
+        assert verify_lemma_b2_targets(n)
+
     def test_unpaired_boundary_not_member(self):
         res = close(uniform_qubit_generators(3))
         _, resid = res.contains(PauliSum.single_site(3, 1, "X"))
@@ -530,6 +560,49 @@ class TestBackendAgreement:
             dense = GeneratorSet("dense", [g.to_dense() for g in gen.generators])
             assert close(dense).dimension == res.dimension
         assert {"mirror bound", "two primes"} <= set(certificates)
+
+
+class TestOrbitRows:
+    # invariant sets are closed on one key per mirror orbit; these check the
+    # unfolded rows through routes that do not read the engine
+    @pytest.fixture(scope="class")
+    def closed(self):
+        rng = np.random.default_rng(19)
+        out = []
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            gen = random_pauli_set(rng, n, int(rng.integers(2, 4)))
+            gen = GeneratorSet("pauli", [g + g.reflection_image() for g in gen.generators])
+            out.append((gen, close(gen)))
+        assert {res.certificate for _, res in out} == {"mirror bound", "two primes"}
+        return out
+
+    def test_generators_and_their_brackets_are_members(self, closed):
+        for gen, res in closed:
+            gens = gen.generators
+            for g in gens + [commutator(a, b) for a, b in itertools.combinations(gens, 2)]:
+                member, resid = res.contains(g)
+                assert member and resid < 1e-12, (gen.generators, g, resid)
+
+    def test_antisymmetric_element_is_not_a_member(self, closed):
+        for gen, res in closed:
+            n = gen.n_qubits
+            x1_minus_xn = PauliSum.single_site(n, 1, "X") - PauliSum.single_site(n, n, "X")
+            member, resid = res.contains(x1_minus_xn)
+            assert not member and resid > 0.5, (gen.generators, resid)
+
+    def test_basis_orthonormal_and_mirror_invariant(self, closed):
+        for gen, res in closed:
+            basis = res.basis
+            assert len(basis) == res.dimension
+            keys = sorted({k for b in basis for k in b.terms})
+            m = np.array([[b.terms.get(k, 0.0) for k in keys] for b in basis])
+            np.testing.assert_allclose(2 ** gen.n_qubits * m @ m.T, np.eye(len(basis)),
+                                       atol=1e-9)
+            for b in basis:
+                image = b.reflection_image().terms
+                assert image.keys() == b.terms.keys()
+                assert max(abs(image[k] - c) for k, c in b.terms.items()) < 1e-12
 
 
 class TestTrotter:

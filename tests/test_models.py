@@ -313,9 +313,26 @@ class TestInputChecks:
          "geometry JSON must be an object of positions and c6, got [[0, 0]]"),
         (lambda: AtomGeometry.from_json('{"positions": [], "C6": 1}'),
          'geometry JSON must be an object of positions and c6, got {"positions": [], "C6": 1}'),
+        # TypeError: 'int' object is not iterable
+        (lambda: AtomGeometry.from_json('{"positions": 5}'),
+         'geometry JSON needs [x, y] number pairs and a number c6, got {"positions": 5}'),
+        # ValueError: too many values to unpack
+        (lambda: AtomGeometry.from_json('{"positions": [[1, 2, 3]]}'),
+         'geometry JSON needs [x, y] number pairs and a number c6, got {"positions": [[1, 2, 3]]}'),
+        # json.JSONDecodeError
+        (lambda: AtomGeometry.from_json("nope"),
+         "geometry JSON must be an object of positions and c6, got nope"),
+        # OverflowError: int too large to convert to float
+        (lambda: AtomGeometry.from_json('{"positions": [[1' + "0" * 400 + ', 0]]}'),
+         'geometry JSON needs [x, y] number pairs and a number c6, got {"positions": [[1'
+         + "0" * 400 + ', 0]]}'),
+        # the constructor's own error passes through
+        (lambda: AtomGeometry.from_json('{"positions": [[0, 0], [0, 0]]}'),
+         "atoms 1 and 2 coincide"),
     ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "blockade nan",
             "nan omega", "pxp N", "boundary N", "interaction 0", "interaction self",
-            "interaction past N", "json list", "json unknown key"])
+            "interaction past N", "json list", "json unknown key", "json positions int",
+            "json triple", "json text", "json huge int", "json coincident"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

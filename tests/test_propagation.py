@@ -785,9 +785,19 @@ class TestInputChecks:
          "constraint JSON must be an object of profile fields, got 2.41"),
         (lambda: ConstraintProfile.from_json('{"omega": 2.41}'), PulseError,
          'constraint JSON must be an object of profile fields, got {"omega": 2.41}'),
+        # numpy's TypeError from isfinite
+        (lambda: ConstraintProfile.from_json('{"omega_max": "x"}'), PulseError,
+         'constraint JSON fields must be numbers, got {"omega_max": "x"}'),
+        # json.JSONDecodeError
+        (lambda: ConstraintProfile.from_json("nope"), PulseError,
+         "constraint JSON must be an object of profile fields, got nope"),
+        # the constructor's own error passes through
+        (lambda: ConstraintProfile.from_json('{"omega_max": -1}'), PulseError,
+         "constraint limits must be finite and > 0, dt_min >= 0: ConstraintProfile(omega_max=-1, "
+         "delta_range=19.9, slew_omega=39.7, slew_delta=397.0, dt_min=0.05)"),
     ], ids=["late start", "detuning", "3-d state", "NaN Lindblad vector", "inf Lindblad vector",
             "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state", "json scalar",
-            "json unknown key"])
+            "json unknown key", "json text value", "json text", "json negative"])
     def test_rejected_with_message(self, make, error, message):
         with pytest.raises(error) as info:
             make()
