@@ -1,6 +1,5 @@
-"""Concrete Hamiltonians: Rydberg chains, the three-body ZXZ target, the
-blockade-regime PXP model, and the phenomenological noise model used for
-open-system runs.
+"""Concrete Hamiltonians: Rydberg chains, the three-body ZXZ target, and
+the phenomenological noise model used for open-system runs.
 
 Unit convention: library functions take and return angular frequencies in
 rad/us.  File formats speak MHz and convert at the boundary with
@@ -94,6 +93,9 @@ class AtomGeometry:
         if not (isinstance(doc, dict) and "positions" in doc and set(doc) <= {"positions", "c6"}):
             raise ModelError(f"geometry JSON must be an object of positions and c6, got {text}")
         try:
+            numbers = [doc.get("c6"), *(x for p in doc["positions"] for x in p)]
+            if any(isinstance(v, bool) for v in numbers):
+                raise TypeError("JSON booleans are not numbers")
             return cls(**doc)
         except ModelError:
             raise
@@ -142,42 +144,6 @@ class NoiseModel:
                 delta + self.delta_detuning_shift)
 
 
-# -- Pauli-sum building blocks -------------------------------------------
-
-def density_operator(n_qubits: int, site: int) -> PauliSum:
-    """Rydberg density n = |r><r| = (I - Z)/2 at one site."""
-    ident = PauliSum(n_qubits, {(0, 0): 0.5})
-    return ident + PauliSum.single_site(n_qubits, site, "Z", -0.5)
-
-
-def rydberg_hamiltonian(geom: AtomGeometry, omega: float, delta: float) -> PauliSum:
-    """Global-drive Rydberg chain Hamiltonian (rad/us) as a PauliSum.
-
-    H = (Omega/2) sum_l X_l - Delta sum_l n_l + sum_{j<l} V_jl n_j n_l
-    with n = (I - Z)/2; every pairwise tail term is kept.
-    """
-    if not np.isfinite(omega) or not np.isfinite(delta):
-        raise ModelError("omega and delta must be finite")
-    n = geom.n_atoms
-    site = [("X", omega / 2.0), ("I", -0.5 * delta), ("Z", 0.5 * delta)]
-    pair = [("II", 0.25), ("ZI", -0.25), ("IZ", -0.25), ("ZZ", 0.25)]  # n_j n_l
-    rows = [((l,), kinds, c) for l in range(1, n + 1) for kinds, c in site]
-    rows += [((j, l), kinds, c * geom.interaction(j, l))
-             for j in range(1, n + 1) for l in range(j + 1, n + 1) for kinds, c in pair]
-    return _placed(n, rows)
-
-
-def _placed(n: int, rows) -> PauliSum:
-    """Sum of ``(sites, kinds, coeff)`` rows, ``kinds[i]`` (one of IXYZ) on
-    site ``sites[i]``; coefficients of one string add up in row order."""
-    terms: dict[tuple, float] = {}
-    for sites, kinds, coeff in rows:
-        x = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "XY")
-        z = sum(1 << (s - 1) for s, k in zip(sites, kinds) if k in "YZ")
-        terms[x, z] = terms.get((x, z), 0.0) + coeff
-    return PauliSum(n, terms)
-
-
 def basis_bits(n_qubits: int) -> np.ndarray:
     """(2^N, N) table of computational-basis bits: row k holds the bits of
     index k, column l-1 qubit l, qubit 1 the most significant bit."""
@@ -209,38 +175,5 @@ def zxz_hamiltonian(n_qubits: int, j_eff: float = 1.0) -> PauliSum:
     """Cluster three-body chain J * sum_j Z_{j-1} X_j Z_{j+1} (bulk sites)."""
     if n_qubits < 3:
         raise ModelError("the three-body chain needs at least 3 qubits")
-    return _placed(n_qubits, [((j - 1, j, j + 1), "ZXZ", j_eff) for j in range(2, n_qubits)])
-
-
-def pxp_hamiltonian(n_qubits: int, omega: float, delta: float) -> PauliSum:
-    """Blockade-regime effective model
-    (Omega/2) sum_{i=2}^{N-1} P_{i-1} X_i P_{i+1} - Delta sum_i n_i
-    with P = (I + Z)/2 the ground-state projector.
-    """
-    if n_qubits < 3:
-        raise ModelError("the blockade model needs at least 3 qubits")
-    n = n_qubits
-    # P X P = (X + ZX + XZ + ZXZ)/4 on sites (i-1, i, i+1)
-    pxp = [((i - 1, i, i + 1), kinds, omega / 8.0)
-           for i in range(2, n) for kinds in ("IXI", "ZXI", "IXZ", "ZXZ")]
-    density = [((i,), kinds, c) for i in range(1, n + 1)  # -delta * n_i
-               for kinds, c in (("I", -0.5 * delta), ("Z", 0.5 * delta))]
-    return _placed(n, pxp + density)
-
-
-def boundary_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
-    """Left-edge operators X_1 Z_2 and Z_1 of the cluster chain."""
-    if n_qubits < 2:
-        raise ModelError("need at least 2 qubits")
-    x1z2 = PauliSum.from_label("XZ" + "I" * (n_qubits - 2))
-    z1 = PauliSum.single_site(n_qubits, 1, "Z")
-    return x1z2, z1
-
-
-def doubly_excited_indices(n_qubits: int) -> np.ndarray:
-    """Computational-basis indices with at least two adjacent excitations.
-
-    Qubit 1 is the most significant bit, matching the dense kron order.
-    """
-    bits = basis_bits(n_qubits)
-    return np.flatnonzero((bits[:, :-1] & bits[:, 1:]).any(axis=1))
+    # X on site j (bit j-1), Z on sites j-1 and j+1 (bits j-2 and j)
+    return PauliSum(n_qubits, {(1 << (j - 1), 5 << (j - 2)): j_eff for j in range(2, n_qubits)})

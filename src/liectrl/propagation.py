@@ -79,6 +79,8 @@ class ConstraintProfile:
         if not (isinstance(doc, dict) and set(doc) <= {f.name for f in fields(cls)}):
             raise PulseError(f"constraint JSON must be an object of profile fields, got {text}")
         try:
+            if any(isinstance(v, bool) for v in doc.values()):
+                raise TypeError("JSON booleans are not numbers")
             return cls(**doc)
         except PulseError:
             raise

@@ -127,12 +127,13 @@ def haar_average_state_fidelity(u, v):
 
 def pauli_rydberg_terms(geom):
     """(sum X_l, sum n_l, V) summed as Pauli strings, then made dense."""
-    from liectrl.models import density_operator
     from liectrl.pauli import PauliSum
 
     n = geom.n_atoms
     x_total = sum((PauliSum.single_site(n, l, "X") for l in range(1, n + 1)), PauliSum(n))
-    n_total = sum((density_operator(n, l) for l in range(1, n + 1)), PauliSum(n))
+    # n_l = (I - Z_l)/2
+    n_total = sum((PauliSum(n, {(0, 0): 0.5, (0, 1 << (l - 1)): -0.5}) for l in range(1, n + 1)),
+                  PauliSum(n))
     v = PauliSum(n)
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):

@@ -20,6 +20,7 @@ from liectrl.closure import (
     uniform_qubit_generators,
     verify_lemma_b2_targets,
 )
+from liectrl.models import zxz_hamiltonian
 from liectrl.pauli import PauliSum, commutator, sum_to_arrays
 from liectrl.sectors import build_hubbard_chain_controls
 
@@ -529,6 +530,14 @@ class TestLemmaTargets:
             assert not all(orthogonal) or abs(np.trace(reflection @ dense)) < 1e-12
         assert close(gen).certificate == "mirror bound"
         assert verify_lemma_b2_targets(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_three_body_target_is_a_member(self, n):
+        # the closure-side half of the ZXZ claim: sum_j Z_{j-1} X_j Z_{j+1}
+        # lies in the algebra of the bare uniform chain
+        res = close(uniform_qubit_generators(n))
+        assert res.certificate == "mirror bound"
+        assert res.contains(zxz_hamiltonian(n)) == (True, 0.0)
 
     def test_unpaired_boundary_not_member(self):
         res = close(uniform_qubit_generators(3))

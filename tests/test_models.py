@@ -8,17 +8,12 @@ from liectrl.models import (
     AtomGeometry,
     ModelError,
     NoiseModel,
-    boundary_operators,
-    density_operator,
-    doubly_excited_indices,
     mhz,
-    pxp_hamiltonian,
-    rydberg_hamiltonian,
     rydberg_terms,
     to_mhz,
     zxz_hamiltonian,
 )
-from liectrl.pauli import PauliError, PauliSum, commutator
+from liectrl.pauli import PauliSum, commutator
 from oracles import pauli_rydberg_terms
 
 
@@ -26,6 +21,12 @@ def ground_state(n):
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
     return psi
+
+
+def rydberg_dense(geom, omega, delta):
+    """H = (omega/2) sum X - delta sum n + V from the rydberg_terms pieces."""
+    x_total, n_total, v = rydberg_terms(geom)
+    return omega / 2 * x_total - delta * n_total + v
 
 
 class TestGeometry:
@@ -114,30 +115,21 @@ class TestNoiseModel:
 class TestRydberg:
     def test_single_atom_rabi(self):
         g = AtomGeometry.chain(1, 5.0)
-        h = rydberg_hamiltonian(g, mhz(1.0), 0.0)
-        np.testing.assert_allclose(h.to_dense(), np.pi * np.array([[0, 1], [1, 0]]),
+        h = rydberg_dense(g, mhz(1.0), 0.0)
+        np.testing.assert_allclose(h, np.pi * np.array([[0, 1], [1, 0]]),
                                    atol=1e-12)
 
     def test_two_atom_interaction_block(self):
         g = AtomGeometry.chain(2, 8.9)
-        h = rydberg_hamiltonian(g, 0.0, 0.0)
-        dense = h.to_dense()
+        h = rydberg_dense(g, 0.0, 0.0)
         v = g.interaction(1, 2)
         want = np.diag([0.0, 0.0, 0.0, v])
-        np.testing.assert_allclose(dense, want, atol=1e-12)
+        np.testing.assert_allclose(h, want, atol=1e-12)
 
     def test_detuning_term(self):
         g = AtomGeometry.chain(1, 5.0)
-        h = rydberg_hamiltonian(g, 0.0, mhz(1.0))
-        np.testing.assert_allclose(h.to_dense(), np.diag([0.0, -mhz(1.0)]), atol=1e-12)
-
-    def test_terms_match_pauli_form(self):
-        g = AtomGeometry.chain(3, 8.9)
-        x_tot, n_tot, v = rydberg_terms(g)
-        omega, delta = mhz(1.7), mhz(-0.9)
-        dense = omega / 2 * x_tot - delta * n_tot + v
-        np.testing.assert_allclose(
-            dense, rydberg_hamiltonian(g, omega, delta).to_dense(), atol=1e-10)
+        h = rydberg_dense(g, 0.0, mhz(1.0))
+        np.testing.assert_allclose(h, np.diag([0.0, -mhz(1.0)]), atol=1e-12)
 
     @pytest.mark.parametrize("geom", [
         *(AtomGeometry.chain(n, 6.5) for n in range(1, 7)),
@@ -152,10 +144,6 @@ class TestRydberg:
         x_tot, n_tot, v = pieces
         for diagonal in (n_tot, v):
             np.testing.assert_array_equal(diagonal, np.diag(np.diag(diagonal)))
-        omega, delta = mhz(1.7), mhz(-0.9)
-        np.testing.assert_allclose(
-            omega / 2 * x_tot - delta * n_tot + v,
-            rydberg_hamiltonian(geom, omega, delta).to_dense(), rtol=0, atol=1e-10)
 
     def test_terms_budget(self):
         with pytest.raises(ModelError, match="dense budget of 10 atoms"):
@@ -165,17 +153,10 @@ class TestRydberg:
         # Delta = 0 and no interactions: eigenvalues are sums of +-Omega/2
         g = AtomGeometry(((0.0, 0.0), (1e6, 0.0)))  # effectively non-interacting
         omega = mhz(2.0)
-        evals = np.linalg.eigvalsh(rydberg_hamiltonian(g, omega, 0.0).to_dense())
+        evals = np.linalg.eigvalsh(rydberg_dense(g, omega, 0.0))
         want = np.sort([s1 * omega / 2 + s2 * omega / 2
                         for s1 in (-1, 1) for s2 in (-1, 1)])
         np.testing.assert_allclose(evals, want, atol=1e-9)
-
-    def test_eleven_atoms_build_but_refuse_dense(self):
-        # the PauliSum has no dense budget; to_dense keeps its own
-        h = rydberg_hamiltonian(AtomGeometry.chain(11, 9.0), 1.0, 1.0)
-        assert h.n_qubits == 11
-        with pytest.raises(PauliError):
-            h.to_dense()
 
 
 class TestZXZ:
@@ -208,47 +189,10 @@ class TestZXZ:
             zxz_hamiltonian(2)
 
 
-class TestPXP:
-    def test_three_site_decomposition(self):
-        h = pxp_hamiltonian(3, mhz(1.0), 0.0)
-        om = mhz(1.0)
-        for label in ("IXI", "ZXI", "IXZ", "ZXZ"):
-            assert h.coeff(label) == pytest.approx(om / 8)
-        assert len(h) == 4
-
-    def test_detuning_part_diagonal(self):
-        h = pxp_hamiltonian(4, 0.0, mhz(1.0))
-        dense = h.to_dense()
-        np.testing.assert_allclose(dense, np.diag(np.diag(dense)), atol=1e-12)
-
-    def test_no_transition_to_adjacent_excitations(self):
-        n = 4
-        h = pxp_hamiltonian(n, mhz(1.3), mhz(0.7)).to_dense()
-        psi0 = ground_state(n)
-        target = int("1100", 2)
-        for t in (0.1, 0.5, 1.7, 4.0):
-            psi = scipy.linalg.expm(-1j * h * t) @ psi0
-            assert abs(psi[target]) < 1e-12
-
-    def test_blockade_subspace_preserved(self):
-        n = 5
-        h = pxp_hamiltonian(n, mhz(2.0), mhz(-1.0)).to_dense()
-        bad = doubly_excited_indices(n)
-        psi0 = ground_state(n)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            t = rng.uniform(0.1, 3.0)
-            psi = scipy.linalg.expm(-1j * h * t) @ psi0
-            assert np.sum(np.abs(psi[bad]) ** 2) < 1e-20
-
-
 class TestDensityAndBoundary:
-    def test_density_matrix_form(self):
-        d = density_operator(1, 1).to_dense()
-        np.testing.assert_allclose(d, np.diag([0.0, 1.0]), atol=1e-15)
-
     def test_boundary_operators_anticommute(self):
-        p1l, p2l = boundary_operators(4)
+        # the cluster chain's left-edge operators X_1 Z_2 and Z_1
+        p1l, p2l = PauliSum.from_label("XZII"), PauliSum.single_site(4, 1, "Z")
         # anticommutator via dense form
         a, b = p1l.to_dense(), p2l.to_dense()
         np.testing.assert_allclose(a @ b + b @ a, np.zeros_like(a), atol=1e-13)
@@ -256,13 +200,9 @@ class TestDensityAndBoundary:
     @pytest.mark.parametrize("n", [4, 6])
     def test_boundary_operators_commute_with_chain(self, n):
         h = zxz_hamiltonian(n)
-        p1l, p2l = boundary_operators(n)
+        p1l, p2l = PauliSum.from_label("XZ" + "I" * (n - 2)), PauliSum.single_site(n, 1, "Z")
         assert len(commutator(p1l, h)) == 0
         assert len(commutator(p2l, h)) == 0
-
-    def test_doubly_excited_indices_n3(self):
-        idx = set(doubly_excited_indices(3).tolist())
-        assert idx == {0b110, 0b011, 0b111}
 
 
 class TestControlFamily:
@@ -295,10 +235,6 @@ class TestInputChecks:
         (lambda: AtomGeometry.chain(3, -6.0), "need n_atoms >= 1 and positive spacing"),
         (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(0.0), "omega_max must be positive"),
         (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(np.nan), "omega_max must be positive"),
-        (lambda: rydberg_hamiltonian(AtomGeometry.chain(2, 6.0), np.nan, 0.0),
-         "omega and delta must be finite"),
-        (lambda: pxp_hamiltonian(2, 1.0, 0.0), "the blockade model needs at least 3 qubits"),
-        (lambda: boundary_operators(1), "need at least 2 qubits"),
         # the negative index wrapped to V_31
         (lambda: AtomGeometry.chain(3, 6.0).interaction(0, 1),
          "need two distinct atoms in 1..3, got 0 and 1"),
@@ -329,10 +265,17 @@ class TestInputChecks:
         # the constructor's own error passes through
         (lambda: AtomGeometry.from_json('{"positions": [[0, 0], [0, 0]]}'),
          "atoms 1 and 2 coincide"),
+        # JSON booleans were read as the numbers 1 and 0
+        (lambda: AtomGeometry.from_json('{"positions": [[0, 0], [6, 0]], "c6": true}'),
+         'geometry JSON needs [x, y] number pairs and a number c6, '
+         'got {"positions": [[0, 0], [6, 0]], "c6": true}'),
+        (lambda: AtomGeometry.from_json('{"positions": [[true, 0], [6, 0]]}'),
+         'geometry JSON needs [x, y] number pairs and a number c6, '
+         'got {"positions": [[true, 0], [6, 0]]}'),
     ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "blockade nan",
-            "nan omega", "pxp N", "boundary N", "interaction 0", "interaction self",
-            "interaction past N", "json list", "json unknown key", "json positions int",
-            "json triple", "json text", "json huge int", "json coincident"])
+            "interaction 0", "interaction self", "interaction past N", "json list",
+            "json unknown key", "json positions int", "json triple", "json text",
+            "json huge int", "json coincident", "json bool c6", "json bool x"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

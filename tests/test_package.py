@@ -108,9 +108,7 @@ def test_public_names_pinned():
             "AtomGeometry", "AtomGeometry.blockade_radius", "AtomGeometry.chain",
             "AtomGeometry.from_json", "AtomGeometry.interaction", "AtomGeometry.to_json",
             "ModelError", "NoiseModel", "NoiseModel.fitted", "NoiseModel.realized_controls",
-            "basis_bits", "boundary_operators", "density_operator", "doubly_excited_indices",
-            "mhz", "pxp_hamiltonian", "rydberg_hamiltonian", "rydberg_terms", "to_mhz",
-            "zxz_hamiltonian",
+            "basis_bits", "mhz", "rydberg_terms", "to_mhz", "zxz_hamiltonian",
         ],
         "pauli": [
             "PauliError", "PauliSum", "PauliSum.coeff", "PauliSum.from_label",

@@ -795,9 +795,12 @@ class TestInputChecks:
         (lambda: ConstraintProfile.from_json('{"omega_max": -1}'), PulseError,
          "constraint limits must be finite and > 0, dt_min >= 0: ConstraintProfile(omega_max=-1, "
          "delta_range=19.9, slew_omega=39.7, slew_delta=397.0, dt_min=0.05)"),
+        # a JSON boolean was read as the number 1
+        (lambda: ConstraintProfile.from_json('{"omega_max": true}'), PulseError,
+         'constraint JSON fields must be numbers, got {"omega_max": true}'),
     ], ids=["late start", "detuning", "3-d state", "NaN Lindblad vector", "inf Lindblad vector",
             "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state", "json scalar",
-            "json unknown key", "json text value", "json text", "json negative"])
+            "json unknown key", "json text value", "json text", "json negative", "json bool"])
     def test_rejected_with_message(self, make, error, message):
         with pytest.raises(error) as info:
             make()
