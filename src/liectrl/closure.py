@@ -36,11 +36,15 @@ operators under the normalized bracket (1/(2i))[A, B]:
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
   sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
   the Hilbert-Schmidt inner product, and orthonormalized against an
-  absolute residual floor.  The first D(D+1)/2 coordinates hold
-  the real symmetric matrices p, the rest the imaginary antisymmetric k;
-  [p, p] and [k, k] lie in k and [p, k] in p, so real generators keep a
-  basis per grade, each of its own width.  ``rank_margin`` reports how
-  far the accepted residuals stayed from the rejected ones.
+  absolute residual floor.  A diagonal sign conjugation diag(+/-1) that
+  takes every generator to +/- itself grades the algebra, and so does
+  complex conjugation when every generator is real: [p, p] and [k, k] lie
+  in k and [p, k] in p, for p the real symmetric and k the imaginary
+  antisymmetric matrices.  Every bracket is exactly zero outside one
+  character of these gradings, a slice of the coordinates, so a basis is
+  kept per slice, each of its own width, and real generators bracket in
+  real arithmetic.  ``rank_margin`` reports how far the accepted
+  residuals stayed from the rejected ones.
 
 Both run a breadth-first expansion that commutes every new basis element
 with every *generator* only.  By the Jacobi identity the span of such
@@ -90,11 +94,11 @@ _MEMBER_TOL = 1e-8  # a unit-norm element whose residual is below this is in the
 # are processed oldest first, so genuine directions enter at large residuals
 # before deep, noisier brackets arrive.  Measured on the bench's sector chains
 # (fermion and boson N=5, 7 at n=2, 3; spinful N=3), accepted residuals go
-# down to 1.2e-5 and rejected ones up to 2.1e-7, both on boson N=5 n=3
-# (rank margin 57); the others stop at 1.4e-4 and 1.7e-12 (fermion N=7 n=3).
-# Every result reports its ratio as ``rank_margin``, which
-# tests/test_sectors.py::TestDenseRankDecisions requires above 100 on the
-# smaller cases.  Coefficient ratios near 1e6 push genuine brackets under the floor.
+# down to 1.1e-5 and rejected ones up to 8.8e-8, both on boson N=5 n=3
+# (rank margin 127); the others stop at 3.1e-4 and 6.7e-10 (fermion N=7 n=3).
+# Every result reports its ratio as ``rank_margin``, which tests/test_sectors.py::
+# test_bench_sector_closures_clear_the_margin_warning requires at least _MARGIN_WARN
+# on all of them.  Coefficient ratios near 1e6 push genuine brackets under the floor.
 _ABS_FLOOR = 1e-6
 _SQRT2 = np.sqrt(2.0)
 _CHUNK = 384
@@ -392,12 +396,13 @@ def _stack_matrix(m: np.ndarray) -> np.ndarray:
     return np.concatenate([flat[diag].real, _SQRT2 * flat[up].real, _SQRT2 * flat[up].imag])
 
 
-def _unstack_rows(rows: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`_stack_matrix` for a stack of rows: (n, d, d) complex."""
+def _unstack_rows(rows: np.ndarray, d: int, unit=1j) -> np.ndarray:
+    """Inverse of :func:`_stack_matrix` for a stack of rows: (n, d, d) complex;
+    with ``unit=1``, the real Re M + Im M of each M (M, or M / i for imaginary M)."""
     diag, up, lo = _hermitian_coords(d)
-    off = (rows[:, d: d + len(up)] + 1j * rows[:, d + len(up):]) / _SQRT2
-    out = np.zeros((len(rows), d * d), dtype=complex)
-    out[:, diag], out[:, up], out[:, lo] = rows[:, :d], off, off.conj()
+    re, im = rows[:, d: d + len(up)] / _SQRT2, rows[:, d + len(up):] * (unit / _SQRT2)
+    out = np.zeros((len(rows), d * d), dtype=im.dtype)
+    out[:, diag], out[:, up], out[:, lo] = rows[:, :d], re + im, re - im
     return out.reshape(-1, d, d)
 
 
@@ -456,12 +461,39 @@ class _Basis:
         return added
 
 
-class _DenseEngine:
-    """Closure state for the dense backend: one basis per grade.
+def _sign_labels(gens: Sequence[np.ndarray]) -> tuple[list[int], list[int]]:
+    """Per-state labels lam and per-generator shifts e of the diagonal sign gradings.
 
-    Real generators lie in p and bracketing with them swaps p and k (see
-    the module docstring), so a frontier is one grade; complex generators
-    take one grade of all d**2.  Row i of a grade has id i * n_grades + grade.
+    Solves lam_a + lam_b = e_g over GF(2) on every nonzero entry (a, b) of
+    each generator g; a solution is Gamma = diag((-1)^lam) with Gamma g Gamma
+    = (-1)^e_g g.  Bit k of a label or shift is its value in the k-th basis
+    solution (a constant lam adds a bit that cancels in lam_a ^ lam_b).
+    """
+    d, n = len(gens[0]), len(gens[0]) + len(gens)
+    rows: dict[int, int] = {}  # pivot bit -> equation over bits (lam, e), no other pivot set
+    for eq in {1 << a ^ 1 << b ^ 1 << (d + g)  # a diagonal entry leaves e_g alone
+               for g, m in enumerate(gens) for a, b in np.argwhere(np.triu(m)).tolist()}:
+        for piv, row in rows.items():
+            eq ^= row if eq >> piv & 1 else 0
+        if eq:
+            piv = eq.bit_length() - 1
+            rows = {p: r ^ eq if r >> piv & 1 else r for p, r in rows.items()} | {piv: eq}
+    # one basis solution per free bit f: 1 at f, and at each pivot p the bit f of row p
+    sols = [1 << f | sum(1 << p for p, r in rows.items() if r >> f & 1)
+            for f in range(n) if f not in rows]
+    bits = [sum((x >> i & 1) << k for k, x in enumerate(sols)) for i in range(n)]
+    return bits[:d], bits[d:]
+
+
+class _DenseEngine:
+    """Closure state for the dense backend: one basis per sign key.
+
+    The Hermitian coordinates of entry (a, b) get the key (lam_a ^ lam_b) << 1
+    of :func:`_sign_labels`, plus 1 on the imaginary ones when every
+    generator is real (the p/k grading); each key is one slice.  Generator
+    g lies in key e_g << 1 and bracketing with it adds e_g << 1, plus the
+    p/k bit, so every left-nested bracket is exactly zero outside one
+    slice.  Row i of slice t has id i * n_slices + t.
     """
 
     def __init__(self, gens: Sequence[np.ndarray]):
@@ -470,44 +502,70 @@ class _DenseEngine:
         norms = [np.linalg.norm(g) for g in gens]
         # zero generators stay as zeros and produce no candidates
         self.gen_mats = [g / n if n >= _ZERO_FLOOR else g * 0.0 for g, n in zip(gens, norms)]
-        self._gen_rows = np.concatenate(self.gen_mats)  # (g*d, d)
-        self._coords = _hermitian_coords(d)
-        p = d * (d + 1) // 2  # the p coordinates come first
-        real = all(not g.imag.any() for g in gens)
-        self.slices = [slice(0, p), slice(p, d * d)] if real else [slice(0, d * d)]
-        self.bases = [_Basis(s.stop - s.start) for s in self.slices]
+        self.real = all(not g.imag.any() for g in gens)
+        self._gen_rows = np.concatenate([g.real if self.real else g for g in self.gen_mats])
+        labels, shifts = _sign_labels(self.gen_mats)
+        diag, up, _ = _hermitian_coords(d)
+        a, b = np.divmod(np.r_[diag, up, up], d)  # entry (a, b) of each coordinate
+        n_p = d * (d + 1) // 2  # the diagonal and real coordinates come first
+        keys = [(labels[i] ^ labels[j]) << 1 | (self.real and c >= n_p)
+                for c, (i, j) in enumerate(zip(a.tolist(), b.tolist()))]
+        index = {k: t for t, k in enumerate(sorted(set(keys)))}
+        key_of = np.array([index[k] for k in keys])
+        self.slices = [np.flatnonzero(key_of == t) for t in range(len(index))]
+        self.bases = [_Basis(len(s)) for s in self.slices]
+        # per slice: entries (a, b), how many read Im W (the rest Re W), scales
+        scale = np.r_[np.full(d, 0.5), np.full(len(up), 1 / _SQRT2), np.full(len(up), -1 / _SQRT2)]
+        self._coords = [(a[s], b[s], np.searchsorted(s, n_p), scale[s]) for s in self.slices]
+        live = [n >= _ZERO_FLOOR for n in norms]
+        self._seeds = [index[e << 1] if ok else -1 for e, ok in zip(shifts, live)]
+        self._next = np.array([[index.get(k ^ (e << 1 | self.real), -1) if ok else -1
+                                for e, ok in zip(shifts, live)] for k in index])
 
-    def full(self, grade: int, rows: np.ndarray) -> np.ndarray:
-        """Rows of a grade in all d**2 Hermitian coordinates."""
-        out = np.zeros((len(rows), self.d * self.d))
-        out[:, self.slices[grade]] = rows
+    def full(self, ids) -> np.ndarray:
+        """The rows with these ids in all d**2 Hermitian coordinates."""
+        ids, n = np.asarray(ids, dtype=int), len(self.bases)
+        out = np.zeros((len(ids), self.d * self.d))
+        for t in np.unique(ids % n).tolist():
+            at = np.flatnonzero(ids % n == t)
+            out[np.ix_(at, self.slices[t])] = self.bases[t].matrix[ids[at] // n]
         return out
 
-    def _absorb(self, grade: int, cands: np.ndarray) -> list[int]:
-        n = len(self.bases)
-        return [i * n + grade for i in self.bases[grade].absorb(cands[:, self.slices[grade]])]
+    def _absorb(self, t: int, cands: np.ndarray) -> list[int]:
+        return [i * len(self.bases) + t for i in self.bases[t].absorb(cands)]
 
     def seed(self) -> list[int]:
-        return self._absorb(0, np.stack([_stack_matrix(g) for g in self.gen_mats]))
+        return [i for g, t in zip(self.gen_mats, self._seeds) if t >= 0
+                for i in self._absorb(t, _stack_matrix(g)[None, self.slices[t]])]
 
     def expand(self, block: list[int]) -> list[int]:
         """Bracket a block of rows with every generator in one GEMM and absorb.
 
         W = G V for every (v, g) pair comes from one product; since G and V
         are Hermitian, V G = W^dagger, so C = (W - W^dagger)/(2i) is read off W
-        directly in Hermitian coordinates.  Candidates are ordered (v, g)
-        and go to the next grade.
+        in the coordinates of its target slice alone: Im(W_ab + W_ba) on the
+        diagonal and real ones, Re(W_ba - W_ab) on the imaginary ones.  Real
+        generators bracket the real Re V + Im V in real arithmetic, and W then
+        stands for the one part its target reads.  Generator by generator and,
+        for each, row key by row key, the candidates go to their target slice
+        in block order.
         """
-        d, n_v, n = self.d, len(block), len(self.bases)
-        grade = block[0] % n
-        V = _unstack_rows(self.full(grade, self.bases[grade].matrix[np.asarray(block) // n]), d)
-        W = self._gen_rows @ V.transpose(1, 0, 2).reshape(d, n_v * d)
-        W = W.reshape(self.n_gens, d, n_v, d).transpose(2, 0, 1, 3).reshape(-1, d * d)
-        diag, up, lo = self._coords
-        w_up, w_lo = W[:, up], W[:, lo]
-        cands = np.concatenate([W[:, diag].imag, (w_up.imag + w_lo.imag) / _SQRT2,
-                                (w_lo.real - w_up.real) / _SQRT2], axis=1)
-        return self._absorb((grade + 1) % n, cands)
+        d, n_v = self.d, len(block)
+        V = _unstack_rows(self.full(block), d, 1 if self.real else 1j)
+        W = (self._gen_rows @ V.transpose(1, 0, 2).reshape(d, n_v * d)).ravel()
+        re, im = (W, W) if self.real else (W.real, W.imag)
+        keys, new = np.asarray(block) % len(self.bases), []
+        rows_of = [(c, np.flatnonzero(keys == c)) for c in np.unique(keys).tolist()]
+        for g in range(self.n_gens):
+            for c, at in rows_of:
+                if (t := int(self._next[c, g])) < 0:
+                    continue
+                a, b, cut, scale = self._coords[t]
+                base = (g * d * n_v * d + at * d)[:, None]  # flat index of W[g, a, v, b]
+                u, lo = base + a * n_v * d + b, base + b * n_v * d + a
+                new += self._absorb(t, scale * np.concatenate(
+                    [im[u[:, :cut]] + im[lo[:, :cut]], re[u[:, cut:]] - re[lo[:, cut:]]], axis=1))
+        return new
 
 
 # -- breadth-first closure ----------------------------------------------------
@@ -699,9 +757,10 @@ def close(gen: GeneratorSet) -> ClosureResult:
     still growing after DEFAULT_DEPTH_LIMIT depths is undetermined.  The
     pauli backend is exact and may stop early on a certificate, the dense
     one decides rank against _ABS_FLOOR.  One DEBUG record on the
-    ``liectrl`` logger names the verdict, certificate, depth and primes.
+    ``liectrl`` logger names the verdict, certificate, depth and primes,
+    and on the dense backend the number of sign keys and the widest slice.
     """
-    t0 = time.perf_counter()
+    t0, slices = time.perf_counter(), ""
     if gen.representation == "pauli":
         result = _close_pauli(gen)
     else:
@@ -711,9 +770,10 @@ def close(gen: GeneratorSet) -> ClosureResult:
         theoretical = d * d if has_trace else d * d - 1
         engine = _DenseEngine(gen.generators)
         _, depth, stop = _bfs(engine, theoretical)
-        bases = engine.bases
+        bases, n = engine.bases, len(engine.bases)
+        slices = f", {n} keys, widest slice {max(map(len, engine.slices))}"
         acc, rej = min(b.min_accepted for b in bases), max(b.max_rejected for b in bases)
-        matrix = np.concatenate([engine.full(g, b.matrix) for g, b in enumerate(bases)])
+        matrix = engine.full([i * n + t for t, b in enumerate(bases) for i in range(b.n_rows)])
         verdict = "universal" if stop == "bound" else "non_universal" if stop else "undetermined"
         result = ClosureResult(
             dimension=len(matrix), depth_reached=depth, universality=verdict,
@@ -725,9 +785,9 @@ def close(gen: GeneratorSet) -> ClosureResult:
                         "may be wrong", gen.label or "(unlabelled)", result.rank_margin,
                         _MARGIN_WARN, result.dimension)
     result.elapsed_s = time.perf_counter() - t0
-    log.debug("closure %s: %s, dimension %d by %s at depth %d, primes %s",
+    log.debug("closure %s: %s, dimension %d by %s at depth %d, primes %s%s",
               gen.label or "(unlabelled)", result.universality, result.dimension,
-              result.certificate, result.depth_reached, result.primes)
+              result.certificate, result.depth_reached, result.primes, slices)
     return result
 
 

@@ -14,7 +14,8 @@ itself, a reference that does not use the splitting.  The commutator
 oracle applies the symplectic sign rule one term pair at a time on
 PauliSum dicts, rather than on batched mask arrays.  The string BFS
 follows which strings brackets reach, as sets of integer mask pairs, with
-no coefficients and no GF(p) rows.
+no coefficients and no GF(p) rows.  The sign-key oracle tries every
+diagonal sign pattern instead of solving for the gradings over GF(2).
 """
 
 import numpy as np
@@ -61,6 +62,20 @@ def dense_closure_dimension(generators, tol=1e-9, max_rounds=60):
         q, _ = np.linalg.qr(B.T)
         B = q.T
     raise RuntimeError("oracle closure did not converge")
+
+
+def sign_keys(generators):
+    """Per entry (a, b), an integer naming its parities lam_a ^ lam_b under
+    every sign pattern lam with diag((-1)^lam) g diag((-1)^lam) = +/- g for
+    each generator g, found by trying all 2**d patterns."""
+    d = len(generators[0])
+    lam = (np.arange(2 ** d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    for g in generators:
+        a, b = np.nonzero(g)
+        par = lam[:, a] ^ lam[:, b]
+        lam = lam[(par == par[:, :1]).all(axis=1)]
+    par = (lam[:, :, None] ^ lam[:, None, :]).reshape(len(lam), d * d)
+    return np.unique(par, axis=1, return_inverse=True)[1].reshape(d, d)
 
 
 def scalar_commutator(a, b):

@@ -24,7 +24,7 @@ from liectrl.models import zxz_hamiltonian
 from liectrl.pauli import PauliSum, commutator, sum_to_arrays
 from liectrl.sectors import build_hubbard_chain_controls
 
-from oracles import dense_closure_dimension, reflection_sector_dimension, string_bfs
+from oracles import dense_closure_dimension, reflection_sector_dimension, sign_keys, string_bfs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -336,9 +336,11 @@ class TestDenseCoordinates:
             assert resid == pytest.approx(np.linalg.norm(r), rel=1e-10)
 
     def test_complex_generators_absorb_full_width(self, absorb_widths, closed):
-        # absorb_widths is requested first, so it records the closure in closed
+        # absorb_widths is requested first, so it records the closure in closed;
+        # state 4 is isolated, so its 6 coordinates coupling it to the 3x3 block
+        # form a sign key that no generator reaches
         assert closed[0].dimension == 9
-        assert absorb_widths == {16}
+        assert absorb_widths == {10}
 
     def test_contains_rejects_non_hermitian(self, closed):
         res, _ = closed
@@ -381,9 +383,62 @@ class TestDenseGrading:
         assert sum(not b.imag.any() for b in basis) == n_real
 
     def test_real_generators_absorb_per_grade(self, absorb_widths):
-        # d = 10: 55 real-symmetric and 45 imaginary-antisymmetric coordinates
+        # d = 10: the p/k grading and two sign gradings split the 100 coordinates
+        # into eight slices, one of 9, six of 12 and one of 19
         assert close(build_hubbard_chain_controls("fermion", 5, 2)).dimension == 100
-        assert absorb_widths == {55, 45}
+        assert absorb_widths == {9, 12, 19}
+
+    @pytest.mark.parametrize("case", ["fermion 5/2", "chain N=4"])
+    def test_basis_elements_lie_in_one_sign_key(self, case):
+        gens = (build_hubbard_chain_controls("fermion", 5, 2).generators if case == "fermion 5/2"
+                else [g.to_dense() for g in uniform_qubit_generators(4).generators])
+        key = sign_keys(gens)
+        # real generators: a real entry of key k has character (k, 0), an imaginary one (k, 1)
+        upper = np.triu(np.ones(key.shape, dtype=bool))
+        n_keys = len(np.unique(key[upper])) + len(np.unique(key[np.triu(upper, 1)]))
+        assert len(closure._DenseEngine(gens).slices) == n_keys == {"fermion 5/2": 8,
+                                                                    "chain N=4": 4}[case]
+        for b in close(GeneratorSet("dense", gens)).basis:
+            support = {(k, 0) for k in key[b.real != 0]} | {(k, 1) for k in key[b.imag != 0]}
+            assert len(support) == 1, support
+
+    def test_full_support_complex_set_absorbs_full_width(self, absorb_widths):
+        rng = np.random.default_rng(5)
+        gens = [random_hermitian(rng, 4) for _ in range(2)]
+        assert all(np.all(g != 0) for g in gens)
+        assert close(GeneratorSet("dense", gens)).dimension == 16
+        assert absorb_widths == {16}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sign_graded_sets_match_oracle(self, seed):
+        # sparse real generators, each zero off one parity class of a random sign pattern
+        rng = np.random.default_rng(seed)
+        lam = rng.permutation([0, 0, 0, 1, 1, 1])
+        gens = []
+        for e in rng.integers(0, 2, 3):
+            m = np.triu(rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.6))
+            m = m + m.T
+            m[(lam[:, None] ^ lam) != e] = 0
+            gens.append(m)
+        assert len(closure._DenseEngine(gens).slices) >= 4
+        assert close(GeneratorSet("dense", gens)).dimension == dense_closure_dimension(gens)
+
+    def test_two_to_one_chain_n6_meets_the_exact_dimension(self):
+        # [H_X, H_Z, sum 2 Z_j Z_{j+1} + sum Z_j Z_{j+2}] is mirror invariant, so at most
+        # 2079, never universal; the exact backend gives 2024 ("two primes") in about 6 s
+        n = 6
+        terms = {(0, 3 << j): 2.0 for j in range(n - 1)}
+        terms.update({(0, 5 << j): 1.0 for j in range(n - 2)})
+        gens = [g.to_dense() for g in uniform_qubit_generators(n).generators[:2]]
+        gens.append(PauliSum(n, terms).to_dense())
+        res = close(GeneratorSet("dense", gens))
+        assert (res.dimension, res.universality) == (2024, "non_universal")
+        assert res.rank_margin >= closure._MARGIN_WARN
+
+    def test_debug_record_names_keys_and_widest_slice(self, caplog):
+        with caplog.at_level("DEBUG", logger="liectrl"):
+            close(build_hubbard_chain_controls("fermion", 5, 2))
+        assert caplog.records[-1].getMessage().endswith(", 8 keys, widest slice 19")
 
 
 LOCAL_GENERATORS = {  # X_j, Z_j and Z_j Z_{j+1} as (x_mask, z_mask), keyed by N

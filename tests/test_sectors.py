@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liectrl import sectors
-from liectrl.closure import GeneratorSet, close
+from liectrl.closure import _MARGIN_WARN, GeneratorSet, close
 from liectrl.sectors import (
     NNN_LABELS,
     SectorBasis,
@@ -252,6 +252,27 @@ class TestDenseRankDecisions:
         rows = np.array(res.basis).reshape(res.dimension, -1)
         gram = rows.conj() @ rows.T
         assert np.max(np.abs(gram - np.eye(res.dimension))) <= 1e-13
+
+
+BENCH_SECTOR_CLOSURES = [("fermion", 5, 2), ("fermion", 7, 2), ("fermion", 7, 3),
+                         ("boson", 5, 2), ("boson", 7, 2), ("boson", 5, 3),
+                         ("spinful", 3, 1), ("spinful", 3, 2)]
+
+
+@pytest.mark.parametrize("case", BENCH_SECTOR_CLOSURES, ids=lambda c: "%s-%d-%d" % c)
+def test_bench_sector_closures_clear_the_margin_warning(case, caplog):
+    kind, n, p = case
+    if kind == "spinful":
+        tilted = build_spinful_controls(n, p, 1.0, 0.0)
+        uniform = build_spinful_controls(n, p, 0.0, 1.0)
+        gen = GeneratorSet("dense", tilted.generators + [uniform.generators[5]])
+    else:
+        gen = build_hubbard_chain_controls(kind, n, p)
+    with caplog.at_level("WARNING", logger="liectrl"):
+        res = close(gen)
+    assert res.universality == "universal"
+    assert res.rank_margin >= _MARGIN_WARN
+    assert not caplog.records
 
 
 class TestSpinfulControls:
