@@ -42,9 +42,10 @@ operators under the normalized bracket (1/(2i))[A, B]:
   in k and [p, k] in p, for p the real symmetric and k the imaginary
   antisymmetric matrices.  Every bracket is exactly zero outside one
   character of these gradings, a slice of the coordinates, so a basis is
-  kept per slice, each of its own width, and real generators bracket in
-  real arithmetic.  ``rank_margin`` reports how far the accepted
-  residuals stayed from the rejected ones.
+  kept per slice, each of its own width, real generators bracket in real
+  arithmetic, and a result keeps the rows per slice: ``basis`` builds
+  D**2-wide rows only on request.  ``rank_margin`` reports how far the
+  accepted residuals stayed from the rejected ones.
 
 Both run a breadth-first expansion that commutes every new basis element
 with every *generator* only.  By the Jacobi identity the span of such
@@ -396,12 +397,11 @@ def _stack_matrix(m: np.ndarray) -> np.ndarray:
     return np.concatenate([flat[diag].real, _SQRT2 * flat[up].real, _SQRT2 * flat[up].imag])
 
 
-def _unstack_rows(rows: np.ndarray, d: int, unit=1j) -> np.ndarray:
-    """Inverse of :func:`_stack_matrix` for a stack of rows: (n, d, d) complex;
-    with ``unit=1``, the real Re M + Im M of each M (M, or M / i for imaginary M)."""
+def _unstack_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`_stack_matrix` for a stack of rows: (n, d, d) complex."""
     diag, up, lo = _hermitian_coords(d)
-    re, im = rows[:, d: d + len(up)] / _SQRT2, rows[:, d + len(up):] * (unit / _SQRT2)
-    out = np.zeros((len(rows), d * d), dtype=im.dtype)
+    re, im = rows[:, d: d + len(up)] / _SQRT2, rows[:, d + len(up):] * (1j / _SQRT2)
+    out = np.zeros((len(rows), d * d), dtype=complex)
     out[:, diag], out[:, up], out[:, lo] = rows[:, :d], re + im, re - im
     return out.reshape(-1, d, d)
 
@@ -503,7 +503,9 @@ class _DenseEngine:
         # zero generators stay as zeros and produce no candidates
         self.gen_mats = [g / n if n >= _ZERO_FLOOR else g * 0.0 for g, n in zip(gens, norms)]
         self.real = all(not g.imag.any() for g in gens)
-        self._gen_rows = np.concatenate([g.real if self.real else g for g in self.gen_mats])
+        self._gen_rows = np.array([g.real if self.real else g for g in self.gen_mats])
+        # W of one generator on _bfs's largest block, reused: fresh pages per product cost more
+        self._w = np.empty(d * d * max(1, _CHUNK // self.n_gens), self._gen_rows.dtype)
         labels, shifts = _sign_labels(self.gen_mats)
         diag, up, _ = _hermitian_coords(d)
         a, b = np.divmod(np.r_[diag, up, up], d)  # entry (a, b) of each coordinate
@@ -514,22 +516,21 @@ class _DenseEngine:
         key_of = np.array([index[k] for k in keys])
         self.slices = [np.flatnonzero(key_of == t) for t in range(len(index))]
         self.bases = [_Basis(len(s)) for s in self.slices]
-        # per slice: entries (a, b), how many read Im W (the rest Re W), scales
+        # per slice: entries (a, b), count not imaginary, scales reading W, divisors writing V
         scale = np.r_[np.full(d, 0.5), np.full(len(up), 1 / _SQRT2), np.full(len(up), -1 / _SQRT2)]
-        self._coords = [(a[s], b[s], np.searchsorted(s, n_p), scale[s]) for s in self.slices]
+        div = np.r_[np.ones(d), np.full(len(up), _SQRT2)]
+        self._coords = [(a[s], b[s], np.searchsorted(s, n_p), scale[s], div[s[s < n_p]])
+                        for s in self.slices]
         live = [n >= _ZERO_FLOOR for n in norms]
         self._seeds = [index[e << 1] if ok else -1 for e, ok in zip(shifts, live)]
         self._next = np.array([[index.get(k ^ (e << 1 | self.real), -1) if ok else -1
                                 for e, ok in zip(shifts, live)] for k in index])
 
-    def full(self, ids) -> np.ndarray:
-        """The rows with these ids in all d**2 Hermitian coordinates."""
-        ids, n = np.asarray(ids, dtype=int), len(self.bases)
-        out = np.zeros((len(ids), self.d * self.d))
-        for t in np.unique(ids % n).tolist():
-            at = np.flatnonzero(ids % n == t)
-            out[np.ix_(at, self.slices[t])] = self.bases[t].matrix[ids[at] // n]
-        return out
+    def _flat(self, t: int, at: np.ndarray, n_v: int):
+        """Flat indices in a (d, n_v, d) array of entries (a, b), (b, a) of slice t, rows at."""
+        a, b, d = self._coords[t][0], self._coords[t][1], self.d
+        base = (at * d)[:, None]
+        return base + a * n_v * d + b, base + b * n_v * d + a
 
     def _absorb(self, t: int, cands: np.ndarray) -> list[int]:
         return [i * len(self.bases) + t for i in self.bases[t].absorb(cands)]
@@ -539,30 +540,36 @@ class _DenseEngine:
                 for i in self._absorb(t, _stack_matrix(g)[None, self.slices[t]])]
 
     def expand(self, block: list[int]) -> list[int]:
-        """Bracket a block of rows with every generator in one GEMM and absorb.
+        """Bracket a block of rows with each generator in one GEMM and absorb.
 
-        W = G V for every (v, g) pair comes from one product; since G and V
-        are Hermitian, V G = W^dagger, so C = (W - W^dagger)/(2i) is read off W
-        in the coordinates of its target slice alone: Im(W_ab + W_ba) on the
-        diagonal and real ones, Re(W_ba - W_ab) on the imaginary ones.  Real
-        generators bracket the real Re V + Im V in real arithmetic, and W then
-        stands for the one part its target reads.  Generator by generator and,
-        for each, row key by row key, the candidates go to their target slice
-        in block order.
+        V[a, v, b] is row v of the block as a matrix, written slice by slice as
+        :func:`_unstack_rows` would.  W = G V for all v takes one product per
+        generator G; as G and V are Hermitian, V G = W^dagger, so
+        C = (W - W^dagger)/(2i) is read off W in the coordinates of its target
+        slice alone: Im(W_ab + W_ba) on the diagonal and real ones,
+        Re(W_ba - W_ab) on the imaginary ones.  Real generators bracket the
+        real Re V + Im V in real arithmetic, and W then stands for the one part
+        its target reads.  Generator by generator and, for each, row key by
+        row key, the candidates go to their target slice in block order.
         """
-        d, n_v = self.d, len(block)
-        V = _unstack_rows(self.full(block), d, 1 if self.real else 1j)
-        W = (self._gen_rows @ V.transpose(1, 0, 2).reshape(d, n_v * d)).ravel()
-        re, im = (W, W) if self.real else (W.real, W.imag)
-        keys, new = np.asarray(block) % len(self.bases), []
+        d, n_v, n, ids = self.d, len(block), len(self.bases), np.asarray(block)
+        keys, new, unit = ids % n, [], (1 if self.real else 1j) / _SQRT2
         rows_of = [(c, np.flatnonzero(keys == c)) for c in np.unique(keys).tolist()]
+        V = np.zeros(d * n_v * d, self._gen_rows.dtype)
+        for c, at in rows_of:
+            (u, lo), (_, _, cut, _, div) = self._flat(c, at, n_v), self._coords[c]
+            x = self.bases[c].matrix[ids[at] // n]
+            V[u[:, :cut]] = V[lo[:, :cut]] = x[:, :cut] / div
+            V[u[:, cut:]] += (imag := x[:, cut:] * unit)
+            V[lo[:, cut:]] -= imag
+        V = V.reshape(d, n_v * d)
         for g in range(self.n_gens):
+            W = np.matmul(self._gen_rows[g], V, out=self._w[: V.size].reshape(V.shape)).ravel()
+            re, im = (W, W) if self.real else (W.real, W.imag)
             for c, at in rows_of:
                 if (t := int(self._next[c, g])) < 0:
                     continue
-                a, b, cut, scale = self._coords[t]
-                base = (g * d * n_v * d + at * d)[:, None]  # flat index of W[g, a, v, b]
-                u, lo = base + a * n_v * d + b, base + b * n_v * d + a
+                (u, lo), (_, _, cut, scale, _) = self._flat(t, at, n_v), self._coords[t]
                 new += self._absorb(t, scale * np.concatenate(
                     [im[u[:, :cut]] + im[lo[:, :cut]], re[u[:, cut:]] - re[lo[:, cut:]]], axis=1))
         return new
@@ -604,8 +611,9 @@ class ClosureResult:
     ``certificate`` how it was reached: "full rank", "local generators",
     "mirror bound" or "two primes" (module docstring), "float rank" on the
     dense backend, None if undetermined; ``depth_reached`` is the depth at
-    the stop.  A non-universal result keeps the exact echelon rows of every
-    run that agrees with the verdict, which ``basis`` and ``contains`` lift.
+    the stop.  A non-universal pauli result keeps the exact echelon rows of
+    every run that agrees with the verdict, which ``basis`` and ``contains``
+    lift.  A dense one keeps rows per sign key; ``basis`` widens them to d**2.
     ``rank_margin`` (dense backend) is the smallest residual accepted as a
     new direction over the largest rejected one: ``inf`` when nothing was
     rejected, ``None`` on the exact pauli backend.
@@ -623,7 +631,7 @@ class ClosureResult:
     primes: tuple[int, ...] = ()
     rank_margin: float | None = None
     certificate: str | None = None
-    _matrix: np.ndarray = field(default=None, repr=False)
+    _slices: tuple = field(default=(), repr=False)  # dense: per sign key, (coordinates, rows)
     _runs: tuple[_Rows, ...] = field(default=(), repr=False)
     _terms: list = field(default_factory=list, repr=False)  # generators the rows span
 
@@ -648,7 +656,10 @@ class ClosureResult:
             q = np.linalg.qr(m)[0] * 2.0 ** (-n / 2)
             xs, zs = _split_keys(support, n)
             return [arrays_to_sum(n, xs, zs, q[:, i]) for i in range(len(pivots))]
-        return list(_unstack_rows(self._matrix, isqrt(self._matrix.shape[1])))
+        out, at = np.zeros((self.dimension, sum(len(c) for c, _ in self._slices))), 0
+        for cols, rows in self._slices:  # slice by slice, row by row
+            out[at: (at := at + len(rows)), cols] = rows
+        return list(_unstack_rows(out, isqrt(out.shape[1])))
 
     def contains(self, element) -> tuple[bool, float]:
         """Span membership of a Hermitian element; returns (member, residual).
@@ -666,7 +677,7 @@ class ClosureResult:
         else:
             m = np.asarray(element, dtype=complex)
             _check_hermitian(m, "element")
-            if m.size != self._matrix.shape[1]:
+            if m.size != sum(len(cols) for cols, _ in self._slices):
                 raise ClosureError("matrix dimension mismatch")
             v = _stack_matrix(m)
         nrm = np.linalg.norm(v)
@@ -684,9 +695,9 @@ class ClosureResult:
             hit = keys[order][pos] == piv  # entries of the rows pivoted in v
             _, inv = np.unique(np.concatenate([keys, key[hit]]), return_inverse=True)
             v = np.bincount(inv, np.concatenate([v, -v[order][pos][hit] * val[hit]]))
-        else:
-            v = v - (v @ self._matrix.T) @ self._matrix
-            v = v - (v @ self._matrix.T) @ self._matrix
+        else:  # two passes against the rows of each sign key
+            w = [v[cols] - (v[cols] @ rows.T) @ rows for cols, rows in self._slices]
+            v = np.concatenate([x - (x @ r.T) @ r for x, (_, r) in zip(w, self._slices)])
         resid = float(np.linalg.norm(v))
         return resid < _MEMBER_TOL, resid
 
@@ -769,17 +780,18 @@ def close(gen: GeneratorSet) -> ClosureResult:
                         for g in gen.generators)
         theoretical = d * d if has_trace else d * d - 1
         engine = _DenseEngine(gen.generators)
-        _, depth, stop = _bfs(engine, theoretical)
-        bases, n = engine.bases, len(engine.bases)
-        slices = f", {n} keys, widest slice {max(map(len, engine.slices))}"
+        dim, depth, stop = _bfs(engine, theoretical)
+        if dim > theoretical:  # roundoff passed the rank floor
+            raise ClosureError(f"dense closure found {dim} directions, above its cap {theoretical}")
+        bases = engine.bases
+        slices = f", {len(bases)} keys, widest slice {max(map(len, engine.slices))}"
         acc, rej = min(b.min_accepted for b in bases), max(b.max_rejected for b in bases)
-        matrix = engine.full([i * n + t for t, b in enumerate(bases) for i in range(b.n_rows)])
         verdict = "universal" if stop == "bound" else "non_universal" if stop else "undetermined"
         result = ClosureResult(
-            dimension=len(matrix), depth_reached=depth, universality=verdict,
-            representation="dense", theoretical_cap=theoretical, _matrix=matrix,
-            rank_margin=float(acc / rej) if rej else np.inf,
-            certificate="float rank" if stop else None)
+            dimension=dim, depth_reached=depth, universality=verdict, representation="dense",
+            theoretical_cap=theoretical, rank_margin=float(acc / rej) if rej else np.inf,
+            certificate="float rank" if stop else None,
+            _slices=tuple((s, b.matrix.copy()) for s, b in zip(engine.slices, bases)))
         if result.rank_margin < _MARGIN_WARN:
             log.warning("dense closure %s: rank margin %.3g is below %g; dimension %d "
                         "may be wrong", gen.label or "(unlabelled)", result.rank_margin,

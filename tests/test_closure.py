@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,15 +326,19 @@ class TestDenseCoordinates:
                 assert resid < 1e-9, resid
 
     def test_contains_residual_matches_complex_projection(self, closed):
-        res, rng = closed
-        basis = res.basis
-        for _ in range(5):
-            m = random_hermitian(rng, 4)
-            m /= np.linalg.norm(m)
-            r = m - sum(np.trace(b.conj().T @ m) * b for b in basis)
-            member, resid = res.contains(m)
-            assert not member
-            assert resid == pytest.approx(np.linalg.norm(r), rel=1e-10)
+        block, rng = closed
+        # and the bare N=4 chain, whose rows are kept on four sign keys
+        gens = [g.to_dense() for g in uniform_qubit_generators(4).generators]
+        assert len(closure._DenseEngine(gens).slices) == 4
+        for res in (block, close(GeneratorSet("dense", gens))):
+            basis = res.basis
+            for _ in range(5):
+                m = random_hermitian(rng, len(basis[0]))
+                m /= np.linalg.norm(m)
+                r = m - sum(np.trace(b.conj().T @ m) * b for b in basis)
+                member, resid = res.contains(m)
+                assert not member
+                assert resid == pytest.approx(np.linalg.norm(r), rel=1e-10)
 
     def test_complex_generators_absorb_full_width(self, absorb_widths, closed):
         # absorb_widths is requested first, so it records the closure in closed;
@@ -357,6 +362,29 @@ class TestDenseCoordinates:
         assert res.dimension == 2
         assert res.rank_margin == pytest.approx(20, rel=1e-6)
         assert "rank margin" in caplog.text
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dimension_above_the_cap_raises(self, monkeypatch, d):
+        # with no rank floor, roundoff residuals pass as new directions
+        monkeypatch.setattr(closure, "_ABS_FLOOR", 0.0)
+        rng = np.random.default_rng(d)
+        gen = GeneratorSet("dense", [random_hermitian(rng, d) for _ in range(2)])
+        with pytest.raises(ClosureError, match=rf"found \d+ directions, above its cap {d * d}"):
+            close(gen)
+
+    def test_result_keeps_rows_per_sign_key(self):
+        # d = 35, universal: one dimension x d**2 matrix of its rows would take 11.4 MiB
+        gen = build_hubbard_chain_controls("boson", 5, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = close(gen)
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert res.dimension == 35 ** 2
+        assert retained < 4 * 2 ** 20, retained
+        assert peak < 10 * 2 ** 20, peak
 
     def test_margin_inf_without_rejections_and_none_on_pauli(self):
         assert close(GeneratorSet("dense", [X, Z])).rank_margin == np.inf
