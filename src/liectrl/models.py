@@ -150,25 +150,30 @@ def basis_bits(n_qubits: int) -> np.ndarray:
     return (np.arange(2 ** n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
 
 
+def _interaction_diagonal(geom: AtomGeometry) -> np.ndarray:
+    """V's diagonal over the basis bits; refuses geometries over the dense budget."""
+    n = geom.n_atoms
+    if n > MAX_DENSE_QUBITS:
+        raise ModelError(f"geometry with {n} atoms exceeds the dense budget "
+                         f"of {MAX_DENSE_QUBITS} atoms")
+    bits = basis_bits(n)
+    return sum((geom.interaction(j, l) * (bits[:, j - 1] & bits[:, l - 1])
+                for j in range(1, n + 1) for l in range(j + 1, n + 1)), np.zeros(2 ** n))
+
+
 def rydberg_terms(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense real (sum X_l, sum n_l, interaction) pieces for fast H(controls).
+    """Dense real (sum X_l, sum n_l, V), the reference H pieces of tests and make_refs.
 
     H(omega, delta) = (omega/2) * X_total - delta * n_total + V.  All three
     are symmetric; n_total and V are diagonal in the basis bits (qubit 1 is
     the most significant bit, bit 1 the Rydberg state).
     """
-    n = geom.n_atoms
-    if n > MAX_DENSE_QUBITS:
-        raise ModelError(f"geometry with {n} atoms exceeds the dense budget "
-                         f"of {MAX_DENSE_QUBITS} atoms")
-    k = np.arange(2 ** n)
-    bits = basis_bits(n)
-    x_total = np.zeros((2 ** n, 2 ** n))
-    for shift in range(n):
+    v = _interaction_diagonal(geom)
+    k = np.arange(v.size)
+    x_total = np.zeros((v.size, v.size))
+    for shift in range(geom.n_atoms):
         x_total[k, k ^ (1 << shift)] = 1.0
-    v = sum((geom.interaction(j, l) * bits[:, j - 1] * bits[:, l - 1]
-             for j in range(1, n + 1) for l in range(j + 1, n + 1)), np.zeros(2 ** n))
-    return x_total, np.diag(bits.sum(axis=1).astype(float)), np.diag(v)
+    return x_total, np.diag(np.bitwise_count(k).astype(float)), np.diag(v)
 
 
 def zxz_hamiltonian(n_qubits: int, j_eff: float = 1.0) -> PauliSum:

@@ -7,11 +7,12 @@ step is two exponentials of length h/2 with H sampled at 1/6 and 5/6 of
 the step.  A chain's H(t) commutes with the site reflection j -> N+1-j,
 so a propagator U is held as its parity blocks U_b = P_b^T U P_b, with
 P_b real isometries zero-padded to the even size (2^N + 2^ceil(N/2))/2
-(one of 2^N if the interaction is not reflection symmetric).  Each batch
-of exponentials takes one ``eigh`` per block; U_j = W_j Y_j stays in the
-eigenbasis W_j of its last exponential, Y_j = diag(e^{-i lambda h/2})
-W_j^T W_{j-1} Y_{j-1} being one real matrix product, and
-U_j = sum_b P_b (W_j Y_j)_b P_b^T is formed only at a returned knot.
+(one of 2^N if the interaction is not reflection symmetric), stored as a
+block position and weight per basis state.  Each batch of exponentials
+takes one ``eigh`` per block; U_j = W_j Y_j stays in the eigenbasis W_j of
+its last exponential, Y_j = diag(e^{-i lambda h/2}) W_j^T W_{j-1} Y_{j-1}
+being one real matrix product, and U_j = sum_b P_b (W_j Y_j)_b P_b^T, the
+only 2^N x 2^N matrix built, is gathered only at a returned knot.
 Open-system propagation (per-atom decay |g><r|, constant control offsets)
 takes the same CF4 steps, each between two half steps of exact amplitude
 damping (Strang splitting), so every step is a quantum channel.
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .models import AtomGeometry, NoiseModel, basis_bits, mhz, rydberg_terms, to_mhz
+from .models import AtomGeometry, NoiseModel, _interaction_diagonal, basis_bits, mhz, to_mhz
 from .pauli import reflect_masks
 
 # us per CF4 step; fourth order: from |g..g> on 3 atoms at 6 um, the 1 us
@@ -181,32 +182,48 @@ class DensityState:
         return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
 
 
-def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The Rydberg terms in reflection-parity blocks.
+def _parity_blocks(geom: AtomGeometry) -> tuple[list[int], tuple, tuple]:
+    """The Rydberg terms in reflection-parity blocks, from bit masks alone.
 
     If the interaction v is reflection symmetric (see ``_MIRROR_ULPS``),
     the blocks are the parity sectors of the bit reversal r: the even one
     spans |k> for k = r(k) and (|k> + |r(k)>)/sqrt(2) for k < r(k), the odd
     one (|k> - |r(k)>)/sqrt(2), each in the order of k.  Otherwise, or when
     the odd block is empty, one block of 2^N holds everything.  Returns the
-    block sizes, the isometries P (nb, 2^N, d) whose columns are those
-    states, zero past a block's size d_b, and the blocks P^T A P of
-    (sum X, sum n, V), shape (3, nb, d, d), with d the first size.
+    block sizes, P as (pos, wt) (nb, 2^N): state k at pos[b, k] of block b
+    with weight wt[b, k] (1, +-1/sqrt(2) or 0), and the blocks of sum X
+    (nb, d, d) and diagonals of sum n and V (nb, d), zero past a block's
+    size, d the first size.
     """
-    terms = rydberg_terms(geom)
-    v = np.diag(terms[2])
+    v = _interaction_diagonal(geom)  # raises over the dense budget before any 2^N array
     k = np.arange(v.size)
     r = reflect_masks(k.astype(np.uint64), geom.n_atoms).astype(np.intp)
     if np.abs(v - v[r]).max() > _MIRROR_ULPS * np.finfo(float).eps * np.abs(v).max():
         r = k
     even, odd, half = k <= r, k < r, np.sqrt(0.5)
     sizes = [int(n) for n in (even.sum(), odd.sum()) if n]
+    nb, d = len(sizes), sizes[0]
     # block position of each state's orbit {k, r(k)}; palindromes get weight 0 in the odd block
-    pos = np.stack([np.cumsum(even) - 1, np.maximum(np.cumsum(odd) - 1, 0)])[:, np.minimum(k, r)]
-    P = np.zeros((2, v.size, sizes[0]))
-    P[np.arange(2)[:, None], k, pos] = np.stack([np.where(r == k, 1, half), np.sign(r - k) * half])
-    P = P[:len(sizes)]  # an empty odd block has weight 0 everywhere
-    return sizes, P, P.mT @ np.stack(terms)[:, None] @ P
+    pos = np.maximum(np.cumsum([even, odd], axis=1) - 1, 0)[:nb, np.minimum(k, r)]
+    wt = np.stack([np.where(r == k, 1, half), np.sign(r - k) * half])[:nb]
+    cell = pos + d * np.arange(nb)[:, None]  # row of each state in the stacked blocks
+    flips = k ^ (1 << np.arange(geom.n_atoms))[:, None]  # sum X couples k to each of these
+    x = np.bincount((cell[:, None] * d + pos[:, flips]).ravel(),
+                    (wt[:, None] * wt[:, flips]).ravel(), nb * d * d).reshape(nb, d, d)
+    n_b, v_b = (np.bincount(cell.ravel(), (wt * wt * f).ravel(), nb * d).reshape(nb, d)
+                for f in (np.bitwise_count(k), v))
+    return sizes, (pos, wt), (x, n_b, v_b)
+
+
+def _unfold(m: np.ndarray, pos: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """Full matrices sum_b (w_b w_b^T) * M_b[pos_b, pos_b] of blocks M (..., nb, d, d)."""
+    out = np.zeros(m.shape[:-3] + 2 * pos.shape[1:], m.dtype)
+    for b, (p, w) in enumerate(zip(pos, wt)):
+        g = m[..., b, p[:, None], p]
+        g *= w[:, None]
+        g *= w
+        out += g
+    return out
 
 
 def _step_grid(pulse: ControlPulse, step: float,
@@ -236,15 +253,15 @@ def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
                       substeps: int | None, noise: NoiseModel):
     """CF4 exponentials of a pulse in parity blocks, batches of whole steps.
 
-    Returns the ``_step_grid`` step lengths and knot ends, the isometries P
+    Returns the ``_step_grid`` step lengths and knot ends, the sizes and P
     of ``_parity_blocks``, and batches (lo, W, phases) from one ``eigh`` per
-    block: exponential lo + 2s + c is W diag(phases) W^T, phases
-    e^{-i lambda h/2} as columns, node c of step s.
+    block of (omega/2) X + diag(V - delta n): exponential lo + 2s + c is
+    W diag(phases) W^T, phases e^{-i lambda h/2} as columns, node c of step s.
     """
     (om, de), h, knot_ends = _step_grid(pulse, step, substeps)
     om, de = noise.realized_controls(om, de)
     dts = np.repeat(h, 2) / 2
-    sizes, P, (x_b, n_b, v_b) = _parity_blocks(geom)
+    sizes, fold, (x_b, n_b, v_b) = _parity_blocks(geom)
     batch = 2 * max(1, _BATCH_BYTES // (2 * x_b.nbytes))  # stacked real W of whole steps
 
     def batches():
@@ -253,11 +270,12 @@ def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
             w = np.zeros((dts[sl].size,) + x_b.shape)
             lam = np.zeros(w.shape[:3])
             for b, d in enumerate(sizes):
-                hs = (om[sl, None, None] / 2.0) * x_b[b] - de[sl, None, None] * n_b[b] + v_b[b]
-                lam[:, b, :d], w[:, b, :d, :d] = np.linalg.eigh(hs[:, :d, :d])
+                hs = (om[sl, None, None] / 2.0) * x_b[b, :d, :d]
+                hs[:, np.arange(d), np.arange(d)] += v_b[b, :d] - de[sl, None] * n_b[b, :d]
+                lam[:, b, :d], w[:, b, :d, :d] = np.linalg.eigh(hs)
             yield lo, w, np.exp(-1j * lam * dts[sl, None, None])[..., None]
 
-    return h, knot_ends, P, batches()
+    return h, knot_ends, sizes, fold, batches()
 
 
 def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None, force: bool,
@@ -265,11 +283,13 @@ def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None
     """(time, thunk) at every knot after the first; a thunk returns the full W Y."""
     if not force:
         pulse.validate(profile)
-    if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+    if substeps is not None and (isinstance(substeps, bool) or not (
+            isinstance(substeps, (int, np.integer)) and substeps >= 1)):
         raise PropagationError(f"substeps must be >= 1 and an integer, got {substeps!r}")
-    _, knot_ends, P, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP, substeps,
-                                                 noise or NoiseModel())
-    w_prev = P.mT @ P  # 1 on each block, 0 on its pad
+    _, knot_ends, sizes, fold, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP, substeps,
+                                                           noise or NoiseModel())
+    d = sizes[0]
+    w_prev = np.eye(d) * (np.arange(d) < np.array(sizes)[:, None, None])  # 1 on blocks, 0 on pads
     y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0, on (D, 2D) real views
     knot_times = dict(zip(2 * np.array(knot_ends), pulse.times[1:]))  # by its last exponential
     for lo, w, phases in batches:
@@ -279,8 +299,8 @@ def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None
             yc = y.view(complex)
             yc *= phase
             if j in knot_times:
-                yield float(knot_times[j]), lambda wj=w[j - lo - 1], yj=y: (
-                    P @ (wj @ yj).view(complex) @ P.mT).sum(0)
+                yield float(knot_times[j]), lambda wj=w[j - lo - 1], yj=y: _unfold(
+                    (wj @ yj).view(complex), *fold)
         w_prev = w[-1]
 
 
@@ -351,10 +371,10 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     """
     if not force:
         pulse.validate(profile)
-    if not dt > 0:
-        raise PropagationError("dt must be positive")
-    h, knot_ends, P, batches = _cf4_exponentials(pulse, geom, dt, None, noise)
-    n, dim = geom.n_atoms, P.shape[1]
+    if isinstance(dt, bool) or not dt > 0:
+        raise PropagationError(f"dt must be positive and a number, got {dt!r}")
+    h, knot_ends, _, fold, batches = _cf4_exponentials(pulse, geom, dt, None, noise)
+    n, dim = geom.n_atoms, 2 ** geom.n_atoms
     rho0 = np.asarray(np.eye(dim)[0] if initial_state is None else initial_state, complex)
     if not np.isfinite(rho0).all():  # before inf * 0 and inf - inf
         raise PropagationError("initial_state must be finite")
@@ -371,7 +391,7 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     for lo, w, phases in batches:
         e = (w * phases.mT) @ w.mT  # each exponential's blocks
         steps = e[1::2] @ e[0::2]  # each step's blocks
-        for j, u in enumerate((P @ steps @ P.mT).sum(1), lo // 2):
+        for j, u in enumerate(_unfold(steps, *fold), lo // 2):
             rho = u @ rho @ u.conj().T
             knot = j + 1 == knot_ends[len(states) - 1]
             _amplitude_damping(rho, n, p[j] if knot else p[j] * (2 - p[j]))  # D(h/2)^2 = D(h)

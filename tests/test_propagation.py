@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from liectrl import propagation
-from liectrl.models import AtomGeometry, NoiseModel, mhz, rydberg_terms, zxz_hamiltonian
+from liectrl.models import (
+    AtomGeometry,
+    ModelError,
+    NoiseModel,
+    mhz,
+    rydberg_terms,
+    zxz_hamiltonian,
+)
 from liectrl.propagation import (
     ConstraintProfile,
     ControlPulse,
@@ -233,6 +242,15 @@ class TestUnitary:
         with pytest.raises(PropagationError, match="integer"):
             propagate_unitary(p, lone_atom(), substeps=substeps, force=True)
 
+    @pytest.mark.parametrize("run", [
+        lambda p: propagate_unitary(p, lone_atom(), substeps=True, force=True),
+        lambda p: propagate_lindblad(p, lone_atom(), quiet_noise(), dt=True, force=True),
+    ], ids=["substeps", "dt"])
+    def test_boolean_step_counts_rejected(self, run):
+        # True ran 1 step per interval, or 1 us Lindblad steps
+        with pytest.raises(PropagationError, match="got True"):
+            run(flat_pulse(0.5, mhz(1.0), 0.0))
+
     def test_numpy_integer_substeps_accepted(self):
         p = flat_pulse(0.5, mhz(1.0), 0.0)
         np.testing.assert_array_equal(propagate_unitary(p, lone_atom(), substeps=np.int64(3),
@@ -450,6 +468,60 @@ class TestParityBlocks:
         dev = max(np.linalg.norm(u - w, 2) for (_, u), (_, w)
                   in zip(got, stepwise_unitary_trajectory(pulse, geom)))
         assert bound / 2 < dev <= bound  # measured: 0.86 of the bound
+
+
+class TestBlockAssembly:
+    """The parity blocks come from bit masks; no 2^N x 2^N matrix is built."""
+
+    @pytest.mark.parametrize("geom", [
+        *(AtomGeometry.chain(n, 6.5) for n in range(1, 7)),
+        AtomGeometry(((0.0, 0.0), (6.5, 0.0), (13.5, 0.0), (19.0, 0.0))),
+    ], ids=[*(f"{n}-chain" for n in range(1, 7)), "uneven 4-chain"])
+    def test_blocks_are_dense_projections(self, geom):
+        # the index form (pos, wt) is the isometry P; each block is P_b^T A P_b
+        # of the dense rydberg_terms, and P_b^T P_b the identity on the block
+        sizes, (pos, wt), terms = propagation._parity_blocks(geom)
+        d, k = sizes[0], np.arange(2 ** geom.n_atoms)
+        P = np.zeros((len(sizes), k.size, d))
+        for b in range(len(sizes)):
+            P[b, k, pos[b]] = wt[b]
+        np.testing.assert_allclose(P.mT @ P, np.eye(d) * (np.arange(d) < np.c_[sizes])[:, None],
+                                   atol=1e-15)
+        x, n, v = (P.mT @ a @ P for a in rydberg_terms(geom))
+        assert np.max(np.abs(terms[0] - x)) <= 1e-12
+        for got, want in zip(terms[1:], (n, v)):
+            diag = np.diagonal(want, axis1=1, axis2=2)
+            assert np.max(np.abs(want - want * np.eye(d))) == 0  # diagonal blocks
+            assert np.max(np.abs(got - diag)) <= 1e-12 * max(1.0, np.abs(diag).max())
+
+    def test_blocks_build_no_full_matrix(self):
+        # a 9-atom chain: one 512 x 512 float matrix alone is 2 MB; building
+        # sum n and V densely and projecting through P peaked at 20.5 MB
+        geom = AtomGeometry.chain(9, 6.5)
+        tracemalloc.start()
+        try:
+            propagation._parity_blocks(geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("run", [
+        lambda p, g: propagate_unitary(p, g, force=True),
+        lambda p, g: propagate_lindblad(p, g, NoiseModel.fitted(), force=True),
+    ], ids=["unitary", "lindblad"])
+    def test_dense_budget_refused_before_allocation(self, run):
+        # 11 atoms is over the dense budget; the refusal comes before even
+        # one 2^11 float vector (16 KiB) is allocated
+        pulse, geom = flat_pulse(0.2, mhz(1.0), 0.0), AtomGeometry.chain(11, 9.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="dense budget of 10 atoms"):
+                run(pulse, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 11 * 8
 
 
 def halving_pulse():
