@@ -220,6 +220,20 @@ def kron_on_site(op, site, n_atoms):
     return np.kron(np.kron(np.eye(2 ** site), op), np.eye(2 ** (n_atoms - site - 1)))
 
 
+def damping_kraus(p, n_atoms):
+    """Each atom's amplitude-damping Kraus pair K0 = diag(1, sqrt(1 - p)), K1 = sqrt(p)|g><r|."""
+    return [[kron_on_site(np.array(k, dtype=complex), site, n_atoms)
+             for k in ([[1, 0], [0, np.sqrt(1 - p)]], [[0, np.sqrt(p)], [0, 0]])]
+            for site in range(n_atoms)]
+
+
+def kraus_damp(rho, kraus):
+    """rho through each atom's channel K0 rho K0^dag + K1 rho K1^dag in turn."""
+    for pair in kraus:
+        rho = sum(k @ rho @ k.conj().T for k in pair)
+    return rho
+
+
 def lowering_operators(n_atoms):
     """Dense |g><r| on each atom (qubit 1 = most significant kron factor)."""
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -240,21 +254,12 @@ def stepwise_strang_trajectory(pulse, geom, noise, dt=None, initial_state=None):
 
     n = geom.n_atoms
     rho = _initial_density(initial_state, 2 ** n)
-
-    def damp(rho, kraus):
-        for pair in kraus:  # one atom's K0 and K1
-            rho = sum(k @ rho @ k.conj().T for k in pair)
-        return rho
-
     out = [(float(pulse.times[0]), rho.copy())]
     for t1, (h, steps) in zip(pulse.times[1:], _gauss_cf4_intervals(
             pulse, geom, dt or DEFAULT_LINDBLAD_DT, noise=noise)):
-        p = 1 - np.exp(-noise.gamma * h / 2)
-        kraus = [[kron_on_site(np.array(k, dtype=complex), site, n)
-                  for k in ([[1, 0], [0, np.sqrt(1 - p)]], [[0, np.sqrt(p)], [0, 0]])]
-                 for site in range(n)]
+        kraus = damping_kraus(1 - np.exp(-noise.gamma * h / 2), n)
         for u in steps:
-            rho = damp(u @ damp(rho, kraus) @ u.conj().T, kraus)
+            rho = kraus_damp(u @ kraus_damp(rho, kraus) @ u.conj().T, kraus)
         out.append((float(t1), rho.copy()))
     return out
 

@@ -25,6 +25,8 @@ from liectrl.propagation import (
     unitary_trajectory,
 )
 from oracles import (
+    damping_kraus,
+    kraus_damp,
     stepwise_lindblad_trajectory,
     stepwise_strang_trajectory,
     stepwise_unitary_trajectory,
@@ -250,6 +252,20 @@ class TestUnitary:
         # True ran 1 step per interval, or 1 us Lindblad steps
         with pytest.raises(PropagationError, match="got True"):
             run(flat_pulse(0.5, mhz(1.0), 0.0))
+
+    @pytest.mark.parametrize("run, count", [
+        (lambda p: propagate_unitary(p, lone_atom(), substeps=2 ** 40, force=True),
+         "1099511627776"),
+        (lambda p: propagate_lindblad(p, lone_atom(), quiet_noise(), dt=1e-13, force=True),
+         "10000000000000"),
+        (lambda p: propagate_lindblad(p, lone_atom(), quiet_noise(), dt=1e-320, force=True),
+         "inf"),
+    ], ids=["substeps", "dt", "subnormal dt"])
+    def test_step_count_bounded(self, run, count):
+        # numpy's MemoryError asked for 8.00 TiB and 72.8 TiB from np.repeat
+        with pytest.raises(PropagationError) as info:
+            run(flat_pulse(1.0, mhz(1.0), 0.0))
+        assert str(info.value) == f"the pulse needs {count} steps, more than 1048576"
 
     def test_numpy_integer_substeps_accepted(self):
         p = flat_pulse(0.5, mhz(1.0), 0.0)
@@ -619,6 +635,18 @@ class TestBatchedLindblad:
         propagate_lindblad(halving_pulse(), lone_atom(), NoiseModel.fitted(), dt=1e-3)
         assert len(calls) == 3000 + 30
 
+    def test_weights_held_for_one_interval(self, monkeypatch):
+        # each distinct p holds 5^N floats; kept for the whole call, an
+        # 8-atom pulse of 30 uneven intervals held 60 of them and peaked at
+        # 273 MB RSS instead of 99 MB
+        held, damp = [], propagation._amplitude_damping
+        monkeypatch.setattr(propagation, "_amplitude_damping",
+                            lambda rho, plan, p: held.append(len(plan[-1])) or damp(rho, plan, p))
+        pulse = uneven_pulse(7, 6.0)
+        propagate_lindblad(pulse, AtomGeometry.chain(2, 6.5), NoiseModel.fitted())
+        assert len(set(np.diff(pulse.times).tolist())) == 31
+        assert max(held) == 2
+
     def test_coarse_long_pulse_stays_positive(self):
         # RK4 at dt=0.05 overflowed to NaN on this 30 us pulse on 3 atoms at
         # 6 um; a composition of channels stays a state at any step
@@ -647,6 +675,30 @@ class TestBatchedLindblad:
                   for dt in (propagation.DEFAULT_LINDBLAD_DT, propagation.DEFAULT_LINDBLAD_DT / 2))
         assert measured / 2 < e1 < 2 * measured
         assert e1 / e2 == pytest.approx(16.0, abs=2.0)
+
+
+class TestDampingGather:
+    """The one-gather decay channel against the per-atom Kraus sums."""
+
+    @pytest.mark.parametrize("n_atoms", range(1, 7))
+    def test_matches_kraus_sum(self, n_atoms):
+        dim, plan = 2 ** n_atoms, propagation._damping_plan(n_atoms)
+        rng = np.random.default_rng(n_atoms)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = (a + a.conj().T) / 2
+        for p in (0.0, 0.013, 0.5, 1.0):
+            got = propagation._amplitude_damping(rho, plan, p)
+            assert np.max(np.abs(got - kraus_damp(rho, damping_kraus(p, n_atoms)))) <= 1e-14
+            assert abs(np.trace(got) - np.trace(rho)) <= 1e-14
+
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_plan_holds_five_to_the_n_pairs(self, n_atoms):
+        # the memory contract of propagate_lindblad's docstring: each atom
+        # couples (g, g) to itself and (r, r), and each other entry to itself
+        src, starts, n_decayed, excited, _ = propagation._damping_plan(n_atoms)
+        assert src.size == n_decayed.size == excited.size == 5 ** n_atoms
+        assert starts.size == 4 ** n_atoms
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)
 
 
 class TestLindblad:
@@ -704,7 +756,8 @@ class TestLindblad:
 
     def test_bad_dt_rejected(self):
         p = ControlPulse(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
-        for dt in (-1.0, np.nan):
+        # "0.01" and None escaped as Python's TypeError from dt > 0
+        for dt in (-1.0, np.nan, "0.01", None):
             with pytest.raises(PropagationError, match="dt must be positive"):
                 propagate_lindblad(p, lone_atom(), quiet_noise(), dt=dt)
 
