@@ -120,23 +120,27 @@ class GeneratorSet:
     representation: Representation
     generators: list
     label: str = ""
-    names: list[str] = field(default_factory=list)  # one per generator, if named
     basis: object = None  # sectors.SectorBasis of sector-built dense generators
 
     def __post_init__(self):
         if not self.generators:
             raise ClosureError("empty generator set")
         if self.representation == "pauli":
+            bad = [type(g).__name__ for g in self.generators if not isinstance(g, PauliSum)]
+            if bad:
+                raise ClosureError(f"pauli generators must be PauliSum values, got {bad[0]}")
             n = self.generators[0].n_qubits
             if any(g.n_qubits != n for g in self.generators):
                 raise ClosureError("inconsistent qubit counts in generator set")
         elif self.representation == "dense":
-            gens = [np.asarray(g, dtype=complex) for g in self.generators]
-            d = gens[0].shape[0]
+            try:  # a PauliSum or ragged nesting is no numeric array
+                gens = [np.asarray(g, dtype=complex) for g in self.generators]
+            except (TypeError, ValueError) as err:
+                raise ClosureError("dense generators must be numeric matrices") from err
             for g in gens:
-                if g.shape != (d, d):
-                    raise ClosureError("inconsistent generator dimensions")
                 _check_hermitian(g, "dense generator")
+            if any(g.shape != gens[0].shape for g in gens):
+                raise ClosureError("inconsistent generator dimensions")
             self.generators = gens
         else:
             raise ClosureError(f"unknown representation {self.representation!r}")
@@ -809,7 +813,10 @@ def uniform_qubit_generators(n_qubits: int, break_pattern: Sequence[int] = ()) -
     """H_X, H_Z, H_ZZ on the open chain plus an optional partial X field."""
     if n_qubits < 2:
         raise ClosureError("chain needs at least 2 qubits")
-    pattern = sorted(set(break_pattern))
+    sites = list(break_pattern)
+    if any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in sites):
+        raise ClosureError(f"break pattern sites must be integers, got {sites}")
+    pattern = sorted(set(sites))
     if pattern and (pattern[0] < 1 or pattern[-1] > n_qubits):
         raise ClosureError(f"break pattern {pattern} out of range 1..{n_qubits}")
     # (x_mask, z_mask) tables: bit j-1 is site j
@@ -852,51 +859,3 @@ def verify_lemma_b2_targets(n_qubits: int) -> bool:
     ops = [PauliSum(n_qubits, {m: 1.0}) for m in masks]
     return all(result.contains(op + op.reflection_image())[0] for op in ops)
 
-
-# -- Trotter product formulas -------------------------------------------
-
-def _expm_skew(a: np.ndarray) -> np.ndarray:
-    lam, v = np.linalg.eigh(1j * a)
-    return (v * np.exp(-1j * lam)) @ v.conj().T
-
-
-def _trotter_operands(A, B, n: int) -> tuple[np.ndarray, np.ndarray]:
-    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise ClosureError("dimension mismatch")
-    if not isinstance(n, (int, np.integer)):
-        raise ClosureError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ClosureError("n must be >= 1")
-    for m, what in ((A, "1j * A"), (B, "1j * B")):  # finite first: 1j * inf warns
-        _check_hermitian(1j * m if np.isfinite(m).all() else m, what)
-    return A, B
-
-
-def trotter_linear_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Spectral-norm error of the n-step product formula for exp(A+B).
-
-    A, B must be anti-Hermitian (ClosureError); exp(a) = V e^{-i lam} V^dagger by eigh(1j a)."""
-    A, B = _trotter_operands(A, B, n)
-    step = _expm_skew(A / n) @ _expm_skew(B / n)
-    return float(np.linalg.norm(_expm_skew(A + B) - np.linalg.matrix_power(step, n), 2))
-
-
-def trotter_commutator_error(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Spectral-norm error of the n-step group-commutator formula for exp([A,B]).
-
-    A, B anti-Hermitian, exponentials by eigh, as in :func:`trotter_linear_error`."""
-    A, B = _trotter_operands(A, B, n)
-    ea, eb = _expm_skew(A / np.sqrt(n)), _expm_skew(B / np.sqrt(n))
-    step = ea @ eb @ ea.conj().T @ eb.conj().T  # exp(-A/sqrt n) = exp(A/sqrt n)^dagger
-    return float(np.linalg.norm(_expm_skew(A @ B - B @ A) - np.linalg.matrix_power(step, n), 2))
-
-
-def loglog_slope(ns: Sequence[int], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(n)."""
-    ns = np.asarray(ns, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    keep = errors > 0
-    if keep.sum() < 2:
-        raise ClosureError(f"a slope needs two positive errors, got {errors.tolist()}")
-    return float(np.polyfit(np.log(ns[keep]), np.log(errors[keep]), 1)[0])

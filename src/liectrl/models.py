@@ -73,12 +73,6 @@ class AtomGeometry:
         xl, yl = self.positions[l - 1]
         return self.c6 / np.hypot(xj - xl, yj - yl) ** 6
 
-    def blockade_radius(self, omega_max: float) -> float:
-        """R_b = (C6 / Omega_max)^(1/6) in um, Omega_max in rad/us."""
-        if not omega_max > 0:  # written so that NaN fails
-            raise ModelError("omega_max must be positive")
-        return float((self.c6 / omega_max) ** (1.0 / 6.0))
-
     def to_json(self) -> str:
         """``{"positions": [[x, y], ...], "c6": c6}``, read back by :meth:`from_json`."""
         return json.dumps(asdict(self))
@@ -176,9 +170,9 @@ def rydberg_terms(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return x_total, np.diag(np.bitwise_count(k).astype(float)), np.diag(v)
 
 
-def zxz_hamiltonian(n_qubits: int, j_eff: float = 1.0) -> PauliSum:
-    """Cluster three-body chain J * sum_j Z_{j-1} X_j Z_{j+1} (bulk sites)."""
+def zxz_hamiltonian(n_qubits: int) -> PauliSum:
+    """Cluster three-body chain sum_j Z_{j-1} X_j Z_{j+1} (bulk sites)."""
     if n_qubits < 3:
         raise ModelError("the three-body chain needs at least 3 qubits")
     # X on site j (bit j-1), Z on sites j-1 and j+1 (bits j-2 and j)
-    return PauliSum(n_qubits, {(1 << (j - 1), 5 << (j - 2)): j_eff for j in range(2, n_qubits)})
+    return PauliSum(n_qubits, {(1 << (j - 1), 5 << (j - 2)): 1.0 for j in range(2, n_qubits)})

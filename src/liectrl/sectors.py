@@ -80,7 +80,13 @@ class SectorBasis:
         return self.kind in ("fermion", "spinful_fermion")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_mode(basis: SectorBasis, i: int) -> int:
+    if not _is_int(i):
+        raise SectorError(f"mode must be an integer, got {i!r}")
     if not 1 <= i <= basis.n_modes:
         raise SectorError(f"mode {i} out of range 1..{basis.n_modes}")
     return i - 1
@@ -159,15 +165,7 @@ def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
     gens = [_hopping(basis, bonds[0::2]), _hopping(basis, bonds[1::2]),
             _diag(occ[:, 0::2].sum(1)), _diag(occ[:, 1::2].sum(1)), _diag(h_u.sum(1))]
     return GeneratorSet("dense", gens, label=f"{kind} chain N={n_sites} n={n_particles}",
-                        names=["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu", "H_U"],
                         basis=basis)
-
-
-def spinful_mode(site: int, spin: Literal["up", "down"]) -> int:
-    """1-based mode index of (site, spin) with up ordered before down."""
-    if site < 1 or spin not in ("up", "down"):
-        raise SectorError(f"need site >= 1 and spin 'up' or 'down', got {site} and {spin!r}")
-    return 2 * (site - 1) + (1 if spin == "up" else 2)
 
 
 def build_spinful_controls(n_sites: int, n_particles: int,
@@ -194,8 +192,7 @@ def build_spinful_controls(n_sites: int, n_particles: int,
             _diag((up - down) @ (a * np.arange(1, n_sites + 1) + b)),
             _diag((up * down).sum(1))]
     return GeneratorSet("dense", gens, label=f"spinful chain N={n_sites} n={n_particles}",
-                        names=["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu",
-                               "H_BX", f"H_BZ(a={a},b={b})", "H_U"], basis=basis)
+                        basis=basis)
 
 
 # -- 2D superlattice with four species ----------------------------------
@@ -209,6 +206,8 @@ def _species(row: int, col: int) -> int:
 
 
 def lattice_mode(row: int, col: int, cols: int) -> int:
+    if not all(map(_is_int, (row, col, cols))):
+        raise SectorError(f"need integer row, col and cols, got ({row!r}, {col!r}, {cols!r})")
     if row < 1 or not 1 <= col <= cols:
         raise SectorError(f"need row >= 1 and col in 1..{cols}, got ({row}, {col})")
     return (row - 1) * cols + col
@@ -237,10 +236,7 @@ def build_nnn_lattice(rows: int, cols: int) -> GeneratorSet:
     hops += [[(m + cols, m) for m, (r, c) in enumerate(sites) if r < rows and r % 2 == parity]
              for parity in (1, 0)]
     return GeneratorSet("dense", mus + [_hopping(basis, h) for h in hops],
-                        label=f"NNN superlattice {rows}x{cols}",
-                        names=["H1_mu", "H2_mu", "H3_mu", "H4_mu",
-                               "H1_hop", "H2_hop", "H3_hop", "H4_hop"],
-                        basis=basis)
+                        label=f"NNN superlattice {rows}x{cols}", basis=basis)
 
 
 def _nnn_target(basis: SectorBasis, rows: int, cols: int,

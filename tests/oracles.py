@@ -133,13 +133,6 @@ def reflection_sector_dimension(n_qubits):
     return (d_plus ** 2 - 1) + (d_minus ** 2 - 1) + (n_qubits % 2 == 0)
 
 
-def haar_average_state_fidelity(u, v):
-    """Closed-form Haar average of |<phi|U^dag V|phi>|^2 in dimension d."""
-    d = u.shape[0]
-    w = np.trace(u.conj().T @ v)
-    return (abs(w) ** 2 + d) / (d * (d + 1))
-
-
 def pauli_rydberg_terms(geom):
     """(sum X_l, sum n_l, V) summed as Pauli strings, then made dense."""
     from liectrl.pauli import PauliSum

@@ -14,10 +14,7 @@ from liectrl.closure import (
     GeneratorSet,
     check_universality_qubit,
     close,
-    loglog_slope,
     reflection_sector_check,
-    trotter_commutator_error,
-    trotter_linear_error,
     uniform_qubit_generators,
     verify_lemma_b2_targets,
 )
@@ -697,106 +694,6 @@ class TestOrbitRows:
                 assert max(abs(image[k] - c) for k, c in b.terms.items()) < 1e-12
 
 
-class TestTrotter:
-    def test_commuting_case_exact(self):
-        a = 1j * np.kron(X, np.eye(2))
-        assert trotter_linear_error(a, a, 3) < 1e-12
-        assert trotter_commutator_error(a, a, 4) < 1e-12
-
-    def test_n1_bound(self):
-        a, b = 1j * X, 1j * Z
-        err = trotter_linear_error(a, b, 1)
-        bound = 5 * np.exp(np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
-        assert 0 < err < bound
-
-    def test_linear_slope_minus_one(self):
-        a, b = 1j * X, 1j * Z
-        ns = [2 ** k for k in range(1, 11)]
-        errs = [trotter_linear_error(a, b, n) for n in ns]
-        assert loglog_slope(ns, errs) == pytest.approx(-1.0, abs=0.1)
-
-    def test_commutator_slope_minus_half(self):
-        a, b = 1j * X, 1j * Z
-        ns = [4 ** k for k in range(1, 6)]
-        errs = [trotter_commutator_error(a, b, n) for n in ns]
-        assert loglog_slope(ns, errs) == pytest.approx(-0.5, abs=0.1)
-
-    def test_commutator_target_two_qubit(self):
-        import scipy.linalg
-        a = 1j * np.kron(X, np.eye(2))
-        b = 1j * np.kron(Z, Z)
-        n = 4 ** 6
-        err = trotter_commutator_error(a, b, n)
-        m = 2 ** 6 * (np.linalg.norm(a, 2) + np.linalg.norm(b, 2) + 1) ** 4
-        assert err < m / np.sqrt(n)
-        # the limit object is exp([A, B])
-        lhs = scipy.linalg.expm(a @ b - b @ a)
-        assert np.linalg.norm(lhs.conj().T @ lhs - np.eye(4)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ClosureError):
-            trotter_linear_error(1j * X, 1j * np.kron(X, X), 2)
-
-    def test_randomized_slopes(self):
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            d = 4
-            m1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            m2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            a = m1 - m1.conj().T
-            b = m2 - m2.conj().T
-            a /= np.linalg.norm(a, 2) * 1.2
-            b /= np.linalg.norm(b, 2) * 1.2
-            ns = [2 ** k for k in range(2, 11)]
-            lin = [trotter_linear_error(a, b, n) for n in ns]
-            assert loglog_slope(ns, lin) == pytest.approx(-1.0, abs=0.1)
-            com = [trotter_commutator_error(a, b, n) for n in ns]
-            assert loglog_slope(ns, com) == pytest.approx(-0.5, abs=0.1)
-
-
-class TestTrotterInputs:
-    @pytest.mark.parametrize("helper", [trotter_linear_error, trotter_commutator_error])
-    @pytest.mark.parametrize("a, b", [(X, 1j * Z), (1j * X, Z), (1j * X + Z, 1j * Z)],
-                             ids=["A Hermitian", "B Hermitian", "A mixed"])
-    def test_non_anti_hermitian_rejected(self, helper, a, b):
-        with pytest.raises(ClosureError, match="Hermitian"):
-            helper(a, b, 4)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ClosureError):
-            trotter_linear_error(np.zeros((2, 4)), np.zeros((2, 4)), 2)
-
-    @pytest.mark.parametrize("helper", [trotter_linear_error, trotter_commutator_error])
-    def test_nan_operand_rejected(self, helper):
-        # it escaped as numpy's LinAlgError from eigh
-        with pytest.raises(ClosureError, match="finite"):
-            helper(1j * X, 1j * Z * np.nan, 4)
-
-    @pytest.mark.parametrize("helper", [trotter_linear_error, trotter_commutator_error])
-    @pytest.mark.parametrize("infinite", ["A", "B"])
-    def test_infinite_imaginary_operand_rejected(self, helper, infinite):
-        # 1j * complex(0, inf) used to escape as numpy's "invalid value" RuntimeWarning
-        bad = 1j * Z
-        bad[0, 0] = complex(0, np.inf)
-        a, b = (bad, 1j * X) if infinite == "A" else (1j * X, bad)
-        with pytest.raises(ClosureError, match=f"1j \\* {infinite} is not a finite"):
-            helper(a, b, 2)
-
-    def test_errors_match_scipy_expm(self):
-        import scipy.linalg
-        expm = scipy.linalg.expm
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
-        a, b = m - m.conj().mT
-        n, s = 9, 3.0
-        lin = np.linalg.matrix_power(expm(a / n) @ expm(b / n), n)
-        com = np.linalg.matrix_power(expm(a / s) @ expm(b / s) @ expm(-a / s) @ expm(-b / s), n)
-        assert trotter_linear_error(a, b, n) == pytest.approx(
-            np.linalg.norm(expm(a + b) - lin, 2), rel=1e-9)
-        assert trotter_commutator_error(a, b, n) == pytest.approx(
-            np.linalg.norm(expm(a @ b - b @ a) - com, 2), rel=1e-9)
-
-
 class TestInputChecks:
     @pytest.mark.parametrize("make, message", [
         (lambda: GeneratorSet("dense", [X, np.eye(3)]), "inconsistent generator dimensions"),
@@ -817,13 +714,20 @@ class TestInputChecks:
         (lambda: reflection_sector_check(close(uniform_qubit_generators(3)), 4),
          "qubit count mismatch"),
         (lambda: verify_lemma_b2_targets(2), "target check needs N >= 3"),
-        (lambda: trotter_linear_error(1j * X, 1j * Z, 0), "n must be >= 1"),
-        # numpy's "exponent must be an integer"
-        (lambda: trotter_linear_error(1j * X, 1j * Z, 2.5), "n must be an integer, got 2.5"),
-        (lambda: trotter_commutator_error(1j * X, 1j * Z, 2.5), "n must be an integer, got 2.5"),
-        # polyfit's TypeError
-        (lambda: loglog_slope([1, 2], [0.1, 0.0]),
-         "a slope needs two positive errors, got [0.1, 0.0]"),
+        # AttributeError
+        (lambda: GeneratorSet("pauli", [np.eye(2)]),
+         "pauli generators must be PauliSum values, got ndarray"),
+        # numpy's TypeError
+        (lambda: GeneratorSet("dense", [PauliSum.from_label("X")]),
+         "dense generators must be numeric matrices"),
+        # IndexError
+        (lambda: GeneratorSet("dense", [1.0]), "dense generator is not a finite Hermitian matrix"),
+        # accepted as site 1, labelled break=True
+        (lambda: uniform_qubit_generators(4, [True]),
+         "break pattern sites must be integers, got [True]"),
+        # TypeError from the shift
+        (lambda: uniform_qubit_generators(4, [1.0]),
+         "break pattern sites must be integers, got [1.0]"),
         # AttributeError and TypeError
         (lambda: close(uniform_qubit_generators(2)).contains(np.eye(4)),
          "ndarray on a pauli result"),
@@ -831,8 +735,8 @@ class TestInputChecks:
          "PauliSum on a dense result"),
     ], ids=["dense shapes", "representation", "dense n_qubits", "too many terms", "all zero",
             "pauli contains", "dense contains", "short chain", "break past N", "break 0",
-            "reflection N", "lemma N", "trotter n", "trotter float n", "commutator float n",
-            "slope of one error", "pauli contains matrix", "dense contains pauli"])
+            "reflection N", "lemma N", "pauli ndarray", "dense PauliSum", "dense scalar",
+            "break bool", "break float", "pauli contains matrix", "dense contains pauli"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ClosureError) as info:
             make()

@@ -40,13 +40,6 @@ class TestGeometry:
         # frozen from direct evaluation of 862690 / 8.9^6 (in MHz)
         assert to_mhz(g.interaction(1, 2)) == pytest.approx(1.7358601132, abs=1e-9)
 
-    def test_blockade_radius_formula(self):
-        g = AtomGeometry.chain(2, 10.0)
-        rb = g.blockade_radius(mhz(2.4))
-        # direct evaluation of (862690 / 2.4)^(1/6); the 2*pi factors cancel
-        assert rb == pytest.approx((862690 / 2.4) ** (1 / 6), abs=1e-9)
-        assert rb == pytest.approx(8.432, abs=1e-3)
-
     def test_coincident_atoms_rejected(self):
         with pytest.raises(ModelError):
             AtomGeometry(((0.0, 0.0), (0.0, 0.0)))
@@ -66,8 +59,7 @@ class TestGeometry:
 
     @pytest.mark.parametrize("c6", [-1.0, 0.0])
     def test_non_positive_c6_rejected(self, c6):
-        # the chain is a repulsive van der Waals model; c6 = -1 used to fail
-        # late in blockade_radius with a TypeError from a complex power
+        # the chain is a repulsive van der Waals model
         with pytest.raises(ModelError, match="c6 must be positive"):
             AtomGeometry.chain(3, 6.0, c6=c6)
 
@@ -161,7 +153,7 @@ class TestRydberg:
 
 class TestZXZ:
     def test_single_bulk_term(self):
-        h = zxz_hamiltonian(3, 1.0)
+        h = zxz_hamiltonian(3)
         assert h.coeff("ZXZ") == pytest.approx(1.0)
         assert len(h) == 1
 
@@ -233,8 +225,6 @@ class TestInputChecks:
         (lambda: AtomGeometry.chain(0, 6.0), "need n_atoms >= 1 and positive spacing"),
         (lambda: AtomGeometry.chain(3, 0.0), "need n_atoms >= 1 and positive spacing"),
         (lambda: AtomGeometry.chain(3, -6.0), "need n_atoms >= 1 and positive spacing"),
-        (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(0.0), "omega_max must be positive"),
-        (lambda: AtomGeometry.chain(2, 6.0).blockade_radius(np.nan), "omega_max must be positive"),
         # the negative index wrapped to V_31
         (lambda: AtomGeometry.chain(3, 6.0).interaction(0, 1),
          "need two distinct atoms in 1..3, got 0 and 1"),
@@ -272,9 +262,8 @@ class TestInputChecks:
         (lambda: AtomGeometry.from_json('{"positions": [[true, 0], [6, 0]]}'),
          'geometry JSON needs [x, y] number pairs and a number c6, '
          'got {"positions": [[true, 0], [6, 0]]}'),
-    ], ids=["no atoms", "zero spacing", "negative spacing", "blockade omega", "blockade nan",
-            "interaction 0", "interaction self", "interaction past N", "json list",
-            "json unknown key", "json positions int", "json triple", "json text",
+    ], ids=["no atoms", "zero spacing", "negative spacing", "interaction 0", "interaction self",
+            "interaction past N", "json list", "json unknown key", "json positions int", "json triple", "json text",
             "json huge int", "json coincident", "json bool c6", "json bool x"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:

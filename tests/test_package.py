@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -68,7 +69,6 @@ def test_public_options_pinned():
         "closure.check_universality_qubit(break_pattern)",
         "closure.uniform_qubit_generators(break_pattern)",
         "models.AtomGeometry.chain(c6)",
-        "models.zxz_hamiltonian(j_eff)",
         "pauli.PauliSum.from_label(coeff)",
         "pauli.PauliSum.single_site(coeff)",
         "pauli.commutator_arrays(labels)",
@@ -100,15 +100,14 @@ def test_public_names_pinned():
     assert {module: sorted(names) for module, names in found.items()} == {
         "closure": [
             "ClosureError", "ClosureResult", "ClosureResult.contains", "GeneratorSet",
-            "check_universality_qubit", "close", "loglog_slope", "reflection_sector_check",
-            "trotter_commutator_error", "trotter_linear_error", "uniform_qubit_generators",
-            "verify_lemma_b2_targets",
+            "check_universality_qubit", "close", "reflection_sector_check",
+            "uniform_qubit_generators", "verify_lemma_b2_targets",
         ],
         "models": [
-            "AtomGeometry", "AtomGeometry.blockade_radius", "AtomGeometry.chain",
-            "AtomGeometry.from_json", "AtomGeometry.interaction", "AtomGeometry.to_json",
-            "ModelError", "NoiseModel", "NoiseModel.fitted", "NoiseModel.realized_controls",
-            "basis_bits", "mhz", "rydberg_terms", "to_mhz", "zxz_hamiltonian",
+            "AtomGeometry", "AtomGeometry.chain", "AtomGeometry.from_json",
+            "AtomGeometry.interaction", "AtomGeometry.to_json", "ModelError", "NoiseModel",
+            "NoiseModel.fitted", "NoiseModel.realized_controls", "basis_bits", "mhz",
+            "rydberg_terms", "to_mhz", "zxz_hamiltonian",
         ],
         "pauli": [
             "PauliError", "PauliSum", "PauliSum.coeff", "PauliSum.from_label",
@@ -127,6 +126,33 @@ def test_public_names_pinned():
         "sectors": [
             "SectorBasis", "SectorBasis.build", "SectorError", "build_hubbard_chain_controls",
             "build_nnn_lattice", "build_spinful_controls", "hopping", "lattice_mode", "number_op",
-            "spinful_mode", "transfer", "verify_nnn_identity",
+            "transfer", "verify_nnn_identity",
         ],
+    }
+
+
+def test_public_dataclass_fields_pinned():
+    # the declared fields, in order, of every public dataclass; a new or
+    # restored field needs an edit here
+    found = {f"{module}.{qualname}": [f.name for f in dataclasses.fields(obj)]
+             for module, qualname, obj in public_members()
+             if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}
+    assert found == {
+        "closure.GeneratorSet": ["representation", "generators", "label", "basis"],
+        "closure.ClosureResult": [
+            "dimension", "depth_reached", "universality", "representation", "theoretical_cap",
+            "n_qubits", "elapsed_s", "pattern_reflection_symmetric", "primes", "rank_margin",
+            "certificate", "_slices", "_runs", "_terms",
+        ],
+        "models.AtomGeometry": ["positions", "c6"],
+        "models.NoiseModel": [
+            "gamma", "delta_detuning_shift", "delta_rabi_shift", "rabi_scale_error", "metadata",
+        ],
+        "propagation.ConstraintProfile": [
+            "omega_max", "delta_range", "slew_omega", "slew_delta", "dt_min",
+        ],
+        "propagation.ControlPulse": ["times", "omegas", "deltas"],
+        "propagation.DensityState": ["rho", "time"],
+        "propagation.ObservableRecord": ["n_sites", "expect_n", "expect_z", "zz", "connected"],
+        "sectors.SectorBasis": ["kind", "n_modes", "n_particles", "states", "index", "_occ"],
     }

