@@ -20,17 +20,23 @@ operators under the normalized bracket (1/(2i))[A, B]:
   codimension 1.  A non-universal dimension is a lower bound, short only
   if p divides an elementary divisor of the integer matrix of bracket
   words.  It is exact when it meets the upper bound of mirror-invariant
-  generators, whose closure is kept on one key per mirror orbit, never
-  spans those strings, and is unfolded to both keys when the result is
-  built; otherwise it is rerun on a second prime: a universal rerun makes
-  the verdict universal, a rerun meeting the bound decides, and two
-  non-universal dimensions must agree, or :class:`ClosureError` names both.
-  A universal result spans every string; otherwise ``basis`` and
-  ``contains`` lift the rows to the rationals by CRT over the primes run
-  and rational reconstruction, exact for entries with numerator and
-  denominator up to about 1.2e7, or 2.9e3 after one prime: enough at the
-  mirror bound, where the rows span the whole bounded space, whose echelon
-  entries are +/-1.  Every generator must reduce to exactly 0 against the
+  generators (:func:`_mirror_bound`), whose closure is kept on one key per
+  mirror orbit, never spans those strings, and is unfolded to both keys
+  when the result is built.  For 3 <= N <= MAX_MIRRORED_QUBITS it also ends,
+  "mirrored locals", once the rows mod p hold the paper's Lemma B2 targets
+  T_N (X_j + X_{N+1-j}, Z_j + Z_{N+1-j}, Z_j Z_{j+1} + its mirror) and the
+  generators' I/R-perp parts have the same rank mod p as over the rationals:
+  the rows then contain closure_p(T_N), pinned at T_N's own bound, so its
+  brackets span M_N mod p; a GF(p) rank is at most the rational one, and the
+  upper bound is M_N plus the generators' I/R-perp part.  Otherwise it is
+  rerun on a second prime: a universal rerun makes the verdict universal, a
+  rerun meeting the bound decides, and two non-universal dimensions must
+  agree, or :class:`ClosureError` names both.  A universal result, or one at
+  its mirror bound ("mirror bound", "mirrored locals"), is a known space, with
+  ``basis`` and ``contains`` in closed form; otherwise they lift the rows to
+  the rationals by CRT over the primes run and rational reconstruction, exact
+  for entries with numerator and denominator up to about 1.2e7, or 2.9e3
+  after one prime.  Every generator must reduce to exactly 0 against the
   lift, or :class:`ClosureError` is raised.
 * ``dense``  - floating point.  Elements are Hermitian matrices, stored
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
@@ -84,6 +90,7 @@ DEFAULT_DEPTH_LIMIT = 64  # bracket depths before a closure stops unconverged
 # GF(p) runs of the pauli backend, in order; both below 2**24.
 PRIMES = (16777213, 16777199)
 MAX_EXACT_QUBITS = 31
+MAX_MIRRORED_QUBITS = 8  # closure_p(T_N) pinned at its bound mod PRIMES for 3 <= N <= this
 _MAX_GENERATOR_TERMS = 2 ** 15  # input bound: a bracket pairs every row entry with each term
 _INTEGER_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -113,6 +120,10 @@ class ClosureError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class GeneratorSet:
     """Hermitian generators in one shared representation."""
@@ -123,7 +134,7 @@ class GeneratorSet:
     basis: object = None  # sectors.SectorBasis of sector-built dense generators
 
     def __post_init__(self):
-        if not self.generators:
+        if len(self.generators) == 0:  # a stacked array has no truth value
             raise ClosureError("empty generator set")
         if self.representation == "pauli":
             bad = [type(g).__name__ for g in self.generators if not isinstance(g, PauliSum)]
@@ -613,11 +624,12 @@ class ClosureResult:
 
     ``primes`` lists the GF(p) runs behind a pauli verdict, in order, and
     ``certificate`` how it was reached: "full rank", "local generators",
-    "mirror bound" or "two primes" (module docstring), "float rank" on the
-    dense backend, None if undetermined; ``depth_reached`` is the depth at
-    the stop.  A non-universal pauli result keeps the exact echelon rows of
-    every run that agrees with the verdict, which ``basis`` and ``contains``
-    lift.  A dense one keeps rows per sign key; ``basis`` widens them to d**2.
+    "mirror bound", "mirrored locals" or "two primes" (module docstring),
+    "float rank" on the dense backend, None if undetermined; ``depth_reached``
+    is the depth at the stop.  A pauli result neither universal nor at its
+    mirror bound keeps the exact echelon rows of every run that agrees with the
+    verdict, which ``basis`` and ``contains`` lift.  A dense one keeps rows
+    per sign key; ``basis`` widens them to d**2.
     ``rank_margin`` (dense backend) is the smallest residual accepted as a
     new direction over the largest rejected one: ``inf`` when nothing was
     rejected, ``None`` on the exact pauli backend.
@@ -650,6 +662,22 @@ class ClosureResult:
             n = self.n_qubits  # every string, the identity (key 0) only under u(2^N)
             xs, zs = _split_keys(np.arange(4 ** n - self.theoretical_cap, 4 ** n), n)
             return [PauliSum(n, {key: 2.0 ** (-n / 2)}) for key in zip(xs.tolist(), zs.tolist())]
+        if self.certificate in ("mirror bound", "mirrored locals"):
+            n, parts = self.n_qubits, _center_parts(self._terms, self.n_qubits)
+            keys, s = np.arange(4 ** n), 2.0 ** (-n / 2)
+            mirrored, on_r = _reflect_keys(keys, n), _r_strings(keys, n)
+            r_keys, m = keys[on_r], on_r.sum()
+            terms = [([k, r], [s / _SQRT2] * 2) for k, r in zip(keys.tolist(), mirrored.tolist())
+                     if k < r]  # the orbit sums, then the palindromes with tr(R S) = 0
+            terms += [([k], [s]) for k in keys[(keys == mirrored) & (keys != 0) & ~on_r].tolist()]
+            # Helmert contrasts: an orthonormal basis of the zero-sum combinations of r_keys
+            terms += [(r_keys[: i + 1], s * np.r_[np.ones(i), -i] / np.sqrt(i * (i + 1)))
+                      for i in range(1, m)]
+            # the generators' parts along I and (R-perp)/|R-perp|, orthonormalized
+            rows = np.linalg.svd(np.array(parts, float) / [1, np.sqrt(m)])[2][: _rank2(parts)]
+            terms += [(np.r_[0, r_keys], s * np.r_[a, np.full(m, b / np.sqrt(m))]) for a, b in rows]
+            return [arrays_to_sum(n, *_split_keys(np.asarray(k), n), np.asarray(c, float))
+                    for k, c in terms]
         if self.representation == "pauli":
             # float QR over the exact rows lifted to the rationals
             n, (piv, key, val) = self.n_qubits, self._lifted
@@ -670,7 +698,8 @@ class ClosureResult:
 
         The residual is that of the unit-norm element, a member below _MEMBER_TOL.
         On the pauli backend it is the norm of v - v[pivots] R over the exact
-        rows R lifted to the rationals, an upper bound on the distance to the span.
+        rows R (lifted, or in closed form on a known space), an upper bound on the
+        distance to the span.
         """
         if isinstance(element, PauliSum) != (self.representation == "pauli"):
             raise ClosureError(f"{type(element).__name__} on a {self.representation} result")
@@ -691,6 +720,16 @@ class ClosureResult:
         if self.representation == "pauli" and self.universality == "universal":
             # the residual is the identity component, out of the span under su(2^N) only
             v = v[((xs | zs) == 0) & (self.theoretical_cap < 4 ** self.n_qubits)]
+        elif self.certificate in ("mirror bound", "mirrored locals"):
+            # what the rows of a run to the bound leave: v[RSR] - v[S] on each orbit pair, and on
+            # I and the R-strings the constraints left by the generators' parts, 1 at the lowest key
+            n, parts = self.n_qubits, _center_parts(self._terms, self.n_qubits)
+            mirrored = _reflect_keys(keys := _string_keys(xs, zs, n), n)
+            orbit = np.unique(np.minimum(keys, mirrored), return_inverse=True)[1]
+            c0, f = v[keys == 0].sum(), v[_r_strings(keys, n)].sum()
+            (a, b), rank = next((q for q in parts if any(q)), (0, 0)), _rank2(parts)
+            left = [] if rank == 2 else [c0, f] if rank == 0 else [c0 - a * f / b if b else f]
+            v = np.r_[np.bincount(orbit, np.sign(keys - mirrored) * v), left]
         elif self.representation == "pauli":
             piv, key, val = self._lifted
             keys = _string_keys(xs, zs, self.n_qubits)
@@ -706,26 +745,42 @@ class ClosureResult:
         return resid < _MEMBER_TOL, resid
 
 
-def _mirror_bound(terms, n: int) -> int | None:
-    """Upper bound on the closure dimension if every generator is mirror
-    invariant (the same integer coefficient on mirrored strings), else None.
-
-    Brackets of invariant elements are invariant, so the algebra lies in the
-    span of the (4**N + 4**ceil(N/2))/2 string orbits of the site reversal R,
-    traceless without an identity term.  tr(R[A, B]) = tr([R, A]B) = 0 for
-    invariant A, so it is orthogonal to R too once every generator is:
-    tr(R S) is nonzero, and the same, exactly on the palindromes S with I on
-    the middle site of odd N.  For N >= 2, R is independent of the identity.
-    """
+def _r_strings(keys: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the strings S != I with tr(R S) != 0 (R the site reversal): the
+    palindromes with I on the middle site of odd N, on which tr(R S) is the same."""
     mid = ((1 << n) | 1) << (n // 2) if n % 2 else 0  # the middle site's x and z bits
-    sums = []  # per generator, its coefficient sum over the strings S with tr(R S) != 0
+    return (keys == _reflect_keys(keys, n)) & (keys & mid == 0) & (keys != 0)
+
+
+def _center_parts(terms, n: int) -> list[tuple[int, int]] | None:
+    """Per generator its identity coefficient and its coefficient sum over :func:`_r_strings`,
+    its parts along I and R-perp; None unless every generator is mirror invariant (the
+    same integer coefficient on mirrored strings)."""
+    parts = []
     for keys, cs in terms:
-        keys, mirrored = keys.tolist(), _reflect_keys(keys, n).tolist()
-        if dict(zip(keys, cs)) != dict(zip(mirrored, cs)):
+        if dict(zip(keys.tolist(), cs)) != dict(zip(_reflect_keys(keys, n).tolist(), cs)):
             return None
-        sums.append(sum(c for k, r, c in zip(keys, mirrored, cs) if k == r and not k & mid))
-    identity = any(0 in keys for keys, _ in terms)
-    return (4 ** n + 4 ** -(-n // 2)) // 2 - (not identity) - (n >= 2 and not any(sums))
+        parts.append((sum(c for k, c in zip(keys.tolist(), cs) if k == 0),
+                      sum(c for c, hit in zip(cs, _r_strings(keys, n)) if hit)))
+    return parts
+
+
+def _rank2(parts, p: int = 0) -> int:
+    """Rank of integer pairs over the rationals, or over GF(p) for p > 0."""
+    red = (lambda v: v % p) if p else (lambda v: v)
+    lead = next(((a, b) for a, b in parts if red(a) or red(b)), None)
+    return 0 if lead is None else 1 + any(red(lead[0] * b - lead[1] * a) for a, b in parts)
+
+
+def _mirror_bound(parts, n: int) -> int:
+    """dim M_N plus the rank of the generators' parts along I and R-perp.
+
+    Brackets of invariant elements are invariant, so they lie in the span of
+    the (4**N + 4**ceil(N/2))/2 string orbits of R; they are traceless, and
+    tr(R[A, B]) = tr([R, A]B) = 0 for invariant A.  So they lie in M_N, the
+    invariant elements orthogonal to I and R (R = I for N = 1).  R-perp is
+    R - tr(R) I / 2**N."""
+    return (4 ** n + 4 ** -(-n // 2)) // 2 - 1 - (n >= 2) + _rank2(parts)
 
 
 def _close_pauli(gen: GeneratorSet) -> ClosureResult:
@@ -735,15 +790,19 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     terms = [_integer_terms(g, n) for g in gen.generators]
     # u(2^N) once a generator has an identity term (key 0), su(2^N) otherwise
     theoretical = 4 ** n - 1 + any(0 in keys for keys, _ in terms)
-    bound = (mirror := _mirror_bound(terms, n)) or theoretical  # the bound is at least 3
-    # X_j, Z_j and Z_j Z_{j+1}: their single-string brackets reach every string
+    mirror = (parts := _center_parts(terms, n)) is not None
+    bound = _mirror_bound(parts, n) if mirror else theoretical
+    # X_j, Z_j and Z_j Z_{j+1} reach every string by brackets; on orbit keys they are T_N
     local = np.array([1 << (n + j) for j in range(n)] + [1 << j for j in range(n)]
                      + [3 << j for j in range(n - 1)], dtype=np.int64)
+    name, targets = (("mirrored locals", np.unique(np.minimum(local, _reflect_keys(local, n))))
+                     if mirror else ("local generators", local))
     runs = []
     for p in PRIMES:
-        engine = _ModPEngine(n, terms, p, orbits=mirror is not None)
-        dim, depth, stop = _bfs(engine, bound, lambda: None if mirror or len(engine.rows.reduce(
-            np.arange(len(local)), local, np.ones_like(local))[0]) else "local generators")
+        engine = _ModPEngine(n, terms, p, orbits=mirror)
+        stops = not mirror or 3 <= n <= MAX_MIRRORED_QUBITS and _rank2(parts, p) == _rank2(parts)
+        dim, depth, stop = _bfs(engine, bound, lambda: name if stops and not len(engine.rows.reduce(
+            np.arange(len(targets)), targets, np.ones_like(targets))[0]) else None)
         rows = engine.rows  # unfolded, each stays 1 at its pivot (and mirror), 0 at other pivots
         runs.append(_Rows(p, rows.pivots, *engine.unfold(rows.row, rows.key, rows.val)))
         if stop != "converged":
@@ -755,11 +814,12 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     certificate = ("full rank" if dim >= theoretical else "mirror bound" if stop == "bound"
                    else "two primes" if stop == "converged" else stop)
     verdict = "universal" if universal else "non_universal" if stop else "undetermined"
+    known = universal or stop in ("bound", "mirrored locals")  # basis and contains in closed form
     return ClosureResult(
-        dimension=theoretical if universal else dim, depth_reached=depth, universality=verdict,
-        representation="pauli", theoretical_cap=theoretical, n_qubits=n,
-        pattern_reflection_symmetric=mirror is not None, primes=primes, certificate=certificate,
-        _runs=tuple(runs if certificate == "two primes" else runs[-1:]), _terms=terms)
+        dimension=theoretical if universal else bound if known else dim, depth_reached=depth,
+        universality=verdict, representation="pauli", theoretical_cap=theoretical, n_qubits=n,
+        pattern_reflection_symmetric=mirror, primes=primes, certificate=certificate, _terms=terms,
+        _runs=tuple(runs if certificate == "two primes" else [] if known else runs[-1:]))
 
 
 def close(gen: GeneratorSet) -> ClosureResult:
@@ -811,10 +871,12 @@ def close(gen: GeneratorSet) -> ClosureResult:
 
 def uniform_qubit_generators(n_qubits: int, break_pattern: Sequence[int] = ()) -> GeneratorSet:
     """H_X, H_Z, H_ZZ on the open chain plus an optional partial X field."""
+    if not _is_int(n_qubits):
+        raise ClosureError(f"chain needs an integer qubit count, got {n_qubits!r}")
     if n_qubits < 2:
         raise ClosureError("chain needs at least 2 qubits")
     sites = list(break_pattern)
-    if any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in sites):
+    if not all(map(_is_int, sites)):
         raise ClosureError(f"break pattern sites must be integers, got {sites}")
     pattern = sorted(set(sites))
     if pattern and (pattern[0] < 1 or pattern[-1] > n_qubits):
@@ -846,16 +908,3 @@ def reflection_sector_check(result: ClosureResult, n_qubits: int) -> bool:
     if result.n_qubits != n_qubits:
         raise ClosureError("qubit count mismatch")
     return result.pattern_reflection_symmetric
-
-
-def verify_lemma_b2_targets(n_qubits: int) -> bool:
-    """Mirrored-pair X/Z/ZZ targets all lie in the uniform-control closure."""
-    if n_qubits < 3:
-        raise ClosureError("target check needs N >= 3")
-    result = close(uniform_qubit_generators(n_qubits))
-    # X_j and Z_j on the left half with the center, Z_j Z_{j+1} on the left half
-    masks = [m for j in range(-(-n_qubits // 2)) for m in ((1 << j, 0), (0, 1 << j))]
-    masks += [(0, 3 << j) for j in range(n_qubits // 2)]
-    ops = [PauliSum(n_qubits, {m: 1.0}) for m in masks]
-    return all(result.contains(op + op.reflection_image())[0] for op in ops)
-

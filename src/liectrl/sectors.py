@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .closure import GeneratorSet
+from .closure import GeneratorSet, _is_int
 
 SectorKind = Literal["fermion", "boson", "spinful_fermion"]
 
@@ -49,6 +49,9 @@ class SectorBasis:
 
     @classmethod
     def build(cls, kind: SectorKind, n_modes: int, n_particles: int) -> "SectorBasis":
+        if not (_is_int(n_modes) and _is_int(n_particles)):
+            raise SectorError(f"need integer n_modes and n_particles, got ({n_modes!r}, "
+                              f"{n_particles!r})")
         if n_modes < 1 or n_particles < 0:
             raise SectorError("need n_modes >= 1 and n_particles >= 0")
         if kind in ("fermion", "spinful_fermion"):
@@ -78,10 +81,6 @@ class SectorBasis:
     @property
     def fermionic(self) -> bool:
         return self.kind in ("fermion", "spinful_fermion")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_mode(basis: SectorBasis, i: int) -> int:
@@ -154,6 +153,8 @@ def build_hubbard_chain_controls(kind: SectorKind, n_sites: int,
     """
     if kind not in ("fermion", "boson"):
         raise SectorError("spinless chain supports fermion or boson kinds")
+    if not _is_int(n_sites):
+        raise SectorError(f"need an integer n_sites, got {n_sites!r}")
     if n_sites < 3 or n_sites % 2 == 0:
         raise SectorError(
             "the alternating-control universality statements assume an odd "
@@ -222,6 +223,8 @@ def build_nnn_lattice(rows: int, cols: int) -> GeneratorSet:
     are horizontal bonds starting on odd/even columns and hoppings 3/4
     vertical bonds starting on odd/even rows.
     """
+    if not (_is_int(rows) and _is_int(cols)):
+        raise SectorError(f"need integer rows and cols, got ({rows!r}, {cols!r})")
     if rows < 3 or cols < 3 or rows % 2 == 0 or cols % 2 == 0:
         raise SectorError(
             "superlattice needs odd rows, cols >= 3 so every species and "

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from liectrl import closure
 from liectrl.closure import (
@@ -16,7 +17,6 @@ from liectrl.closure import (
     close,
     reflection_sector_check,
     uniform_qubit_generators,
-    verify_lemma_b2_targets,
 )
 from liectrl.models import zxz_hamiltonian
 from liectrl.pauli import PauliSum, commutator, sum_to_arrays
@@ -69,6 +69,10 @@ class TestCloseBasics:
         res = close(gen)
         assert res.dimension == 3
         assert res.universality == "universal"
+
+    def test_stacked_dense_generators_accepted(self):
+        # an array of matrices is a sequence of generators; its truth value used to escape
+        assert close(GeneratorSet("dense", np.stack([X, Z]))).dimension == 3
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ClosureError):
@@ -208,8 +212,18 @@ class TestExactPauliBackend:
         res = close(GeneratorSet("pauli", [x, z]))
         assert (res.dimension, res.universality) == (9, "non_universal")
         assert (res.certificate, res.primes) == ("mirror bound", PRIMES)
-        # one run lifts: at the bound the echelon entries are +/-1
-        assert res.contains(z) == (True, 0.0)
+        # at the bound the result is a known space: basis and contains lift no rows
+        assert res.contains(z) == (True, 0.0) and res._runs == ()
+
+    def test_mirror_bound_answers_past_the_one_prime_lift(self):
+        # the echelon rows at this bound hold 1/5000, past one prime's lift bound (2.9e3)
+        x, z = uniform_qubit_generators(4).generators[:2]
+        gens = [x, z, PauliSum.from_label("IIII") + PauliSum.from_label("IZZI", 5000.0),
+                PauliSum.from_label("ZZII") + PauliSum.from_label("IIZZ")]
+        res = close(GeneratorSet("pauli", gens))
+        assert (res.dimension, res.certificate, res.primes) == (135, "mirror bound", PRIMES[:1])
+        assert all(res.contains(g) == (True, 0.0) for g in gens)
+        assert len(res.basis) == 135
 
     def test_universal_verdict_needs_one_prime(self):
         res = check_universality_qubit(3, {1})
@@ -466,6 +480,14 @@ class TestDenseGrading:
         assert caplog.records[-1].getMessage().endswith(", 8 keys, widest slice 19")
 
 
+def lemma_targets(n):
+    """Lemma B2's T_N: X_j + X_{N+1-j} and Z_j + Z_{N+1-j} on the left half and the
+    center, and Z_j Z_{j+1} + its mirror on the left half."""
+    masks = [m for j in range(-(-n // 2)) for m in ((1 << j, 0), (0, 1 << j))]
+    masks += [(0, 3 << j) for j in range(n // 2)]
+    return [PauliSum(n, {m: 1.0}) + PauliSum(n, {m: 1.0}).reflection_image() for m in masks]
+
+
 LOCAL_GENERATORS = {  # X_j, Z_j and Z_j Z_{j+1} as (x_mask, z_mask), keyed by N
     n: [(1 << j, 0) for j in range(n)] + [(0, 1 << j) for j in range(n)]
     + [(0, 3 << j) for j in range(n - 1)] for n in range(2, 7)}
@@ -483,16 +505,49 @@ class TestCertificates:
         assert (res.dimension, res.universality) == (4 ** 8 - 1, "universal")
         assert (res.certificate, res.primes) == ("local generators", PRIMES[:1])
 
-    def test_mirror_bound_ends_a_symmetric_run_on_one_prime(self):
+    def test_mirror_bound_ends_a_symmetric_run_on_one_prime(self, monkeypatch):
+        monkeypatch.setattr(closure, "MAX_MIRRORED_QUBITS", 2)  # no "mirrored locals" stop
         res = check_universality_qubit(6, ())
         assert (res.dimension, res.universality) == (2079, "non_universal")
         assert (res.certificate, res.primes) == ("mirror bound", PRIMES[:1])
 
-    def test_mirror_bound_ends_the_bare_n7_chain_on_one_prime(self):
+    def test_mirror_bound_ends_the_bare_n7_chain_on_one_prime(self, monkeypatch):
+        monkeypatch.setattr(closure, "MAX_MIRRORED_QUBITS", 2)
         res = check_universality_qubit(7, ())
         assert (res.dimension, res.universality) == (reflection_sector_dimension(7), "non_universal")
         assert (res.dimension, res.certificate, res.primes, res.depth_reached) == (
             8318, "mirror bound", PRIMES[:1], 24)
+
+    def test_mirrored_locals_end_the_bare_n7_chain_at_depth_14(self):
+        res = check_universality_qubit(7, ())
+        assert (res.dimension, res.universality) == (reflection_sector_dimension(7), "non_universal")
+        assert (res.certificate, res.primes, res.depth_reached, res._runs) == (
+            "mirrored locals", PRIMES[:1], 14, ())
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_lemma_targets_close_to_their_mirror_bound(self, n, p):
+        # the premise of the "mirrored locals" stop: closure_p(T_N) is all of M_N plus
+        # T_N's part along R-perp (the middle bond of even N); N=8 is pinned in the CI
+        terms = [closure._integer_terms(t, n) for t in lemma_targets(n)]
+        bound = closure._mirror_bound(closure._center_parts(terms, n), n)
+        assert bound == reflection_sector_dimension(n)
+        dim, _, stop = closure._bfs(closure._ModPEngine(n, terms, p, orbits=True), bound)
+        assert (dim, stop) == (bound, "bound")
+
+    @pytest.mark.parametrize("labels", [["XI+IX", "ZI+IZ", "II+ZZ"],
+                                        ["XI+IX", "ZI+IZ", "II", "XZ+ZX"]],
+                             ids=["identity and R part", "pure identity"])
+    def test_exact_center_rank_ends_a_run_at_the_bound(self, labels):
+        # the bound counts the rank of the generators' I and R-perp parts: one generator
+        # holding both adds 1, and the identity string is no R part; a bound one too
+        # high on either ran these on both primes to "two primes"
+        gens = [sum((PauliSum.from_label(t) for t in g.split("+")), PauliSum(2)) for g in labels]
+        res = close(GeneratorSet("pauli", gens))
+        dense = close(GeneratorSet("dense", [g.to_dense() for g in gens]))
+        assert (res.dimension, res.universality) == (dense.dimension, "non_universal") == (
+            9, "non_universal")
+        assert (res.certificate, res.primes) == ("mirror bound", PRIMES[:1])
 
     def test_invariant_set_below_its_bound_runs_every_prime(self):
         res = close(GeneratorSet("pauli", [PauliSum.from_label("XX")]))
@@ -582,13 +637,15 @@ class TestReflectionChecks:
 
 class TestLemmaTargets:
     def test_even_chain(self):
-        assert verify_lemma_b2_targets(4)
+        res = close(uniform_qubit_generators(4))
+        assert all(res.contains(t) == (True, 0.0) for t in lemma_targets(4))
 
     def test_odd_chain_includes_center(self):
-        assert verify_lemma_b2_targets(5)
+        res = close(uniform_qubit_generators(5))
+        assert all(res.contains(t) == (True, 0.0) for t in lemma_targets(5))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_targets_lie_in_the_bounded_space(self, n):
+    def test_targets_lie_in_the_bounded_space(self, n, monkeypatch):
         # the second route: a "mirror bound" closure spans every mirror
         # invariant, traceless element, orthogonal to R if every generator is.
         # For even N the middle bond Z_{N/2} Z_{N/2+1} is a palindrome, so
@@ -608,15 +665,17 @@ class TestLemmaTargets:
             dense = target.to_dense()
             assert abs(np.trace(dense)) < 1e-12
             assert not all(orthogonal) or abs(np.trace(reflection @ dense)) < 1e-12
-        assert close(gen).certificate == "mirror bound"
-        assert verify_lemma_b2_targets(n)
+        monkeypatch.setattr(closure, "MAX_MIRRORED_QUBITS", 2)  # no "mirrored locals" stop
+        res = close(gen)
+        assert res.certificate == "mirror bound"
+        assert all(res.contains(t) == (True, 0.0) for t in lemma_targets(n))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_three_body_target_is_a_member(self, n):
         # the closure-side half of the ZXZ claim: sum_j Z_{j-1} X_j Z_{j+1}
         # lies in the algebra of the bare uniform chain
         res = close(uniform_qubit_generators(n))
-        assert res.certificate == "mirror bound"
+        assert res.certificate == "mirrored locals"
         assert res.contains(zxz_hamiltonian(n)) == (True, 0.0)
 
     def test_unpaired_boundary_not_member(self):
@@ -694,6 +753,81 @@ class TestOrbitRows:
                 assert max(abs(image[k] - c) for k, c in b.terms.items()) < 1e-12
 
 
+class TestMirroredLocals:
+    """Results at the mirror bound, in closed form, against the rows of a run to the bound."""
+
+    CASES = {  # label: (N, chain generators kept, extra generators, certificate)
+        "bare 3": (3, 3, [], "mirrored locals"), "bare 4": (4, 3, [], "mirrored locals"),
+        "bare 5": (5, 3, [], "mirrored locals"), "bare 6": (6, 3, [], "mirrored locals"),
+        # the generators' I/R-perp parts of rank 2, rank 1 with both, rank 1 on I alone
+        "4 + I + 3 ZIIZ": (4, 3, [[("IIII", 1.0), ("ZIIZ", 3.0)]], "mirrored locals"),
+        "5 + 2 I + 3 XIIIX": (5, 3, [[("IIIII", 2.0), ("XIIIX", 3.0)]], "mirrored locals"),
+        "5 + I": (5, 3, [[("IIIII", 1.0)]], "mirrored locals"),
+        # the middle bond only with an identity term: T_4 is never in the span
+        "4, I + IZZI": (4, 2, [[("IIII", 1.0), ("IZZI", 1.0)], [("ZZII", 1.0), ("IIZZ", 1.0)]],
+                        "mirror bound"),
+        "2, II + ZZ": (2, 2, [[("II", 1.0), ("ZZ", 1.0)]], "mirror bound"),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def pair(self, request):
+        n, kept, extra, certificate = self.CASES[request.param]
+        gens = uniform_qubit_generators(n).generators[:kept] + [
+            sum((PauliSum.from_label(t, c) for t, c in g), PauliSum(n)) for g in extra]
+        gen = GeneratorSet("pauli", gens)
+        res = close(gen)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closure, "MAX_MIRRORED_QUBITS", 2)
+            forced = close(gen)
+        assert (res.certificate, forced.certificate) == (certificate, "mirror bound")
+        assert res.dimension == forced.dimension and res._runs == forced._runs == ()
+        # the rows at the bound, read through the lift as those of any other result
+        engine = closure._ModPEngine(n, res._terms, PRIMES[0], orbits=True)
+        assert closure._bfs(engine, res.dimension)[::2] == (res.dimension, "bound")
+        r = engine.rows
+        rows = closure._Rows(PRIMES[0], r.pivots, *engine.unfold(r.row, r.key, r.val))
+        return n, res, dataclasses.replace(res, certificate=None, _runs=(rows,))
+
+    def test_contains_matches_the_rows(self, pair):
+        n, stopped, rows = pair
+        rng = np.random.default_rng(n)
+        keys = np.arange(4 ** n)
+        r_strings = [PauliSum(n, {(int(k) >> n, int(k) & (2 ** n - 1)): 1.0})
+                     for k in keys[closure._r_strings(keys, n)]]
+        x1, xn = PauliSum.single_site(n, 1, "X"), PauliSum.single_site(n, n, "X")
+        zxz = [zxz_hamiltonian(n)] if n >= 3 else []
+        elements = lemma_targets(n) + zxz + [x1 - xn, x1, PauliSum(n, {(0, 0): 1.0}),
+                                             sum(r_strings, PauliSum(n)),
+                                             r_strings[0] - r_strings[-1],
+                                             r_strings[1] + PauliSum(n, {(0, 0): 2.0})]
+        elements += [PauliSum(n, {(int(x), int(z)): float(c) for x, z, c in zip(
+            rng.integers(2 ** n, size=6), rng.integers(2 ** n, size=6), rng.normal(size=6))})
+            for _ in range(10)]
+        for e in elements:
+            got, want = stopped.contains(e), rows.contains(e)
+            assert got[0] == want[0] and abs(got[1] - want[1]) < 1e-12, (e, got, want)
+        assert all(stopped.contains(e) == (True, 0.0) for e in zxz)
+        assert not stopped.contains(x1 - xn)[0]
+
+    def test_basis_spans_the_rows(self, pair):
+        n, stopped, rows = pair
+        basis = stopped.basis
+        assert len(basis) == stopped.dimension == rows._runs[0].n_rows
+        # orthonormal, so len(basis) independent members span the rows' space
+        index = {}
+        coo = [(i, index.setdefault(k, len(index)), c)
+               for i, b in enumerate(basis) for k, c in b.terms.items()]
+        row, col, val = np.array(coo).T
+        m = scipy.sparse.csr_matrix((val, (row.astype(int), col.astype(int))))
+        gram = (2 ** n * m @ m.T - scipy.sparse.identity(len(basis))).tocoo()
+        assert np.abs(gram.data).max(initial=0.0) < 1e-12
+        assert max(rows.contains(b)[1] for b in basis) < 1e-12
+        for b in basis:
+            image = b.reflection_image().terms
+            assert image.keys() == b.terms.keys()
+            assert max(abs(image[k] - c) for k, c in b.terms.items()) < 1e-12
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("make, message", [
         (lambda: GeneratorSet("dense", [X, np.eye(3)]), "inconsistent generator dimensions"),
@@ -713,7 +847,10 @@ class TestInputChecks:
         (lambda: uniform_qubit_generators(3, [0]), "break pattern [0] out of range 1..3"),
         (lambda: reflection_sector_check(close(uniform_qubit_generators(3)), 4),
          "qubit count mismatch"),
-        (lambda: verify_lemma_b2_targets(2), "target check needs N >= 3"),
+        # numpy's ValueError from the truth value of an array
+        (lambda: GeneratorSet("dense", np.zeros((0, 2, 2))), "empty generator set"),
+        # TypeError from range
+        (lambda: uniform_qubit_generators(4.0), "chain needs an integer qubit count, got 4.0"),
         # AttributeError
         (lambda: GeneratorSet("pauli", [np.eye(2)]),
          "pauli generators must be PauliSum values, got ndarray"),
@@ -735,8 +872,9 @@ class TestInputChecks:
          "PauliSum on a dense result"),
     ], ids=["dense shapes", "representation", "dense n_qubits", "too many terms", "all zero",
             "pauli contains", "dense contains", "short chain", "break past N", "break 0",
-            "reflection N", "lemma N", "pauli ndarray", "dense PauliSum", "dense scalar",
-            "break bool", "break float", "pauli contains matrix", "dense contains pauli"])
+            "reflection N", "empty stack", "float chain", "pauli ndarray", "dense PauliSum",
+            "dense scalar", "break bool", "break float", "pauli contains matrix",
+            "dense contains pauli"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ClosureError) as info:
             make()

@@ -101,7 +101,7 @@ def test_public_names_pinned():
         "closure": [
             "ClosureError", "ClosureResult", "ClosureResult.contains", "GeneratorSet",
             "check_universality_qubit", "close", "reflection_sector_check",
-            "uniform_qubit_generators", "verify_lemma_b2_targets",
+            "uniform_qubit_generators",
         ],
         "models": [
             "AtomGeometry", "AtomGeometry.chain", "AtomGeometry.from_json",

@@ -389,9 +389,18 @@ class TestInputChecks:
         # numpy's IndexError
         (lambda: number_op(SectorBasis.build("fermion", 3, 1), 1.5),
          "mode must be an integer, got 1.5"),
+        # Python's TypeError from comb or range
+        (lambda: SectorBasis.build("fermion", 3.0, 1),
+         "need integer n_modes and n_particles, got (3.0, 1)"),
+        (lambda: SectorBasis.build("fermion", True, 1),
+         "need integer n_modes and n_particles, got (True, 1)"),
+        (lambda: build_nnn_lattice(3.0, 3), "need integer rows and cols, got (3.0, 3)"),
+        (lambda: build_hubbard_chain_controls("fermion", 5.0, 2),
+         "need an integer n_sites, got 5.0"),
     ], ids=["no modes", "too many fermions", "unknown kind", "same mode", "spinful chain",
             "lattice row 0", "lattice col 0", "lattice col past cols", "lattice float row",
-            "transfer float mode", "hopping bool mode", "number float mode"])
+            "transfer float mode", "hopping bool mode", "number float mode",
+            "float modes", "bool modes", "float lattice", "float sites"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(SectorError) as info:
             make()
