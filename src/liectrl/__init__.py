@@ -1,3 +1,3 @@
-"""Universality analysis and pulse synthesis for globally controlled analog simulators."""
+"""Universality decisions and constrained pulse propagation for globally controlled simulators."""
 
 __version__ = "0.1.0"

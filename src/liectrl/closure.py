@@ -68,16 +68,18 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from .pauli import (
     PauliSum,
+    _is_int,
     arrays_to_sum,
     commutator_arrays,
     reflect_masks,
@@ -120,10 +122,6 @@ class ClosureError(ValueError):
     pass
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass
 class GeneratorSet:
     """Hermitian generators in one shared representation."""
@@ -134,6 +132,9 @@ class GeneratorSet:
     basis: object = None  # sectors.SectorBasis of sector-built dense generators
 
     def __post_init__(self):
+        if not isinstance(self.generators, (Sequence, np.ndarray)):  # PauliSum has a len
+            raise ClosureError("generators must be a sequence, "
+                               f"got {type(self.generators).__name__}")
         if len(self.generators) == 0:  # a stacked array has no truth value
             raise ClosureError("empty generator set")
         if self.representation == "pauli":

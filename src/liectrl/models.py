@@ -2,19 +2,18 @@
 the phenomenological noise model used for open-system runs.
 
 Unit convention: library functions take and return angular frequencies in
-rad/us.  File formats speak MHz and convert at the boundary with
-2*pi rad/us = 1 MHz; use :func:`mhz` / :func:`to_mhz` to cross over.
+rad/us.  :func:`mhz` and :func:`to_mhz` (2*pi rad/us = 1 MHz) are the one
+crossing between rad/us and MHz.
 Lengths are in micrometres, times in microseconds.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS, PauliSum
+from .pauli import MAX_DENSE_QUBITS, PauliSum, _is_int
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,6 +56,8 @@ class AtomGeometry:
 
     @classmethod
     def chain(cls, n_atoms: int, spacing: float, c6: float = DEFAULT_C6) -> "AtomGeometry":
+        if not _is_int(n_atoms):
+            raise ModelError(f"n_atoms must be an integer, got {n_atoms!r}")
         if n_atoms < 1 or spacing <= 0:
             raise ModelError("need n_atoms >= 1 and positive spacing")
         return cls(tuple((i * spacing, 0.0) for i in range(n_atoms)), c6)
@@ -67,35 +68,11 @@ class AtomGeometry:
 
     def interaction(self, j: int, l: int) -> float:
         """V_jl = C6 / |x_j - x_l|^6 in rad/us (atoms 1-based)."""
-        if not (1 <= j <= self.n_atoms and 1 <= l <= self.n_atoms and j != l):
+        if not (all(_is_int(a) and 1 <= a <= self.n_atoms for a in (j, l)) and j != l):
             raise ModelError(f"need two distinct atoms in 1..{self.n_atoms}, got {j} and {l}")
         xj, yj = self.positions[j - 1]
         xl, yl = self.positions[l - 1]
         return self.c6 / np.hypot(xj - xl, yj - yl) ** 6
-
-    def to_json(self) -> str:
-        """``{"positions": [[x, y], ...], "c6": c6}``, read back by :meth:`from_json`."""
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "AtomGeometry":
-        """Read :meth:`to_json`'s document; anything else raises :class:`ModelError`."""
-        try:
-            doc = json.loads(text)
-        except (TypeError, ValueError):
-            doc = None
-        if not (isinstance(doc, dict) and "positions" in doc and set(doc) <= {"positions", "c6"}):
-            raise ModelError(f"geometry JSON must be an object of positions and c6, got {text}")
-        try:
-            numbers = [doc.get("c6"), *(x for p in doc["positions"] for x in p)]
-            if any(isinstance(v, bool) for v in numbers):
-                raise TypeError("JSON booleans are not numbers")
-            return cls(**doc)
-        except ModelError:
-            raise
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ModelError(f"geometry JSON needs [x, y] number pairs and a number c6, "
-                             f"got {text}") from err
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,13 @@ class PauliError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_n_qubits(n_qubits: int) -> None:
+    if not _is_int(n_qubits):
+        raise PauliError(f"n_qubits must be an integer, got {n_qubits!r}")
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise PauliError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
@@ -93,6 +99,8 @@ class PauliSum:
     @classmethod
     def single_site(cls, n_qubits: int, site: int, kind: str, coeff: float = 1.0) -> "PauliSum":
         """One-qubit operator on 1-based ``site`` embedded in N qubits."""
+        if not _is_int(site):
+            raise PauliError(f"site must be an integer, got {site!r}")
         if not 1 <= site <= n_qubits:
             raise PauliError(f"site {site} out of range 1..{n_qubits}")
         if kind not in _CHAR_TO_BITS:
@@ -158,36 +166,6 @@ class PauliSum:
         xs, zs, cs = sum_to_arrays(self)
         xr, zr = reflect_masks(np.stack([xs, zs]), self.n_qubits).tolist()
         return PauliSum(self.n_qubits, dict(zip(zip(xr, zr), cs)))
-
-    # -- text form ---------------------------------------------------
-
-    def to_text(self) -> str:
-        """Serialize as lines ``coeff PAULI_STRING``, sorted for stable bytes."""
-        return "\n".join(f"{self.terms[k]:.17g} {_label(self.n_qubits, *k)}"
-                         for k in sorted(self.terms))
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        """Inverse of :meth:`to_text`; the first label sets N, blank and ``#`` lines are skipped."""
-        terms: dict[tuple, float] = {}
-        n = None
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                coeff_s, label = line.split()
-                coeff, key = float(coeff_s), _masks(label)
-            except ValueError as exc:  # PauliError included
-                raise PauliError(
-                    f"line {lineno} {line!r} is not 'coeff PAULI_STRING': {exc}") from None
-            n = n or len(label)
-            if len(label) != n:
-                raise PauliError(f"inconsistent string length in line {line!r}")
-            terms[key] = terms.get(key, 0.0) + coeff
-        if n is None:
-            raise PauliError("empty Pauli text")
-        return cls(n, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -19,20 +19,20 @@ damping (Strang splitting), so every step is a quantum channel.  The
 damping D acts on all atoms at once, as one gather and segmented sum over
 the 5^N (entry, source) pairs of rho that it couples, built once per call.
 
-All frequencies are angular (rad/us); CSV pulse files are in MHz with
-header ``t_us,omega_MHz,delta_MHz`` and are converted at the boundary.
+All frequencies are angular (rad/us), except the hardware limits of a
+:class:`ConstraintProfile`, which are in MHz and cross over through
+``models.mhz``, the one crossing between the two.
 """
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .models import AtomGeometry, NoiseModel, _interaction_diagonal, basis_bits, mhz, to_mhz
-from .pauli import reflect_masks
+from .models import AtomGeometry, NoiseModel, _interaction_diagonal, basis_bits, mhz
+from .pauli import _is_int, reflect_masks
 
 # us per CF4 step; fourth order: from |g..g> on 3 atoms at 6 um, the 1 us
 # "mild" probe pulse ends 2.1e-3 and the 2 us "sweep" probe 1.07e-2 from the
@@ -71,27 +71,6 @@ class ConstraintProfile:
         limits = (self.omega_max, self.delta_range, self.slew_omega, self.slew_delta)
         if not (np.isfinite([*limits, self.dt_min]).all() and min(limits) > 0 and self.dt_min >= 0):
             raise PulseError(f"constraint limits must be finite and > 0, dt_min >= 0: {self}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstraintProfile":
-        """Read :meth:`to_json`'s document; anything else raises :class:`PulseError`."""
-        try:
-            doc = json.loads(text)
-        except (TypeError, ValueError):
-            doc = None
-        if not (isinstance(doc, dict) and set(doc) <= {f.name for f in fields(cls)}):
-            raise PulseError(f"constraint JSON must be an object of profile fields, got {text}")
-        try:
-            if any(isinstance(v, bool) for v in doc.values()):
-                raise TypeError("JSON booleans are not numbers")
-            return cls(**doc)
-        except PulseError:
-            raise
-        except (TypeError, ValueError) as err:
-            raise PulseError(f"constraint JSON fields must be numbers, got {text}") from err
 
 
 @dataclass(frozen=True)
@@ -149,27 +128,6 @@ class ControlPulse:
                 problems.append(f"detuning slew above {profile.slew_delta} MHz/us")
         if problems:
             raise PulseError("; ".join(problems))
-
-    # -- CSV interchange (MHz) ----------------------------------------
-
-    def to_csv(self) -> str:
-        rows = (f"{float(t)!r},{float(to_mhz(om))!r},{float(to_mhz(de))!r}\n"
-                for t, om, de in zip(self.times, self.omegas, self.deltas))
-        return "t_us,omega_MHz,delta_MHz\n" + "".join(rows)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ControlPulse":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].replace(" ", "") != "t_us,omega_MHz,delta_MHz":
-            raise PulseError("pulse CSV must start with header t_us,omega_MHz,delta_MHz")
-        rows = []
-        for ln in lines[1:]:
-            try:
-                t, om, de = map(float, ln.split(","))
-            except ValueError:
-                raise PulseError(f"pulse CSV row {ln!r} is not three numbers") from None
-            rows.append((t, mhz(om), mhz(de)))
-        return cls(*np.array(rows).reshape(-1, 3).T.copy())
 
 
 @dataclass
@@ -293,8 +251,7 @@ def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None
     """(time, thunk) at every knot after the first; a thunk returns the full W Y."""
     if not force:
         pulse.validate(profile)
-    if substeps is not None and (isinstance(substeps, bool) or not (
-            isinstance(substeps, (int, np.integer)) and substeps >= 1)):
+    if substeps is not None and not (_is_int(substeps) and substeps >= 1):
         raise PropagationError(f"substeps must be >= 1 and an integer, got {substeps!r}")
     _, knot_ends, sizes, fold, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP, substeps,
                                                            noise or NoiseModel())

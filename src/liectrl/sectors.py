@@ -24,7 +24,8 @@ from typing import Literal
 
 import numpy as np
 
-from .closure import GeneratorSet, _is_int
+from .closure import GeneratorSet
+from .pauli import _is_int
 
 SectorKind = Literal["fermion", "boson", "spinful_fermion"]
 
@@ -198,9 +199,6 @@ def build_spinful_controls(n_sites: int, n_particles: int,
 
 # -- 2D superlattice with four species ----------------------------------
 
-NNN_LABELS = ("14R", "23L", "23R", "14L", "32R", "41L", "41R", "32L")
-
-
 def _species(row: int, col: int) -> int:
     """Species of a 1-based (row, col): 1 odd/odd, 2 odd/even, 3 even/odd, 4 even/even."""
     return 4 - 2 * (row % 2) - col % 2
@@ -264,6 +262,7 @@ _NNN_RECIPES = {
     "41R": ((3, (2, 5), (0, 7)), 4, "R"),
     "32L": ((2, (3, 5), (1, 7)), 3, "L"),
 }
+NNN_LABELS = tuple(_NNN_RECIPES)
 
 
 def verify_nnn_identity(which: str, rows: int, cols: int) -> tuple[bool, float]:

@@ -870,11 +870,16 @@ class TestInputChecks:
          "ndarray on a pauli result"),
         (lambda: close(GeneratorSet("dense", [X, Z])).contains(PauliSum.from_label("X")),
          "PauliSum on a dense result"),
+        # TypeError from len, and for a PauliSum (it has a len) from iterating it
+        (lambda: GeneratorSet("dense", 1.0), "generators must be a sequence, got float"),
+        (lambda: GeneratorSet("pauli", 1.0), "generators must be a sequence, got float"),
+        (lambda: GeneratorSet("pauli", PauliSum.from_label("X")),
+         "generators must be a sequence, got PauliSum"),
     ], ids=["dense shapes", "representation", "dense n_qubits", "too many terms", "all zero",
             "pauli contains", "dense contains", "short chain", "break past N", "break 0",
             "reflection N", "empty stack", "float chain", "pauli ndarray", "dense PauliSum",
             "dense scalar", "break bool", "break float", "pauli contains matrix",
-            "dense contains pauli"])
+            "dense contains pauli", "dense bare scalar", "pauli bare scalar", "pauli bare sum"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ClosureError) as info:
             make()

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from liectrl.closure import uniform_qubit_generators
 from liectrl.models import (
-    DEFAULT_C6,
     AtomGeometry,
     ModelError,
     NoiseModel,
@@ -62,18 +61,6 @@ class TestGeometry:
         # the chain is a repulsive van der Waals model
         with pytest.raises(ModelError, match="c6 must be positive"):
             AtomGeometry.chain(3, 6.0, c6=c6)
-
-    def test_json_roundtrip(self):
-        g = AtomGeometry.chain(4, 8.9)
-        g2 = AtomGeometry.from_json(g.to_json())
-        assert g2.positions == g.positions
-
-    def test_json_roundtrip_keeps_c6(self):
-        # the document used to hold only the positions, so c6 came back as DEFAULT_C6
-        g = AtomGeometry.chain(3, 6.0, c6=1e5)
-        g2 = AtomGeometry.from_json(g.to_json())
-        assert g2.c6 == 1e5
-        assert g2 == g
 
 
 class TestNoiseModel:
@@ -234,37 +221,17 @@ class TestInputChecks:
         # IndexError
         (lambda: AtomGeometry.chain(3, 6.0).interaction(1, 4),
          "need two distinct atoms in 1..3, got 1 and 4"),
-        # TypeError from cls(**document)
-        (lambda: AtomGeometry.from_json("[[0, 0]]"),
-         "geometry JSON must be an object of positions and c6, got [[0, 0]]"),
-        (lambda: AtomGeometry.from_json('{"positions": [], "C6": 1}'),
-         'geometry JSON must be an object of positions and c6, got {"positions": [], "C6": 1}'),
-        # TypeError: 'int' object is not iterable
-        (lambda: AtomGeometry.from_json('{"positions": 5}'),
-         'geometry JSON needs [x, y] number pairs and a number c6, got {"positions": 5}'),
-        # ValueError: too many values to unpack
-        (lambda: AtomGeometry.from_json('{"positions": [[1, 2, 3]]}'),
-         'geometry JSON needs [x, y] number pairs and a number c6, got {"positions": [[1, 2, 3]]}'),
-        # json.JSONDecodeError
-        (lambda: AtomGeometry.from_json("nope"),
-         "geometry JSON must be an object of positions and c6, got nope"),
-        # OverflowError: int too large to convert to float
-        (lambda: AtomGeometry.from_json('{"positions": [[1' + "0" * 400 + ', 0]]}'),
-         'geometry JSON needs [x, y] number pairs and a number c6, got {"positions": [[1'
-         + "0" * 400 + ', 0]]}'),
-        # the constructor's own error passes through
-        (lambda: AtomGeometry.from_json('{"positions": [[0, 0], [0, 0]]}'),
-         "atoms 1 and 2 coincide"),
-        # JSON booleans were read as the numbers 1 and 0
-        (lambda: AtomGeometry.from_json('{"positions": [[0, 0], [6, 0]], "c6": true}'),
-         'geometry JSON needs [x, y] number pairs and a number c6, '
-         'got {"positions": [[0, 0], [6, 0]], "c6": true}'),
-        (lambda: AtomGeometry.from_json('{"positions": [[true, 0], [6, 0]]}'),
-         'geometry JSON needs [x, y] number pairs and a number c6, '
-         'got {"positions": [[true, 0], [6, 0]]}'),
+        # TypeError from range and from the position index
+        (lambda: AtomGeometry.chain(3.0, 6.0), "n_atoms must be an integer, got 3.0"),
+        (lambda: AtomGeometry.chain(3, 6.0).interaction(1.0, 2),
+         "need two distinct atoms in 1..3, got 1.0 and 2"),
+        # accepted as one atom and as atom 1
+        (lambda: AtomGeometry.chain(True, 6.0), "n_atoms must be an integer, got True"),
+        (lambda: AtomGeometry.chain(3, 6.0).interaction(True, 2),
+         "need two distinct atoms in 1..3, got True and 2"),
     ], ids=["no atoms", "zero spacing", "negative spacing", "interaction 0", "interaction self",
-            "interaction past N", "json list", "json unknown key", "json positions int", "json triple", "json text",
-            "json huge int", "json coincident", "json bool c6", "json bool x"])
+            "interaction past N", "chain float", "interaction float", "chain bool",
+            "interaction bool"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

@@ -12,18 +12,23 @@ import liectrl
 
 
 def test_library_imports_without_scipy():
-    # numpy is the only runtime dependency: importing every module loads no scipy
-    code = ("import importlib, json, pkgutil, sys, liectrl\n"
+    # numpy is the only runtime dependency: importing every module loads no
+    # scipy, and no json either, as the library reads and writes no file format
+    code = ("import importlib, pkgutil, sys, liectrl\n"
             "names = [m.name for m in pkgutil.iter_modules(liectrl.__path__)]\n"
             "for name in names:\n"
             "    importlib.import_module('liectrl.' + name)\n"
-            "print(json.dumps([names, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')]))")
+            "loaded = [sorted(k for k in sys.modules if k.split('.')[0] == top)\n"
+            "          for top in ('scipy', 'json')]\n"
+            "import json\n"
+            "print(json.dumps([names, *loaded]))")
     env = dict(os.environ, PYTHONPATH=str(Path(liectrl.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    names, scipy_modules = json.loads(out.stdout)
+    names, scipy_modules, json_modules = json.loads(out.stdout)
     assert sorted(names) == ["closure", "models", "pauli", "propagation", "sectors"]
     assert scipy_modules == []
+    assert json_modules == []
 
 
 def test_traced_names_resolve():
@@ -104,24 +109,21 @@ def test_public_names_pinned():
             "uniform_qubit_generators",
         ],
         "models": [
-            "AtomGeometry", "AtomGeometry.chain", "AtomGeometry.from_json",
-            "AtomGeometry.interaction", "AtomGeometry.to_json", "ModelError", "NoiseModel",
-            "NoiseModel.fitted", "NoiseModel.realized_controls", "basis_bits", "mhz",
-            "rydberg_terms", "to_mhz", "zxz_hamiltonian",
+            "AtomGeometry", "AtomGeometry.chain", "AtomGeometry.interaction", "ModelError",
+            "NoiseModel", "NoiseModel.fitted", "NoiseModel.realized_controls", "basis_bits",
+            "mhz", "rydberg_terms", "to_mhz", "zxz_hamiltonian",
         ],
         "pauli": [
             "PauliError", "PauliSum", "PauliSum.coeff", "PauliSum.from_label",
-            "PauliSum.from_text", "PauliSum.hs_inner", "PauliSum.reflection_image",
-            "PauliSum.single_site", "PauliSum.to_dense", "PauliSum.to_text", "arrays_to_sum",
-            "commutator", "commutator_arrays", "reflect_masks", "sum_to_arrays",
+            "PauliSum.hs_inner", "PauliSum.reflection_image", "PauliSum.single_site",
+            "PauliSum.to_dense", "arrays_to_sum", "commutator", "commutator_arrays",
+            "reflect_masks", "sum_to_arrays",
         ],
         "propagation": [
-            "ConstraintProfile", "ConstraintProfile.from_json", "ConstraintProfile.to_json",
-            "ControlPulse", "ControlPulse.from_csv", "ControlPulse.sample", "ControlPulse.to_csv",
-            "ControlPulse.validate", "DensityState", "DensityState.hermiticity_defect",
-            "DensityState.min_eigenvalue", "DensityState.trace", "ObservableRecord",
-            "PropagationError", "PulseError", "observables", "propagate_lindblad",
-            "propagate_unitary", "unitary_trajectory",
+            "ConstraintProfile", "ControlPulse", "ControlPulse.sample", "ControlPulse.validate",
+            "DensityState", "DensityState.hermiticity_defect", "DensityState.min_eigenvalue",
+            "DensityState.trace", "ObservableRecord", "PropagationError", "PulseError",
+            "observables", "propagate_lindblad", "propagate_unitary", "unitary_trajectory",
         ],
         "sectors": [
             "SectorBasis", "SectorBasis.build", "SectorError", "build_hubbard_chain_controls",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liectrl.closure import GeneratorSet, close
 from liectrl.pauli import (
     PauliError,
     PauliSum,
@@ -190,22 +191,12 @@ class TestSumBasics:
         p = PauliSum.from_label("X", 1.0) + PauliSum.from_label("X", -1.0)
         assert len(p) == 0
 
-    def test_text_roundtrip(self):
-        p = PauliSum.from_label("XIZ", 1.0) + PauliSum.from_label("IYI", -0.25)
-        q = PauliSum.from_text(p.to_text())
-        assert q.terms == pytest.approx(p.terms)
-        assert q.n_qubits == 3
-
-    def test_text_example_format(self):
-        assert PauliSum.from_label("XIZ").to_text() == "1 XIZ"
-
     @pytest.mark.parametrize("label", [s for n in (1, 2, 3) for s in all_labels(n)])
     def test_label_parsers_agree_on_masks(self, label):
         n = len(label)
         want = (sum(1 << j for j, ch in enumerate(label) if ch in "XY"),
                 sum(1 << j for j, ch in enumerate(label) if ch in "YZ"))
         assert PauliSum.from_label(label, 0.5).terms == {want: 0.5}
-        assert PauliSum.from_text(f"0.5 {label}").terms == {want: 0.5}
         assert PauliSum(n, {want: 0.5}).coeff(label) == 0.5
         assert PauliSum(n, {(want[0] ^ 1, want[1]): 0.5}).coeff(label) == 0.0
         sites = [PauliSum.single_site(n, j + 1, ch).terms for j, ch in enumerate(label)]
@@ -220,12 +211,11 @@ class TestSumBasics:
     @pytest.mark.parametrize("make", [
         lambda: PauliSum.from_label("X", np.nan),
         lambda: PauliSum.from_label("X", -np.inf),
-        lambda: PauliSum.from_text("1 Z\nnan X"),
         lambda: arrays_to_sum(1, np.array([1], np.uint64), np.array([0], np.uint64),
                               np.array([np.nan])),
         lambda: PauliSum.from_label("X") * np.nan,
         lambda: PauliSum.from_label("X", 1e308) + PauliSum.from_label("X", 1e308),
-    ], ids=["label nan", "label -inf", "text nan", "arrays nan", "times nan", "overflow"])
+    ], ids=["label nan", "label -inf", "arrays nan", "times nan", "overflow"])
     def test_non_finite_coefficient_rejected(self, make):
         # a NaN coefficient used to be pruned, so X * nan was the zero sum
         with pytest.raises(PauliError, match="finite"):
@@ -236,20 +226,6 @@ class TestSumBasics:
         p = PauliSum.from_label("XI", 1e6) + PauliSum.from_label("IZ", 1.0)
         assert (p * 1e-13).terms == {(1, 0): pytest.approx(1e-7)}
         assert (1e-13 * p).terms == (p * 1e-13).terms
-
-    def test_from_text_skips_comments_and_blank_lines(self):
-        q = PauliSum.from_text("# header\n\n1.5 XZ\n   \n  # 9 YY\n-2 IZ\n")
-        assert q.terms == {(1, 2): 1.5, (0, 2): -2.0}
-        assert q.n_qubits == 2
-
-    def test_from_text_rejects_ragged(self):
-        with pytest.raises(PauliError):
-            PauliSum.from_text("1.0 XI\n1.0 XIZ")
-
-    @pytest.mark.parametrize("line", ["XI", "1.0 XI ZZ", "one XI", "1.0", "1.0 XQ"])
-    def test_from_text_rejects_malformed_line(self, line):
-        with pytest.raises(PauliError, match=f"line 2 {line!r}"):
-            PauliSum.from_text(f"1.0 ZZ\n{line}\n-2 XX")
 
 
 class TestArrayKernels:
@@ -323,11 +299,17 @@ class TestInputChecks:
          "size mismatch in inner product"),
         (lambda: commutator(PauliSum.from_label("X"), PauliSum.from_label("XX")),
          "size mismatch in commutator"),
-        (lambda: PauliSum.from_text(""), "empty Pauli text"),
-        (lambda: PauliSum.from_text("# no terms\n\n   \n"), "empty Pauli text"),
+        # TypeError from the mask shift
+        (lambda: PauliSum(2.0, {(1, 0): 1.0}).to_dense(), "n_qubits must be an integer, got 2.0"),
+        (lambda: close(GeneratorSet("pauli", [PauliSum(2.0, {(1, 0): 1.0})])),
+         "n_qubits must be an integer, got 2.0"),
+        (lambda: PauliSum.single_site(3, 1.5, "X"), "site must be an integer, got 1.5"),
+        # accepted as one qubit and as site 1
+        (lambda: PauliSum(True, {(1, 0): 1.0}), "n_qubits must be an integer, got True"),
+        (lambda: PauliSum.single_site(3, True, "X"), "site must be an integer, got True"),
     ], ids=["N 0", "N 65", "site past N", "site 0", "site kind",
             "coeff label", "label char", "coeff char", "add", "hs_inner", "commutator",
-            "empty text", "comments only"])
+            "N float to_dense", "N float close", "site float", "N bool", "site bool"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(PauliError) as info:
             make()

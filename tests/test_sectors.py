@@ -344,6 +344,10 @@ class TestNNNLattice:
         with pytest.raises(SectorError):
             verify_nnn_identity("99X", 3, 3)
 
+    def test_labels_keep_their_order(self):
+        # the recipes' keys, in the order the benchmark's sector workload slices
+        assert NNN_LABELS == ("14R", "23L", "23R", "14L", "32R", "41L", "41R", "32L")
+
     @pytest.mark.parametrize("label", NNN_LABELS)
     def test_identities_3x3(self, label):
         passed, scale = verify_nnn_identity(label, 3, 3)
