@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS, PauliSum, _is_int
+from .pauli import MAX_DENSE_QUBITS, PauliSum, _is_int, _is_real
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,6 +43,9 @@ class AtomGeometry:
     c6: float = DEFAULT_C6
 
     def __post_init__(self):
+        if not all(map(_is_real, (self.c6, *(x for p in self.positions for x in p)))):
+            raise ModelError(f"atom positions and c6 must be real numbers, got {self.positions!r} "
+                             f"and {self.c6!r}")
         pos = tuple((float(x), float(y)) for x, y in self.positions)
         object.__setattr__(self, "positions", pos)
         if not np.isfinite([self.c6, *(x for p in pos for x in p)]).all():
@@ -58,6 +61,8 @@ class AtomGeometry:
     def chain(cls, n_atoms: int, spacing: float, c6: float = DEFAULT_C6) -> "AtomGeometry":
         if not _is_int(n_atoms):
             raise ModelError(f"n_atoms must be an integer, got {n_atoms!r}")
+        if not _is_real(spacing):
+            raise ModelError(f"spacing must be a real number, got {spacing!r}")
         if n_atoms < 1 or spacing <= 0:
             raise ModelError("need n_atoms >= 1 and positive spacing")
         return cls(tuple((i * spacing, 0.0) for i in range(n_atoms)), c6)
@@ -91,6 +96,8 @@ class NoiseModel:
 
     def __post_init__(self):
         vals = [self.gamma, self.delta_detuning_shift, self.delta_rabi_shift, self.rabi_scale_error]
+        if not all(map(_is_real, vals)):
+            raise ModelError(f"rates and shifts must be real numbers, got {vals}")
         if not (self.gamma >= 0 and np.isfinite(vals).all()):
             raise ModelError(f"need gamma >= 0 and finite rates and shifts, got {vals}")
 

@@ -46,6 +46,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_n_qubits(n_qubits: int) -> None:
     if not _is_int(n_qubits):
         raise PauliError(f"n_qubits must be an integer, got {n_qubits!r}")

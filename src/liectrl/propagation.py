@@ -12,7 +12,7 @@ block position and weight per basis state.  Each batch of exponentials
 takes one ``eigh`` per block; U_j = W_j Y_j stays in the eigenbasis W_j of
 its last exponential, Y_j = diag(e^{-i lambda h/2}) W_j^T W_{j-1} Y_{j-1}
 being one real matrix product, and U_j = sum_b P_b (W_j Y_j)_b P_b^T, the
-only 2^N x 2^N matrix built, is gathered only at a returned knot.
+only 2^N x 2^N matrix built, is gathered once, at the pulse's end.
 Open-system propagation (per-atom decay |g><r|, constant control offsets)
 takes the same CF4 steps, each between two half steps of exact amplitude
 damping (Strang splitting), so every step is a quantum channel.  The
@@ -26,13 +26,12 @@ All frequencies are angular (rad/us), except the hardware limits of a
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .models import AtomGeometry, NoiseModel, _interaction_diagonal, basis_bits, mhz
-from .pauli import _is_int, reflect_masks
+from .pauli import _is_int, _is_real, reflect_masks
 
 # us per CF4 step; fourth order: from |g..g> on 3 atoms at 6 um, the 1 us
 # "mild" probe pulse ends 2.1e-3 and the 2 us "sweep" probe 1.07e-2 from the
@@ -69,6 +68,8 @@ class ConstraintProfile:
 
     def __post_init__(self):
         limits = (self.omega_max, self.delta_range, self.slew_omega, self.slew_delta)
+        if not all(map(_is_real, (*limits, self.dt_min))):
+            raise PulseError(f"constraint limits must be real numbers: {self}")
         if not (np.isfinite([*limits, self.dt_min]).all() and min(limits) > 0 and self.dt_min >= 0):
             raise PulseError(f"constraint limits must be finite and > 0, dt_min >= 0: {self}")
 
@@ -246,41 +247,17 @@ def _cf4_exponentials(pulse: ControlPulse, geom: AtomGeometry, step: float,
     return h, knot_ends, sizes, fold, batches()
 
 
-def _unitary_knots(pulse: ControlPulse, geom: AtomGeometry, substeps: int | None, force: bool,
-                   profile: ConstraintProfile | None, noise: NoiseModel | None):
-    """(time, thunk) at every knot after the first; a thunk returns the full W Y."""
-    if not force:
-        pulse.validate(profile)
-    if substeps is not None and not (_is_int(substeps) and substeps >= 1):
-        raise PropagationError(f"substeps must be >= 1 and an integer, got {substeps!r}")
-    _, knot_ends, sizes, fold, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP, substeps,
-                                                           noise or NoiseModel())
-    d = sizes[0]
-    w_prev = np.eye(d) * (np.arange(d) < np.array(sizes)[:, None, None])  # 1 on blocks, 0 on pads
-    y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0, on (D, 2D) real views
-    knot_times = dict(zip(2 * np.array(knot_ends), pulse.times[1:]))  # by its last exponential
-    for lo, w, phases in batches:
-        m = w.mT @ np.concatenate([w_prev[None], w[:-1]])  # W_j^T W_{j-1}
-        for j, (mj, phase) in enumerate(zip(m, phases), lo + 1):
-            y = mj @ y  # Y_j = diag(phase) W_j^T W_{j-1} Y_{j-1}
-            yc = y.view(complex)
-            yc *= phase
-            if j in knot_times:
-                yield float(knot_times[j]), lambda wj=w[j - lo - 1], yj=y: _unfold(
-                    (wj @ yj).view(complex), *fold)
-        w_prev = w[-1]
-
-
-def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
-                       substeps: int | None = None, force: bool = False,
-                       profile: ConstraintProfile | None = None,
-                       noise: NoiseModel | None = None) -> list[tuple[float, np.ndarray]]:
-    """Propagator snapshots at every knot time (CF4 product).
+def propagate_unitary(pulse: ControlPulse, geom: AtomGeometry,
+                      substeps: int | None = None, force: bool = False,
+                      profile: ConstraintProfile | None = None,
+                      noise: NoiseModel | None = None) -> np.ndarray:
+    """Final propagator of the pulse (CF4 product); unitary to roundoff by construction.
 
     Each knot interval takes ``substeps`` equal CF4 steps of two
     exponentials each, or by default the fewest steps no longer than
     ``DEFAULT_STEP``.  ``noise`` applies only the coherent control offsets
-    here; decay needs ``propagate_lindblad``.
+    here; decay needs ``propagate_lindblad``.  ``force`` skips
+    ``pulse.validate``, so it takes no ``profile``.
 
     The propagator is held in the reflection-parity blocks of
     ``_parity_blocks``.  The interaction counts as reflection symmetric
@@ -289,22 +266,26 @@ def unitary_trajectory(pulse: ControlPulse, geom: AtomGeometry,
     by at most T max|v - v o r| / 2 (spectral norm, pulse length T);
     beyond it one block of size 2^N runs with the exact V.
     """
-    return [(float(pulse.times[0]), np.eye(2 ** geom.n_atoms, dtype=complex)),
-            *((t, u()) for t, u in _unitary_knots(pulse, geom, substeps, force, profile, noise))]
-
-
-def propagate_unitary(pulse: ControlPulse, geom: AtomGeometry,
-                      substeps: int | None = None, force: bool = False,
-                      profile: ConstraintProfile | None = None,
-                      noise: NoiseModel | None = None) -> np.ndarray:
-    """Final propagator of the pulse; unitary to roundoff by construction.
-
-    ``substeps`` is the number of CF4 steps (two exponentials each) per
-    knot interval; by default it follows ``DEFAULT_STEP``.
-    """
-    for _, u in _unitary_knots(pulse, geom, substeps, force, profile, noise):
-        pass
-    return u()
+    if not force:
+        pulse.validate(profile)
+    elif profile is not None:
+        raise PropagationError("force skips validation; pass no profile with it")
+    if substeps is not None and not (_is_int(substeps) and substeps >= 1):
+        raise PropagationError(f"substeps must be >= 1 and an integer, got {substeps!r}")
+    _, _, sizes, fold, batches = _cf4_exponentials(pulse, geom, DEFAULT_STEP, substeps,
+                                                   noise or NoiseModel())
+    d = sizes[0]
+    w_prev = np.eye(d) * (np.arange(d) < np.array(sizes)[:, None, None])  # 1 on blocks, 0 on pads
+    y = w_prev.astype(complex).view(np.float64)  # Y_0 = W_0, on (D, 2D) real views
+    for _, w, phases in batches:
+        m = w.mT @ np.concatenate([w_prev[None], w[:-1]])  # W_j^T W_{j-1}
+        for mj, phase in zip(m, phases):
+            y = mj @ y  # Y_j = diag(phase) W_j^T W_{j-1} Y_{j-1}
+            yc = y.view(complex)
+            yc *= phase
+        w_prev = w[-1]
+    del m, mj, phases, phase  # the last batch's products, freed before the 2^N x 2^N unfold
+    return _unfold((w_prev @ y).view(complex), *fold)
 
 
 def _damping_plan(n_atoms: int) -> tuple:
@@ -354,7 +335,7 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     Solves drho/dt = -i[H(t), rho] + gamma * sum_l D[sigma_l^-] rho, with H
     from the noise-shifted controls, by the Strang splitting
     rho <- D(h/2) U (D(h/2) rho) U^dag per step: U is the CF4 step of
-    ``unitary_trajectory`` and D(t) the exact amplitude damping with
+    ``propagate_unitary`` and D(t) the exact amplitude damping with
     p = 1 - e^{-gamma t} on every atom; inside a knot interval the two half
     steps between steps run as one D(h).  D is one gather over the 5^N
     (entry, source) pairs of rho that it couples (``_damping_plan``; 4^N
@@ -367,7 +348,9 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     """
     if not force:
         pulse.validate(profile)
-    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and dt > 0):
+    elif profile is not None:
+        raise PropagationError("force skips validation; pass no profile with it")
+    if not (_is_real(dt) and dt > 0):
         raise PropagationError(f"dt must be positive and a number, got {dt!r}")
     h, knot_ends, _, fold, batches = _cf4_exponentials(pulse, geom, float(dt), None, noise)
     dim = 2 ** geom.n_atoms

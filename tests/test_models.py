@@ -4,6 +4,7 @@ import scipy.linalg
 
 from liectrl.closure import uniform_qubit_generators
 from liectrl.models import (
+    DEFAULT_C6,
     AtomGeometry,
     ModelError,
     NoiseModel,
@@ -229,9 +230,32 @@ class TestInputChecks:
         (lambda: AtomGeometry.chain(True, 6.0), "n_atoms must be an integer, got True"),
         (lambda: AtomGeometry.chain(3, 6.0).interaction(True, 2),
          "need two distinct atoms in 1..3, got True and 2"),
+        # accepted as C6 = 1, x = 1 um, positions read by float(), 1 um spacing and unit rates
+        (lambda: AtomGeometry(((0, 0), (6, 0)), c6=True),
+         "atom positions and c6 must be real numbers, got ((0, 0), (6, 0)) and True"),
+        (lambda: AtomGeometry(((True, 0), (6, 0))),
+         f"atom positions and c6 must be real numbers, got ((True, 0), (6, 0)) and {DEFAULT_C6}"),
+        (lambda: AtomGeometry((("0", "0"), ("6", "0"))),
+         "atom positions and c6 must be real numbers, got (('0', '0'), ('6', '0')) and "
+         f"{DEFAULT_C6}"),
+        (lambda: AtomGeometry.chain(3, True), "spacing must be a real number, got True"),
+        (lambda: NoiseModel(gamma=True),
+         "rates and shifts must be real numbers, got [True, 0.0, 0.0, 0.0]"),
+        (lambda: NoiseModel(rabi_scale_error=True),
+         "rates and shifts must be real numbers, got [0.0, 0.0, 0.0, True]"),
+        # numpy's TypeError from isfinite, and Python's from <= and >=
+        (lambda: AtomGeometry(((0, 0), (6, 0)), c6="x"),
+         "atom positions and c6 must be real numbers, got ((0, 0), (6, 0)) and 'x'"),
+        (lambda: AtomGeometry.chain(3, "6"), "spacing must be a real number, got '6'"),
+        (lambda: NoiseModel(gamma="x"),
+         "rates and shifts must be real numbers, got ['x', 0.0, 0.0, 0.0]"),
+        (lambda: NoiseModel(delta_rabi_shift="x"),
+         "rates and shifts must be real numbers, got [0.0, 0.0, 'x', 0.0]"),
     ], ids=["no atoms", "zero spacing", "negative spacing", "interaction 0", "interaction self",
             "interaction past N", "chain float", "interaction float", "chain bool",
-            "interaction bool"])
+            "interaction bool", "bool c6", "bool position", "string positions", "bool spacing",
+            "bool gamma", "bool rabi scale", "string c6", "string spacing", "string gamma",
+            "string rabi shift"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

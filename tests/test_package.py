@@ -87,10 +87,6 @@ def test_public_options_pinned():
         "propagation.propagate_unitary(noise)",
         "propagation.propagate_unitary(profile)",
         "propagation.propagate_unitary(substeps)",
-        "propagation.unitary_trajectory(force)",
-        "propagation.unitary_trajectory(noise)",
-        "propagation.unitary_trajectory(profile)",
-        "propagation.unitary_trajectory(substeps)",
         "sectors.build_spinful_controls(a)",
         "sectors.build_spinful_controls(b)",
     ]
@@ -123,7 +119,7 @@ def test_public_names_pinned():
             "ConstraintProfile", "ControlPulse", "ControlPulse.sample", "ControlPulse.validate",
             "DensityState", "DensityState.hermiticity_defect", "DensityState.min_eigenvalue",
             "DensityState.trace", "ObservableRecord", "PropagationError", "PulseError",
-            "observables", "propagate_lindblad", "propagate_unitary", "unitary_trajectory",
+            "observables", "propagate_lindblad", "propagate_unitary",
         ],
         "sectors": [
             "SectorBasis", "SectorBasis.build", "SectorError", "build_hubbard_chain_controls",

@@ -22,7 +22,6 @@ from liectrl.propagation import (
     observables,
     propagate_lindblad,
     propagate_unitary,
-    unitary_trajectory,
 )
 from oracles import (
     damping_kraus,
@@ -195,16 +194,6 @@ class TestUnitary:
         u = propagate_unitary(p, AtomGeometry.chain(n_atoms, rng.uniform(6.0, 10.0)), profile=prof)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 ** n_atoms))) <= 1e-12
 
-    @pytest.mark.parametrize("geom", [AtomGeometry.chain(3, 6.5),
-                                      AtomGeometry(((0.0, 0.0), (6.5, 0.0), (13.5, 0.0),
-                                                    (19.0, 0.0)))],
-                             ids=["3-chain", "asymmetric-4"])
-    def test_final_propagator_is_trajectory_end(self, geom):
-        # both entry points run one loop: the same bits at the last knot
-        p = uneven_pulse(geom.n_atoms, 1.0)
-        np.testing.assert_array_equal(propagate_unitary(p, geom),
-                                      unitary_trajectory(p, geom)[-1][1])
-
     def test_zero_substeps_rejected(self):
         p = flat_pulse(0.5, mhz(1.0), 0.0)
         with pytest.raises(PropagationError, match="substeps must be >= 1"):
@@ -251,14 +240,6 @@ class TestUnitary:
         with pytest.raises(PulseError):
             propagate_unitary(p, lone_atom())
 
-    def test_trajectory_records_knots(self):
-        t = np.array([0.0, 0.1, 0.25, 0.4])
-        p = ControlPulse(t, np.array([0.0, mhz(1.0), mhz(1.0), 0.0]),
-                         np.zeros(4))
-        traj = unitary_trajectory(p, lone_atom())
-        assert [pt for pt, _ in traj] == pytest.approx(t.tolist())
-        np.testing.assert_allclose(traj[0][1], np.eye(2), atol=1e-15)
-
     @pytest.mark.parametrize("spacing", [0.1, 3 * propagation.DEFAULT_STEP],
                              ids=["bench-grid", "three-steps"])
     def test_knot_roundoff_adds_no_step(self, spacing):
@@ -268,10 +249,9 @@ class TestUnitary:
         p = halving_pulse()
         p = ControlPulse(np.arange(31) * spacing, p.omegas, p.deltas)
         geom = AtomGeometry.chain(3, 6.857)
-        got = unitary_trajectory(p, geom, force=True)
-        want = unitary_trajectory(p, geom, substeps=3, force=True)
-        for (_, u), (_, w) in zip(got, want):
-            assert np.max(np.abs(u - w)) <= 1e-15
+        got = propagate_unitary(p, geom, force=True)
+        want = propagate_unitary(p, geom, substeps=3, force=True)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def uneven_pulse(seed, duration):
@@ -281,6 +261,16 @@ def uneven_pulse(seed, duration):
     t = np.concatenate([[0.0], np.cumsum(gaps * duration / gaps.sum())])
     om = np.concatenate([[0.0], mhz(rng.uniform(0.2, 2.4, len(t) - 2)), [0.0]])
     return ControlPulse(t, om, mhz(rng.uniform(-19, 19, len(t))))
+
+
+def knot_prefixes(pulse, geom, knots=None, **kwargs):
+    """propagate_unitary of the pulse cut after each knot k >= 1 (or each of
+    ``knots``).  The whole pulse passes validate() once; the cut pulses run
+    forced, as they may end at nonzero Rabi."""
+    pulse.validate()
+    return [propagate_unitary(ControlPulse(pulse.times[:k + 1], pulse.omegas[:k + 1],
+                                           pulse.deltas[:k + 1]), geom, force=True, **kwargs)
+            for k in (range(1, pulse.n_knots) if knots is None else knots)]
 
 
 def sweep_probe_pulse():
@@ -328,11 +318,13 @@ class TestBatchedUnitary:
         geom = (AtomGeometry.chain(atoms, 6.5) if isinstance(atoms, int)
                 else AtomGeometry(tuple((x, 0.0) for x in atoms)))
         pulse = uneven_pulse(geom.n_atoms, duration)
-        got = unitary_trajectory(pulse, geom, substeps=substeps, noise=noise)
+        knots = np.arange(1, pulse.n_knots)
+        if knots.size > 16:  # the 80 us case: 8 evenly spaced prefixes, the last the whole pulse
+            knots = knots[np.linspace(0, knots.size - 1, 8).round().astype(int)]
+        got = knot_prefixes(pulse, geom, knots, substeps=substeps, noise=noise)
         want = stepwise_unitary_trajectory(pulse, geom, substeps=substeps, noise=noise)
-        assert [t for t, _ in got] == [t for t, _ in want] == pulse.times.tolist()
-        for (_, u), (_, w) in zip(got, want):
-            assert np.max(np.abs(u - w)) <= 1e-12
+        for u, k in zip(got, knots, strict=True):
+            assert np.max(np.abs(u - want[k][1])) <= 1e-12
 
     def test_oracle_cases_span_several_batches(self):
         # a batch stacks whole CF4 steps of two exponentials, each the real
@@ -406,7 +398,7 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("n_atoms", range(1, 9))
     def test_chain_block_sizes(self, n_atoms, eigh_sizes):
-        unitary_trajectory(self.SHORT, AtomGeometry.chain(n_atoms, 6.5))
+        propagate_unitary(self.SHORT, AtomGeometry.chain(n_atoms, 6.5))
         half = 2 ** -(-n_atoms // 2)
         # the odd block is empty for one atom and then dropped
         assert eigh_sizes == {(2 ** n_atoms + half) // 2, (2 ** n_atoms - half) // 2} - {0}
@@ -414,21 +406,21 @@ class TestParityBlocks:
 
     def test_asymmetric_geometry_is_one_block(self, eigh_sizes):
         geom = AtomGeometry(((0.0, 0.0), (6.5, 0.0), (13.5, 0.0), (19.0, 0.0)))
-        unitary_trajectory(self.SHORT, geom)
+        propagate_unitary(self.SHORT, geom)
         assert eigh_sizes == {16}
 
     def test_chain_roundoff_counts_as_symmetric(self, eigh_sizes):
         # the chain's own interaction sums are not bit-symmetric
         geom = AtomGeometry.chain(8, 6.0)
         assert mirror_defect(geom) > 0
-        unitary_trajectory(self.SHORT, geom)
+        propagate_unitary(self.SHORT, geom)
         assert eigh_sizes == {136, 120}
 
     def test_moved_atom_takes_one_block(self, eigh_sizes):
         pulse, geom = uneven_pulse(6, 1.0), moved_chain(6, 1e-9)
-        got = unitary_trajectory(pulse, geom)
+        got = knot_prefixes(pulse, geom)
         assert eigh_sizes == {64}
-        for (_, u), (_, w) in zip(got, stepwise_unitary_trajectory(pulse, geom)):
+        for u, (_, w) in zip(got, stepwise_unitary_trajectory(pulse, geom)[1:], strict=True):
             assert np.max(np.abs(u - w)) <= 1e-12
 
     @pytest.mark.parametrize("geom", [
@@ -451,11 +443,11 @@ class TestParityBlocks:
         # change of the propagator by T max|v - v o r| / 2
         monkeypatch.setattr(propagation, "_MIRROR_ULPS", 1e16)
         pulse, geom = uneven_pulse(4, 1.0), moved_chain(4, 1e-3)
-        got = unitary_trajectory(pulse, geom)
+        got = knot_prefixes(pulse, geom)
         assert eigh_sizes == {10, 6}
         bound = pulse.times[-1] * mirror_defect(geom) / 2
-        dev = max(np.linalg.norm(u - w, 2) for (_, u), (_, w)
-                  in zip(got, stepwise_unitary_trajectory(pulse, geom)))
+        dev = max(np.linalg.norm(u - w, 2) for u, (_, w)
+                  in zip(got, stepwise_unitary_trajectory(pulse, geom)[1:], strict=True))
         assert bound / 2 < dev <= bound  # measured: 0.86 of the bound
 
 
@@ -878,8 +870,28 @@ class TestInputChecks:
          "state must be finite"),
         (lambda: observables(np.eye(4), np.array([np.nan, 0, 0, 0])), PropagationError,
          "state must be finite"),
+        # the profile was ignored: a 50 MHz Rabi pulse that fails it returned a U
+        (lambda: propagate_unitary(flat_pulse(0.5, mhz(50.0), 0.0), lone_atom(), force=True,
+                                   profile=ConstraintProfile()),
+         PropagationError, "force skips validation; pass no profile with it"),
+        (lambda: propagate_lindblad(flat_pulse(0.5, mhz(50.0), 0.0), lone_atom(), quiet_noise(),
+                                    force=True, profile=ConstraintProfile()),
+         PropagationError, "force skips validation; pass no profile with it"),
+        # accepted as a 1 MHz limit and as no spacing limit
+        (lambda: ConstraintProfile(omega_max=True), PulseError,
+         "constraint limits must be real numbers: ConstraintProfile(omega_max=True, "
+         "delta_range=19.9, slew_omega=39.7, slew_delta=397.0, dt_min=0.05)"),
+        (lambda: ConstraintProfile(dt_min=False), PulseError,
+         "constraint limits must be real numbers: ConstraintProfile(omega_max=2.41, "
+         "delta_range=19.9, slew_omega=39.7, slew_delta=397.0, dt_min=False)"),
+        # numpy's TypeError from isfinite
+        (lambda: ConstraintProfile(omega_max="x"), PulseError,
+         "constraint limits must be real numbers: ConstraintProfile(omega_max='x', "
+         "delta_range=19.9, slew_omega=39.7, slew_delta=397.0, dt_min=0.05)"),
     ], ids=["late start", "detuning", "3-d state", "NaN Lindblad vector", "inf Lindblad vector",
-            "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state"])
+            "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state",
+            "unitary force with profile", "lindblad force with profile", "bool omega_max",
+            "bool dt_min", "string omega_max"])
     def test_rejected_with_message(self, make, error, message):
         with pytest.raises(error) as info:
             make()
