@@ -34,10 +34,10 @@ operators under the normalized bracket (1/(2i))[A, B]:
   agree, or :class:`ClosureError` names both.  A universal result, or one at
   its mirror bound ("mirror bound", "mirrored locals"), is a known space, with
   ``basis`` and ``contains`` in closed form; otherwise they lift the rows to
-  the rationals by CRT over the primes run and rational reconstruction, exact
-  for entries with numerator and denominator up to about 1.2e7, or 2.9e3
-  after one prime.  Every generator must reduce to exactly 0 against the
-  lift, or :class:`ClosureError` is raised.
+  the rationals by CRT over the two primes and rational reconstruction,
+  exact for entries with numerator and denominator up to about 1.2e7.
+  Every generator must reduce to exactly 0 against the lift, or
+  :class:`ClosureError` is raised.
 * ``dense``  - floating point.  Elements are Hermitian matrices, stored
   as real vectors of length D**2 in Hermitian coordinates (diagonal,
   sqrt(2) Re and sqrt(2) Im of the upper triangle), whose dot product is
@@ -88,7 +88,6 @@ from .pauli import (
 
 Representation = Literal["pauli", "dense"]
 
-DEFAULT_DEPTH_LIMIT = 64  # bracket depths before a closure stops unconverged
 # GF(p) runs of the pauli backend, in order; both below 2**24.
 PRIMES = (16777213, 16777199)
 MAX_EXACT_QUBITS = 31
@@ -359,11 +358,11 @@ def _lift(runs: Sequence[_Rows], terms: Sequence[tuple]):
 
     Entries are matched by (pivot, key), combined by CRT mod the product m
     of the runs' primes and rationally reconstructed with numerator and
-    denominator at most sqrt(m/2): about 2.9e3 for one prime, 1.2e7 for
-    two.  A larger true entry fails the reconstruction or comes back as a
-    wrong fraction, so every generator in ``terms`` must then reduce to
-    exactly 0 against the lifted rows.  Returns (pivot, key, value) float
-    entries sorted by pivot; raises :class:`ClosureError` on any failure.
+    denominator at most sqrt(m/2): about 1.2e7 for the two PRIMES.  A
+    larger true entry fails the reconstruction or comes back as a wrong
+    fraction, so every generator in ``terms`` must then reduce to exactly
+    0 against the lifted rows.  Returns (pivot, key, value) float entries
+    sorted by pivot; raises :class:`ClosureError` on any failure.
     """
     ref = np.sort(runs[-1].pivots)
     if any(not np.array_equal(np.sort(r.pivots), ref) for r in runs):
@@ -597,17 +596,17 @@ def _bfs(engine, bound: int, certify=lambda: None):
     """Expand the frontier against the generators until the dimension
     reaches ``bound``, an upper bound on it, nothing new appears or
     ``certify()`` names a certificate after a block.  Returns (dimension,
-    depth at the stop, "bound", "converged", that name or None if still
-    growing after DEFAULT_DEPTH_LIMIT depths).  Frontier blocks are expanded
-    oldest first: on the dense backend shallow brackets carry the least
-    numerical noise, so genuine directions enter at large residuals.
+    depth at the stop, "bound", "converged" or that name); every depth but
+    the last adds a row, so that is within ``bound`` depths.  Frontier blocks
+    are expanded oldest first: on the dense backend shallow brackets carry
+    the least numerical noise, so genuine directions enter at large residuals.
     """
     block_size = max(1, _CHUNK // engine.n_gens)
     frontier = engine.seed()
     depth, dim = 0, len(frontier)  # seed and expand return every row they add
     while True:
         stop = "bound" if dim >= bound else "converged" if not frontier else certify()
-        if stop or depth >= DEFAULT_DEPTH_LIMIT:
+        if stop:
             return dim, depth, stop
         depth += 1
         new: list[int] = []
@@ -625,12 +624,11 @@ class ClosureResult:
 
     ``primes`` lists the GF(p) runs behind a pauli verdict, in order, and
     ``certificate`` how it was reached: "full rank", "local generators",
-    "mirror bound", "mirrored locals" or "two primes" (module docstring),
-    "float rank" on the dense backend, None if undetermined; ``depth_reached``
-    is the depth at the stop.  A pauli result neither universal nor at its
-    mirror bound keeps the exact echelon rows of every run that agrees with the
-    verdict, which ``basis`` and ``contains`` lift.  A dense one keeps rows
-    per sign key; ``basis`` widens them to d**2.
+    "mirror bound", "mirrored locals" or "two primes" (module docstring), and
+    "float rank" on the dense backend; ``depth_reached`` is the depth at the
+    stop.  A "two primes" result keeps the exact echelon rows of both runs,
+    which ``basis`` and ``contains`` lift; every other pauli result is a known
+    space.  A dense one keeps rows per sign key; ``basis`` widens them to d**2.
     ``rank_margin`` (dense backend) is the smallest residual accepted as a
     new direction over the largest rejected one: ``inf`` when nothing was
     rejected, ``None`` on the exact pauli backend.
@@ -638,7 +636,7 @@ class ClosureResult:
 
     dimension: int
     depth_reached: int
-    universality: Literal["universal", "non_universal", "undetermined"]
+    universality: Literal["universal", "non_universal"]
     representation: Representation
     theoretical_cap: int
     n_qubits: int | None = None
@@ -814,13 +812,12 @@ def _close_pauli(gen: GeneratorSet) -> ClosureResult:
     universal = dim >= theoretical or stop == "local generators"
     certificate = ("full rank" if dim >= theoretical else "mirror bound" if stop == "bound"
                    else "two primes" if stop == "converged" else stop)
-    verdict = "universal" if universal else "non_universal" if stop else "undetermined"
-    known = universal or stop in ("bound", "mirrored locals")  # basis and contains in closed form
     return ClosureResult(
-        dimension=theoretical if universal else bound if known else dim, depth_reached=depth,
-        universality=verdict, representation="pauli", theoretical_cap=theoretical, n_qubits=n,
+        dimension=theoretical if universal else dim if stop == "converged" else bound,
+        depth_reached=depth, universality="universal" if universal else "non_universal",
+        representation="pauli", theoretical_cap=theoretical, n_qubits=n,
         pattern_reflection_symmetric=mirror, primes=primes, certificate=certificate, _terms=terms,
-        _runs=tuple(runs if certificate == "two primes" else [] if known else runs[-1:]))
+        _runs=tuple(runs if stop == "converged" else ()))
 
 
 def close(gen: GeneratorSet) -> ClosureResult:
@@ -829,8 +826,7 @@ def close(gen: GeneratorSet) -> ClosureResult:
     It stops once the dimension reaches ``theoretical_cap``, read off the
     generators: d**2 (u(d)) once one has a trace, or an identity term on the
     pauli backend, and d**2 - 1 (su(d)) otherwise.  Reaching it is the
-    universal verdict, converging below it the non-universal one; a closure
-    still growing after DEFAULT_DEPTH_LIMIT depths is undetermined.  The
+    universal verdict, converging below it the non-universal one.  The
     pauli backend is exact and may stop early on a certificate, the dense
     one decides rank against _ABS_FLOOR.  One DEBUG record on the
     ``liectrl`` logger names the verdict, certificate, depth and primes,
@@ -851,11 +847,10 @@ def close(gen: GeneratorSet) -> ClosureResult:
         bases = engine.bases
         slices = f", {len(bases)} keys, widest slice {max(map(len, engine.slices))}"
         acc, rej = min(b.min_accepted for b in bases), max(b.max_rejected for b in bases)
-        verdict = "universal" if stop == "bound" else "non_universal" if stop else "undetermined"
         result = ClosureResult(
-            dimension=dim, depth_reached=depth, universality=verdict, representation="dense",
+            dimension=dim, depth_reached=depth, representation="dense", certificate="float rank",
+            universality="universal" if stop == "bound" else "non_universal",
             theoretical_cap=theoretical, rank_margin=float(acc / rej) if rej else np.inf,
-            certificate="float rank" if stop else None,
             _slices=tuple((s, b.matrix.copy()) for s, b in zip(engine.slices, bases)))
         if result.rank_margin < _MARGIN_WARN:
             log.warning("dense closure %s: rank margin %.3g is below %g; dimension %d "

@@ -43,6 +43,8 @@ class AtomGeometry:
     c6: float = DEFAULT_C6
 
     def __post_init__(self):
+        if not all(np.shape(p) == (2,) for p in self.positions):  # before unpacking x, y
+            raise ModelError(f"atom positions must be (x, y) pairs, got {self.positions!r}")
         if not all(map(_is_real, (self.c6, *(x for p in self.positions for x in p)))):
             raise ModelError(f"atom positions and c6 must be real numbers, got {self.positions!r} "
                              f"and {self.c6!r}")

@@ -84,7 +84,11 @@ class ControlPulse:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+            knots = np.asarray(getattr(self, f.name))
+            if knots.dtype.kind not in "iuf":  # bool, str and object knots used to convert
+                raise PulseError(f"knot arrays must be integer or float, got {f.name} of "
+                                 f"dtype {knots.dtype}")
+            object.__setattr__(self, f.name, np.asarray(knots, dtype=float))
         t, om, de = self.times, self.omegas, self.deltas
         if not (t.shape == om.shape == de.shape) or t.ndim != 1 or len(t) < 2:
             raise PulseError("need matching 1-d knot arrays with at least 2 knots")
@@ -294,9 +298,9 @@ def _damping_plan(n_atoms: int) -> tuple:
     Entry t = a d + b of rho (d = 2^N) sums the sources (a|m) d + (b|m) =
     t + m (d + 1) over the submasks m of the atoms ~(a|b) in g on both
     sides, each atom contributing 2 sources if so and 1 otherwise.  Returns
-    the sources in entry order, each entry's first source, the exponents
-    |m| and |a| + |b| of each source's weight, and an empty dict for the
-    weights of each p.
+    the sources in entry order, each entry's first source, and the cell
+    |m| (2N + 1) + |a| + |b| of each source's weight in the table of
+    :func:`_damping_weights`.
     """
     d = 2 ** n_atoms
     a, b = np.divmod(np.arange(d * d), d)
@@ -311,18 +315,24 @@ def _damping_plan(n_atoms: int) -> tuple:
         m |= (j & bit) << i
         j >>= bit
     excited = (np.bitwise_count(a) + np.bitwise_count(b))[entry]
-    return entry + m * (d + 1), starts, np.bitwise_count(m), excited, {}
+    cell = np.bitwise_count(m).astype(np.uint16) * (2 * n_atoms + 1) + excited
+    return entry + m * (d + 1), starts, cell
 
 
-def _amplitude_damping(rho: np.ndarray, plan: tuple, p: float) -> np.ndarray:
+def _damping_weights(plan: tuple, n_atoms: int, p: float) -> np.ndarray:
+    """The weight p^|m| sqrt(1 - p)^(|a| + |b|) of each source of ``plan``,
+    gathered from the (N + 1) x (2N + 1) table of p^m sqrt(1 - p)^e."""
+    table = p ** np.arange(n_atoms + 1)[:, None] * np.sqrt(1 - p) ** np.arange(2 * n_atoms + 1)
+    return table.ravel()[plan[2]]
+
+
+def _amplitude_damping(rho: np.ndarray, plan: tuple, weights: np.ndarray) -> np.ndarray:
     """The decay channel with Kraus operators diag(1, sqrt(1 - p)) and
     sqrt(p)|g><r| on every atom (qubit 1 the most significant bit):
     D(rho)_ab = (1 - p)^((|a| + |b|)/2) sum_{m <= ~(a|b)} p^|m| rho_{a|m, b|m}
-    as one gather over ``_damping_plan``."""
-    src, starts, n_decayed, excited, weights = plan
-    if (w := weights.get(p)) is None:
-        w = weights[p] = p ** n_decayed * np.sqrt(1 - p) ** excited
-    return np.add.reduceat(rho.ravel()[src] * w, starts).reshape(rho.shape)
+    as one gather over ``_damping_plan``, with the ``_damping_weights`` of p."""
+    src, starts, _ = plan
+    return np.add.reduceat(rho.ravel()[src] * weights, starts).reshape(rho.shape)
 
 
 def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
@@ -340,10 +350,11 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
     steps between steps run as one D(h).  D is one gather over the 5^N
     (entry, source) pairs of rho that it couples (``_damping_plan``; 4^N
     entries, 390,625 pairs at 8 atoms and 9.8 M at 10), built once per call
-    and weighted once per run of intervals with equal p.  Each knot
-    interval takes the fewest equal steps no longer than ``dt``.  Every
-    factor is a completely positive, trace-preserving map, so each state is
-    positive semidefinite with unit trace to roundoff at any ``dt``.
+    and weighted once per run of intervals of one rounded gap / dt, the
+    rounding that sets the step count.  Each knot interval takes the fewest
+    equal steps no longer than ``dt``.  Every factor is a completely
+    positive, trace-preserving map, so each state is positive semidefinite
+    with unit trace to roundoff at any ``dt``.
     ``initial_state`` is a unit vector or a density matrix.
     """
     if not force:
@@ -364,24 +375,29 @@ def propagate_lindblad(pulse: ControlPulse, geom: AtomGeometry,
                                f"{dim}) matrix for {geom.n_atoms} atoms, got shape {rho0.shape}")
     if abs(np.trace(rho0) - 1) > 1e-12 or np.linalg.eigvalsh(rho0)[0] < -1e-12:
         raise PropagationError("initial_state must have unit trace and no negative eigenvalue")
-    p = -np.expm1(-0.5 * noise.gamma * h)  # decay probability per half step
     plan = _damping_plan(geom.n_atoms)
-    states = [DensityState(rho0.copy(), float(pulse.times[0]))]
-    rho = _amplitude_damping(rho0, plan, p[0])  # every later rho is a new array, never written
+    ratio = np.round(np.diff(pulse.times) / float(dt), 9)  # one per step length, as in _step_grid
+
+    def weights(i):  # of interval i's two maps: D(h/2), and D(h/2)^2 = D(h) between two steps
+        p = -np.expm1(-0.5 * noise.gamma * h[knot_ends[i] - 1])  # decay probability per half step
+        return [_damping_weights(plan, geom.n_atoms, q) for q in (p, p * (2 - p))]
+
+    states, damp_w = [DensityState(rho0.copy(), float(pulse.times[0]))], weights(0)
+    rho = _amplitude_damping(rho0, plan, damp_w[0])  # each later rho is a new array, never written
     for lo, w, phases in batches:
         e = (w * phases.mT) @ w.mT  # each exponential's blocks
         us = _unfold(e[1::2] @ e[0::2], *fold)  # each step's propagator
         for j, (u, u_dag) in enumerate(zip(us, us.conj().mT), lo // 2):
             rho = u @ rho @ u_dag
             knot = j + 1 == knot_ends[len(states) - 1]
-            # between two steps of an interval D(h/2)^2 = D(h), of probability p(2 - p)
-            rho = _amplitude_damping(rho, plan, p[j] if knot else p[j] * (2 - p[j]))
+            rho = _amplitude_damping(rho, plan, damp_w[not knot])
             if knot:
                 states.append(DensityState(rho, float(pulse.times[len(states)])))
-                if j + 1 < p.size:  # the next interval's first half step
-                    if p[j + 1] != p[j]:  # hold one interval's weights, 5^N floats per p
-                        plan[-1].clear()
-                    rho = _amplitude_damping(rho, plan, p[j + 1])
+                if (i := len(states) - 1) < ratio.size:  # the next interval's first half step
+                    if ratio[i] != ratio[i - 1]:
+                        damp_w = None  # 5^N floats each: drop the last ones before the next
+                        damp_w = weights(i)
+                    rho = _amplitude_damping(rho, plan, damp_w[0])
     return states
 
 

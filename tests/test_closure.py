@@ -96,12 +96,22 @@ class TestCloseBasics:
             _, resid = res.contains(commutator(basis[i], basis[j]))
             assert resid < 1e-9, f"bracket ({i},{j}) left the span, residual {resid}"
 
-    def test_depth_limit_leaves_verdict_undetermined(self, monkeypatch):
-        # N=3 {1} is universal, but not after one depth of brackets
-        monkeypatch.setattr(closure, "DEFAULT_DEPTH_LIMIT", 1)
-        res = close(uniform_qubit_generators(3, {1}))
-        assert res.universality == "undetermined"
-        assert res.depth_reached == 1
+    def test_thin_closure_runs_to_convergence(self):
+        # one new row per depth: the run ends where the rows run out, past any depth count
+        class Chain:
+            n_gens, ids = 1, 0
+
+            def seed(self):
+                self.ids = 1
+                return [0]
+
+            def expand(self, block):
+                if self.ids == 100:
+                    return []
+                self.ids += 1
+                return [self.ids - 1]
+
+        assert closure._bfs(Chain(), 10 ** 6) == (100, 100, "converged")
 
 
 class TestChainTheorem:

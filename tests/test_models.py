@@ -251,11 +251,16 @@ class TestInputChecks:
          "rates and shifts must be real numbers, got ['x', 0.0, 0.0, 0.0]"),
         (lambda: NoiseModel(delta_rabi_shift="x"),
          "rates and shifts must be real numbers, got [0.0, 0.0, 'x', 0.0]"),
+        # Python's ValueError from unpacking x, y
+        (lambda: AtomGeometry(((0, 0, 0), (6, 0, 0))),
+         "atom positions must be (x, y) pairs, got ((0, 0, 0), (6, 0, 0))"),
+        (lambda: AtomGeometry(((0,), (6,))),
+         "atom positions must be (x, y) pairs, got ((0,), (6,))"),
     ], ids=["no atoms", "zero spacing", "negative spacing", "interaction 0", "interaction self",
             "interaction past N", "chain float", "interaction float", "chain bool",
             "interaction bool", "bool c6", "bool position", "string positions", "bool spacing",
             "bool gamma", "bool rabi scale", "string c6", "string spacing", "string gamma",
-            "string rabi shift"])
+            "string rabi shift", "3-d positions", "1-d positions"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ModelError) as info:
             make()

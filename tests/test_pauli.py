@@ -191,6 +191,12 @@ class TestSumBasics:
         p = PauliSum.from_label("X", 1.0) + PauliSum.from_label("X", -1.0)
         assert len(p) == 0
 
+    def test_repr_labels_terms_in_key_order(self):
+        p = (PauliSum.from_label("XZ", 2.0) + PauliSum.from_label("YI", -1.5)
+             + PauliSum.from_label("IZ", 0.25))
+        assert repr(p) == "+0.25*IZ -1.5*YI +2*XZ"
+        assert repr(PauliSum(2)) == "PauliSum(N=2, 0)"
+
     @pytest.mark.parametrize("label", [s for n in (1, 2, 3) for s in all_labels(n)])
     def test_label_parsers_agree_on_masks(self, label):
         n = len(label)

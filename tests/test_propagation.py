@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -601,16 +602,26 @@ class TestBatchedLindblad:
         assert len(calls) == 3000 + 30
 
     def test_weights_held_for_one_interval(self, monkeypatch):
-        # each distinct p holds 5^N floats; kept for the whole call, an
+        # each weight array holds 5^N floats; kept for the whole call, an
         # 8-atom pulse of 30 uneven intervals held 60 of them and peaked at
         # 273 MB RSS instead of 99 MB
+        formed, form = [], propagation._damping_weights
+        monkeypatch.setattr(propagation, "_damping_weights",
+                            lambda *a: formed.append(weakref.ref(w := form(*a))) or w)
         held, damp = [], propagation._amplitude_damping
         monkeypatch.setattr(propagation, "_amplitude_damping",
-                            lambda rho, plan, p: held.append(len(plan[-1])) or damp(rho, plan, p))
+                            lambda *a: held.append(sum(r() is not None for r in formed))
+                            or damp(*a))
         pulse = uneven_pulse(7, 6.0)
         propagate_lindblad(pulse, AtomGeometry.chain(2, 6.5), NoiseModel.fitted())
         assert len(set(np.diff(pulse.times).tolist())) == 31
-        assert max(held) == 2
+        assert (max(held), len(formed)) == (2, 62)
+        # roundoff spreads the 30 gaps of np.arange(31) * 0.1 over 6 distinct p
+        # in 17 runs, which formed 34 weight arrays; one rounded gap / dt is one
+        # step length, so 2 serve them all
+        formed.clear()
+        propagate_lindblad(halving_pulse(), AtomGeometry.chain(3, 6.857), NoiseModel.fitted())
+        assert len(formed) == 2
 
     def test_coarse_long_pulse_stays_positive(self):
         # RK4 at dt=0.05 overflowed to NaN on this 30 us pulse on 3 atoms at
@@ -652,7 +663,8 @@ class TestDampingGather:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = (a + a.conj().T) / 2
         for p in (0.0, 0.013, 0.5, 1.0):
-            got = propagation._amplitude_damping(rho, plan, p)
+            got = propagation._amplitude_damping(
+                rho, plan, propagation._damping_weights(plan, n_atoms, p))
             assert np.max(np.abs(got - kraus_damp(rho, damping_kraus(p, n_atoms)))) <= 1e-14
             assert abs(np.trace(got) - np.trace(rho)) <= 1e-14
 
@@ -660,8 +672,8 @@ class TestDampingGather:
     def test_plan_holds_five_to_the_n_pairs(self, n_atoms):
         # the memory contract of propagate_lindblad's docstring: each atom
         # couples (g, g) to itself and (r, r), and each other entry to itself
-        src, starts, n_decayed, excited, _ = propagation._damping_plan(n_atoms)
-        assert src.size == n_decayed.size == excited.size == 5 ** n_atoms
+        src, starts, cell = propagation._damping_plan(n_atoms)
+        assert src.size == cell.size == 5 ** n_atoms
         assert starts.size == 4 ** n_atoms
         assert starts[0] == 0 and np.all(np.diff(starts) > 0)
 
@@ -888,10 +900,15 @@ class TestInputChecks:
         (lambda: ConstraintProfile(omega_max="x"), PulseError,
          "constraint limits must be real numbers: ConstraintProfile(omega_max='x', "
          "delta_range=19.9, slew_omega=39.7, slew_delta=397.0, dt_min=0.05)"),
+        # both built a pulse with times [0, 1]
+        (lambda: ControlPulse(["0", "1"], ["0", "0"], ["0", "0"]), PulseError,
+         "knot arrays must be integer or float, got times of dtype <U1"),
+        (lambda: ControlPulse([False, True], [False, False], [0, 0]), PulseError,
+         "knot arrays must be integer or float, got times of dtype bool"),
     ], ids=["late start", "detuning", "3-d state", "NaN Lindblad vector", "inf Lindblad vector",
             "inf Lindblad matrix", "NaN vector", "inf matrix", "NaN initial_state",
             "unitary force with profile", "lindblad force with profile", "bool omega_max",
-            "bool dt_min", "string omega_max"])
+            "bool dt_min", "string omega_max", "string knots", "bool knots"])
     def test_rejected_with_message(self, make, error, message):
         with pytest.raises(error) as info:
             make()
